@@ -21,7 +21,7 @@ from .curvature import (
 )
 from .decomp import FBlocks, decompose, fblocks_from_json, fblocks_to_json, reconstruct
 from .gen import GenConfig, random_fblocks, random_fblocks_stream
-from .ranklab import discover_syzygies, express_over, rank_report
+from .ranklab import express_over, rank_report
 from .relations import load_relations, verify_all
 from .thooft import ETA, ETABAR, eta, etabar, levi_civita, verify_appendix_a
 
@@ -54,7 +54,6 @@ __all__ = [
     "GenConfig",
     "random_fblocks",
     "random_fblocks_stream",
-    "discover_syzygies",
     "express_over",
     "rank_report",
     "load_relations",

@@ -50,6 +50,11 @@ class CatalogEntry:
             if getattr(self, name) is not None
         }
 
+    def free_labels(self):
+        """Free index labels of the entry (empty for a scalar invariant)."""
+        rep = next(iter(self.representations().values()))
+        return (expr.parse(rep) if isinstance(rep, str) else rep).free_labels
+
 
 def _c(*terms):
     return expr.combine(*terms)

@@ -92,9 +92,25 @@ def _get_samples(args, count, config):
         raise _UsageError("--seed is required (or use --import-samples)")
     fbs = random_fblocks_stream(args.seed, count, config)
     if getattr(args, "export_samples", None):
-        with open(args.export_samples, "w") as f:
-            f.write(_dump(_samples_to_dict(fbs, config)))
+        _emit(_dump(_samples_to_dict(fbs, config)), args.export_samples)
     return fbs
+
+
+def _read_blocks(path):
+    """One block triple: a bare blocks object, or a samples envelope (as
+    written by ``generate``) holding exactly one sample."""
+    try:
+        data = json.loads(_read_input(path))
+        if isinstance(data, dict) and "samples" in data:
+            if len(data["samples"]) != 1:
+                raise _UsageError(
+                    f"{path!r} holds {len(data['samples'])} samples; "
+                    "exactly one is needed (generate --samples 1)"
+                )
+            data = data["samples"][0]
+        return fblocks_from_dict(data)
+    except (ValueError, KeyError, TypeError) as e:
+        raise _UsageError(f"malformed blocks input: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +154,20 @@ def _cmd_decompose(args):
 
 
 def _cmd_reconstruct(args):
-    text = _read_input(args.input)
-    try:
-        fb = fblocks_from_dict(json.loads(text))
-    except (ValueError, KeyError, TypeError) as e:
-        raise _UsageError(f"malformed blocks input: {e}") from e
-    tensor = reconstruct(fb)
+    tensor = reconstruct(_read_blocks(args.input))
     _emit(_dump(riemann_to_dict(tensor, format=args.tensor_format)), args.out)
     return 0
 
 
 def _cmd_invariants(args):
     entries = _resolve_catalog(args.catalog)
+    if any(e.free_labels() for e in entries):
+        raise _UsageError(
+            f"catalog {args.catalog!r} is tensor-valued; invariants evaluates "
+            f"scalar catalogs only (use: rank --catalog {args.catalog})"
+        )
     if args.input:
-        fb = fblocks_from_dict(json.loads(_read_input(args.input)))
+        fb = _read_blocks(args.input)
     else:
         config = GenConfig(bound=args.bound, einstein=args.einstein)
         fb = _get_samples(args, 1, config)[0]
@@ -214,47 +230,22 @@ def _resolve_catalog(name):
 def _rank_common(args):
     entries = _resolve_catalog(args.catalog)
     config = GenConfig(bound=args.bound, einstein=args.einstein)
-    n = args.samples
+    samples = None
     if args.import_samples:
-        fbs = _samples_from_json(
+        samples = _samples_from_json(
             _read_input(args.import_samples), args.import_samples
         )
-        if n is not None:
-            if len(fbs) < n:
-                raise _UsageError(
-                    f"imported {len(fbs)} samples but {n} are needed"
-                )
-            fbs = fbs[:n]
-        rows = ranklab.sample_matrix(entries, fbs, args.representation)
-        reduced, pivots = ranklab.rref(rows)
-        labels = [e.label for e in entries]
-        null = ranklab.nullspace(rows, ncols=len(entries))
-        half = ranklab.sample_matrix(
-            entries, fbs[: max(1, len(fbs) // 2)], args.representation
-        )
-        report = ranklab.RankReport(
-            catalog=args.catalog,
-            labels=labels,
-            n_samples=len(fbs),
-            n_rows=len(rows),
-            rank=len(pivots),
-            pivots=[labels[c] for c in pivots],
-            nullspace=null,
-            stable=ranklab.rank(half) == len(pivots),
-            seed=args.seed if args.seed is not None else -1,
-            config={"bound": config.bound, "einstein": config.einstein},
-        )
-    else:
-        if args.seed is None:
-            raise _UsageError("--seed is required (or use --import-samples)")
-        report = ranklab.rank_report(
-            entries, seed=args.seed, n_samples=n, config=config,
-            representation=args.representation, catalog_name=args.catalog,
-        )
-        if args.export_samples:
-            fbs = random_fblocks_stream(args.seed, report.n_samples, config)
-            with open(args.export_samples, "w") as f:
-                f.write(_dump(_samples_to_dict(fbs, config)))
+    elif args.seed is None:
+        raise _UsageError("--seed is required (or use --import-samples)")
+    report = ranklab.rank_report(
+        entries, seed=-1 if args.seed is None else args.seed,
+        n_samples=args.samples, config=config,
+        representation=args.representation, catalog_name=args.catalog,
+        samples=samples,
+    )
+    if args.export_samples and samples is None:
+        fbs = random_fblocks_stream(args.seed, report.n_samples, config)
+        _emit(_dump(_samples_to_dict(fbs, config)), args.export_samples)
     return report
 
 
@@ -277,11 +268,6 @@ def _cmd_rank(args):
     if args.expect is not None and report.rank != args.expect:
         return 1
     return 0
-
-
-def _cmd_discover(args):
-    args.expect = None
-    return _cmd_rank(args)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +339,9 @@ def _build_parser():
                     help="explicit relation names (overrides --set)")
     sp.set_defaults(func=_cmd_verify)
 
-    for name, helptext, func in (
-        ("rank", "exact rank of a catalog on random samples", _cmd_rank),
-        ("discover", "report candidate linear identities of a catalog",
-         _cmd_discover),
+    for name, helptext in (
+        ("rank", "exact rank of a catalog on random samples"),
+        ("discover", "report candidate linear identities of a catalog"),
     ):
         sp = sub.add_parser(name, help=helptext)
         common(sp, seed=True)
@@ -371,7 +356,7 @@ def _build_parser():
         if name == "rank":
             sp.add_argument("--expect", type=int, default=None,
                             help="exit 1 unless the rank equals this value")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=_cmd_rank, expect=None)
 
     return p
 

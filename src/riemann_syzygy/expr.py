@@ -125,7 +125,7 @@ def parse(text) -> Poly:
     if not isinstance(text, str) or not text.strip():
         raise ExprError("empty expression")
     # split into signed terms (the grammar has no parentheses)
-    pieces = re.split(r"(?=[+-])", text.replace(" ", " "))
+    pieces = re.split(r"(?=[+-])", text)
     terms = []
     sign = 1
     for piece in pieces:

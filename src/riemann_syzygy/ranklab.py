@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .catalog import CatalogEntry, contexts_for
-from .gen import GenConfig, random_fblocks_stream
+from .gen import GenConfig, random_fblocks, random_fblocks_stream
 
 __all__ = [
     "RankReport",
@@ -27,7 +27,6 @@ __all__ = [
     "nullspace",
     "sample_matrix",
     "rank_report",
-    "discover_syzygies",
     "express_over",
     "CONFIRM_SEED_XOR",
 ]
@@ -182,21 +181,32 @@ def rank_report(
     config=GenConfig(),
     representation=None,
     catalog_name="",
+    samples=None,
 ):
     """Sample, rank, and extract confirmed nullspace vectors.
 
+    The rows come from ``n_samples`` blocks drawn from ``seed``, or from the
+    first ``n_samples`` of the given ``samples`` (all of them by default).
     Rank stability is reported by comparing against the rank reached with the
     first half of the samples; nullspace vectors are confirmed on a fresh
-    independently seeded batch before inclusion.
+    batch drawn from ``seed ^ CONFIRM_SEED_XOR`` before inclusion.
     """
     labels = [e.label for e in entries]
-    if n_samples is None:
-        n_samples = 2 * len(entries) + 8
-    fbs = random_fblocks_stream(seed, n_samples, config)
-    rows = sample_matrix(entries, fbs, representation)
-    reduced, pivots = rref(rows)
-    half_rows = sample_matrix(entries, fbs[: max(1, n_samples // 2)], representation)
-    stable = rank(half_rows) == len(pivots)
+    if samples is None:
+        if n_samples is None:
+            n_samples = 2 * len(entries) + 8
+        samples = random_fblocks_stream(seed, n_samples, config)
+    elif n_samples is not None and len(samples) < n_samples:
+        raise ValueError(f"{len(samples)} samples given but {n_samples} are needed")
+    samples = samples[:n_samples]
+    n_samples = len(samples)
+    if n_samples < 2:
+        # with one sample the half set is the full set: stability is vacuous
+        raise ValueError(f"rank analysis needs at least 2 samples, got {n_samples}")
+    rows = sample_matrix(entries, samples, representation)
+    pivots = rref(rows)[1]
+    # sample_matrix emits rows sample by sample, so a prefix is a sample prefix
+    stable = rank(rows[: len(rows) // n_samples * (n_samples // 2)]) == len(pivots)
     null = nullspace(rows, ncols=len(entries))
     confirmed = []
     if null:
@@ -224,64 +234,29 @@ def rank_report(
     )
 
 
-def discover_syzygies(entries, seed, n_samples=None, config=GenConfig(),
-                      representation=None, catalog_name=""):
-    """Alias of rank_report focused on the confirmed nullspace vectors."""
-    return rank_report(
-        entries, seed, n_samples, config, representation, catalog_name
-    )
-
-
 def express_over(target, entries, seed, n_samples=None, config=GenConfig(),
                  representation=None):
-    """Exact coordinates of a scalar expression over a catalog, or None.
+    """Exact coordinates of an expression over a catalog, or None.
 
-    Solves target = sum_i c_i * entry_i on random samples and confirms the
-    solution on a fresh independently seeded batch; returns the Fraction
-    coefficient list, or None if the target is not in the span.
+    The target joins the catalog as one more column of ``rank_report``; it
+    lies in the span exactly when a confirmed null vector ``v`` has a nonzero
+    last coefficient, and then ``target = sum_i -v[i]/v[-1] * entry_i`` (the
+    solution with every other free variable set to zero).  Returns the
+    Fraction coefficient list, or None if the target is not in the span.
     """
     if isinstance(target, str):
         target = expr.parse(target)
-    if n_samples is None:
-        n_samples = 2 * len(entries) + 8
-    fbs = random_fblocks_stream(seed, n_samples, config)
-    rows = sample_matrix(entries, fbs, representation)
-    polys = _entry_polys(entries, representation)
-    free = polys[0][1].free_labels
-    if target.free_labels != free:
-        raise ValueError("target free labels differ from the catalog's")
-
-    def target_col(samples):
-        col = []
-        for fb in samples:
-            ctx = contexts_for(fb)
-            # the two languages share no symbol of equal rank, so trying the
-            # matrix context first and falling back to tensor is unambiguous
-            try:
-                v = expr.evaluate(target, ctx["matrix"])
-            except expr.ExprError:
-                v = expr.evaluate(target, ctx["tensor"])
-            if free:
-                for idx in np.ndindex(*v.shape):
-                    col.append(Fraction(v[idx]))
-            else:
-                col.append(Fraction(v))
-        return col
-
-    b = target_col(fbs)
-    aug = [row + [bv] for row, bv in zip(rows, b)]
-    reduced, pivots = rref(aug)
-    n = len(entries)
-    if n in pivots:
-        return None  # inconsistent: target outside the span on these samples
-    coeffs = [Fraction(0)] * n
-    for row, pc in zip(reduced, pivots):
-        # the solution with all free variables set to zero
-        coeffs[pc] = row[n]
-    confirm_fbs = random_fblocks_stream(seed ^ CONFIRM_SEED_XOR, 8, config)
-    confirm_rows = sample_matrix(entries, confirm_fbs, representation)
-    confirm_b = target_col(confirm_fbs)
-    for row, bv in zip(confirm_rows, confirm_b):
-        if sum(c * x for c, x in zip(coeffs, row)) != bv:
-            return None
-    return coeffs
+    # the two languages share no symbol of equal rank, so a target that
+    # evaluates in the matrix language is a matrix-language expression
+    try:
+        expr.evaluate(target, expr.matrix_context(random_fblocks(seed, config)))
+        kind = "matrix"
+    except expr.ExprError:
+        kind = "tensor"
+    column = CatalogEntry(label="target", **{kind: target})
+    report = rank_report(list(entries) + [column], seed, n_samples, config,
+                         representation)
+    vec = next((v for v in report.nullspace if v[-1]), None)
+    if vec is None:
+        return None
+    return [Fraction(-c, vec[-1]) for c in vec[:-1]]

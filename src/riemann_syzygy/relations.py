@@ -212,6 +212,8 @@ def verify_all(seed, n_samples=50, relations=None, bound=9):
     relations run on samples with vanishing mixed block.  Both streams derive
     deterministically from the one seed.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if relations is None:
         relations = load_relations()
     streams = {}

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from riemann_syzygy import cli
+from riemann_syzygy import catalog, cli
 from riemann_syzygy.curvature import riemann_to_json, zeros
 from riemann_syzygy.decomp import reconstruct
-from riemann_syzygy.gen import random_fblocks
+from riemann_syzygy.gen import GenConfig, random_fblocks, random_fblocks_stream
+from riemann_syzygy.ranklab import sample_matrix
 
 
 def run(argv, capsys):
@@ -170,3 +171,72 @@ def test_discover_reports_nullspace(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["nullspace"] == [[4, -16, 4, -1, 0]]
+
+
+def test_verify_zero_samples_exit_2(capsys):
+    code, out, err = run(
+        ["verify", "--seed", "1", "--samples", "0", "--set", "einstein"],
+        capsys,
+    )
+    assert code == 2 and not out
+    assert "n_samples" in err
+
+
+def test_rank_zero_samples_exit_2(capsys):
+    code, out, err = run(
+        ["rank", "--catalog", "cubic", "--samples", "0", "--seed", "1"],
+        capsys,
+    )
+    assert code == 2 and not out
+    assert "at least 2 samples" in err
+
+
+def test_invariants_tensor_catalog_exit_2(capsys):
+    code, out, err = run(
+        ["invariants", "--catalog", "cubic_rank2", "--seed", "1"], capsys
+    )
+    assert code == 2 and not out
+    assert "tensor-valued" in err and "rank --catalog cubic_rank2" in err
+
+
+def test_generate_reconstruct_decompose_chain(tmp_path, capsys):
+    blocks = tmp_path / "blocks.json"
+    tensor = tmp_path / "tensor.json"
+    assert run(["generate", "--seed", "7", "--samples", "1",
+                "--out", str(blocks)], capsys)[0] == 0
+    assert run(["reconstruct", str(blocks), "--out", str(tensor)],
+               capsys)[0] == 0
+    code, out, _ = run(["decompose", str(tensor)], capsys)
+    assert code == 0
+    assert json.loads(out) == json.loads(blocks.read_text())["samples"][0]
+    # invariants reads the same envelope
+    code, out, _ = run(["invariants", "--catalog", "quadratic", str(blocks)],
+                       capsys)
+    assert code == 0 and "R2" in json.loads(out)["values"]
+    # an envelope with more than one sample is ambiguous
+    run(["generate", "--seed", "7", "--samples", "2", "--out", str(blocks)],
+        capsys)
+    code, _, err = run(["reconstruct", str(blocks)], capsys)
+    assert code == 2
+    assert "2 samples" in err
+
+
+def test_rank_import_confirms_null_vectors(tmp_path, capsys):
+    """Imported samples get the fresh-batch confirmation of seeded ones."""
+    samples = tmp_path / "einstein.json"
+    run(["generate", "--seed", "4", "--samples", "30", "--einstein",
+         "--out", str(samples)], capsys)
+    entries = catalog.catalog("cubic")
+    for flags, einstein in (([], False), (["--einstein"], True)):
+        code, out, _ = run(["rank", "--catalog", "cubic",
+                            "--import-samples", str(samples)] + flags, capsys)
+        assert code == 0
+        null = json.loads(out)["nullspace"]
+        fresh = sample_matrix(entries, random_fblocks_stream(
+            2024, 10, GenConfig(einstein=einstein)))
+        for vec in null:
+            assert all(sum(c * x for c, x in zip(vec, row)) == 0
+                       for row in fresh)
+        # Einstein-only relations are not identities of the general domain,
+        # but on the Einstein domain they are confirmed and reported
+        assert bool(null) == einstein

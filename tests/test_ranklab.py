@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from riemann_syzygy import catalog, ranklab
-from riemann_syzygy.gen import GenConfig
+from riemann_syzygy.gen import GenConfig, random_fblocks_stream
 from riemann_syzygy.ranklab import (
     express_over,
     nullspace,
@@ -93,12 +93,41 @@ def test_express_over_finds_combination():
     # epseps = 4*R2 - 16*Rc2 + 4*K  (alternating quadratic identity)
     coeffs = express_over(entries[3].tensor, entries[:3], seed=99)
     assert coeffs == [Fraction(4), Fraction(-16), Fraction(4)]
+    # the same invariant as a block trace word (matrix language)
+    assert express_over(entries[3].matrix, entries[:3], seed=99) == coeffs
+    # a tensor-valued target: cubic rank-2 entry A over B..P, the solution
+    # with every free coefficient zero
+    rank2 = catalog.catalog("cubic_rank2")
+    coeffs = express_over(rank2[0].tensor, rank2[1:], seed=99)
+    assert coeffs == [4, 4, -8, 0, 0, -8, 0, -1, 4, 0, 0, 0, 0, 0, 0]
+    for row in sample_matrix(rank2, random_fblocks_stream(7, 2)):
+        assert row[0] == sum(c * x for c, x in zip(coeffs, row[1:]))
 
 
 def test_express_over_rejects_outside_span():
     entries = catalog.catalog("quadratic")
     # a cubic scalar is not a linear combination of quadratic scalars
     assert express_over("Sc*Sc*Sc", entries, seed=99) is None
+
+
+def test_rank_report_given_samples_match_seeded():
+    entries = catalog.catalog("cubic")
+    seeded = rank_report(entries, seed=5, n_samples=20, catalog_name="cubic")
+    given = rank_report(entries, seed=5, catalog_name="cubic",
+                        samples=random_fblocks_stream(5, 20))
+    assert given.to_dict() == seeded.to_dict()
+
+
+def test_rank_report_rejects_too_few_samples():
+    entries = catalog.catalog("quadratic")
+    # one sample makes the half-sample stability check vacuous
+    with pytest.raises(ValueError, match="at least 2"):
+        rank_report(entries, seed=1, n_samples=1)
+    with pytest.raises(ValueError, match="at least 2"):
+        rank_report(entries, seed=1, samples=random_fblocks_stream(1, 1))
+    with pytest.raises(ValueError, match="3 samples given but 4"):
+        rank_report(entries, seed=1, n_samples=4,
+                    samples=random_fblocks_stream(1, 3))
 
 
 def test_confirmation_seed_differs():
