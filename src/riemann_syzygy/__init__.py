@@ -7,7 +7,7 @@ randomized exact-rational rank analysis.  All arithmetic is exact: integers
 and fractions only, no floating point anywhere.
 """
 
-from . import catalog, cli, curvature, decomp, expr, gen, ranklab, relations, thooft
+from . import catalog, curvature, decomp, expr, gen, ranklab, relations, thooft
 from .curvature import (
     constant_curvature,
     pseudo_riemann,
@@ -29,7 +29,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "catalog",
-    "cli",
     "curvature",
     "decomp",
     "expr",

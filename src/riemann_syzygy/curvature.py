@@ -18,6 +18,7 @@ from .thooft import EPS4
 
 __all__ = [
     "Rank4Tensor",
+    "exact",
     "ValidationReport",
     "validate_riemann",
     "ricci",
@@ -41,6 +42,10 @@ SCHEMA = "riemann-syzygy/1"
 DELTA4 = np.array(
     [[1 if a == b else 0 for b in range(4)] for a in range(4)], dtype=object
 )
+# d_ac d_bd - d_ad d_bc: the curvature tensor of the unit 4-sphere (R = 12)
+DELTA_WEDGE = np.einsum("ac,bd->abcd", DELTA4, DELTA4) - np.einsum(
+    "ad,bc->abcd", DELTA4, DELTA4
+)
 
 
 def zeros() -> Rank4Tensor:
@@ -55,15 +60,18 @@ def _as_rational(x):
     raise TypeError(f"expected int or Fraction entry, got {type(x).__name__}")
 
 
+# The exact normal form of a scalar or, entrywise, of an object array: an
+# int when the value is integral, a Fraction otherwise.  Ints, numpy integers
+# and Fractions are accepted; anything else (floats, strings) is a TypeError.
+exact = np.frompyfunc(_as_rational, 1, 1)
+
+
 def as_tensor(values) -> Rank4Tensor:
     """Coerce a nested sequence / array into a validated object array."""
     arr = np.asarray(values, dtype=object)
     if arr.shape != (4, 4, 4, 4):
         raise ValueError(f"curvature tensor must have shape (4,4,4,4), got {arr.shape}")
-    out = zeros()
-    for idx in np.ndindex(4, 4, 4, 4):
-        out[idx] = _as_rational(arr[idx])
-    return out
+    return exact(arr)
 
 
 @dataclass
@@ -101,46 +109,21 @@ def validate_riemann(t: Rank4Tensor) -> ValidationReport:
     with 1-based indices.
     """
     report = ValidationReport()
-    r4 = range(4)
-
-    def first(pred_name, gen):
-        for idx, ok in gen:
-            if not ok:
-                report.add(pred_name, False, tuple(i + 1 for i in idx))
-                return
-        report.add(pred_name, True)
-
-    first(
-        "Antisymmetry (first pair)",
+    residuals = (
+        ("Antisymmetry (first pair)", t + np.einsum("bacd->abcd", t)),
+        ("Antisymmetry (second pair)", t + np.einsum("abdc->abcd", t)),
+        ("Pair symmetry", t - np.einsum("cdab->abcd", t)),
         (
-            ((a, b, c, d), t[a, b, c, d] == -t[b, a, c, d])
-            for a in r4 for b in r4 for c in r4 for d in r4
+            "First Bianchi identity",
+            t + np.einsum("acdb->abcd", t) + np.einsum("adbc->abcd", t),
         ),
     )
-    first(
-        "Antisymmetry (second pair)",
-        (
-            ((a, b, c, d), t[a, b, c, d] == -t[a, b, d, c])
-            for a in r4 for b in r4 for c in r4 for d in r4
-        ),
-    )
-    first(
-        "Pair symmetry",
-        (
-            ((a, b, c, d), t[a, b, c, d] == t[c, d, a, b])
-            for a in r4 for b in r4 for c in r4 for d in r4
-        ),
-    )
-    first(
-        "First Bianchi identity",
-        (
-            (
-                (a, b, c, d),
-                t[a, b, c, d] + t[a, c, d, b] + t[a, d, b, c] == 0,
-            )
-            for a in r4 for b in r4 for c in r4 for d in r4
-        ),
-    )
+    for name, residual in residuals:
+        bad = np.argwhere(residual != 0)  # in C order, as a, b, c, d loops
+        if len(bad):
+            report.add(name, False, tuple(int(i) + 1 for i in bad[0]))
+        else:
+            report.add(name, True)
     return report
 
 
@@ -156,50 +139,33 @@ def ricci_scalar(t: Rank4Tensor):
 
 def traceless_ricci(t: Rank4Tensor):
     """S_ab = R_ab - (R/4) delta_ab."""
-    rc = ricci(t)
-    sc = ricci_scalar(t)
-    return rc - Fraction(sc, 4) * DELTA4
+    return exact(ricci(t) - Fraction(ricci_scalar(t), 4) * DELTA4)
 
 
 def weyl(t: Rank4Tensor) -> Rank4Tensor:
-    """Weyl (conformal) part of the curvature tensor."""
-    rc = ricci(t)
-    sc = ricci_scalar(t)
-    w = zeros()
-    for a, b, c, d in np.ndindex(4, 4, 4, 4):
-        w[a, b, c, d] = (
-            t[a, b, c, d]
-            - Fraction(1, 2)
-            * (
-                DELTA4[a, c] * rc[b, d]
-                - DELTA4[a, d] * rc[b, c]
-                - DELTA4[b, c] * rc[a, d]
-                + DELTA4[b, d] * rc[a, c]
-            )
-            + Fraction(sc, 6)
-            * (DELTA4[a, c] * DELTA4[b, d] - DELTA4[a, d] * DELTA4[b, c])
-        )
-        w[a, b, c, d] = _as_rational(Fraction(w[a, b, c, d]))
-    return w
+    """Weyl (conformal) part: W = R - 1/2 delta (.) Rc + (Sc/6) DELTA_WEDGE.
+
+    delta (.) Rc is the Kulkarni-Nomizu product
+    d_ac Rc_bd + d_bd Rc_ac - d_ad Rc_bc - d_bc Rc_ad.
+    """
+    x = np.einsum("ac,bd->abcd", DELTA4, ricci(t))
+    kn = (
+        x
+        + np.einsum("badc->abcd", x)
+        - np.einsum("abdc->abcd", x)
+        - np.einsum("bacd->abcd", x)
+    )
+    return exact(t - Fraction(1, 2) * kn + Fraction(ricci_scalar(t), 6) * DELTA_WEDGE)
 
 
 def pseudo_riemann(t: Rank4Tensor) -> Rank4Tensor:
     """Dual on the second pair: Rt_abcd = 1/2 eps_cdef R_abef."""
-    half = Fraction(1, 2)
-    out = np.einsum("cdef,abef->abcd", EPS4, t)
-    for idx in np.ndindex(4, 4, 4, 4):
-        out[idx] = _as_rational(half * Fraction(out[idx]))
-    return out
+    return exact(Fraction(1, 2) * np.einsum("cdef,abef->abcd", EPS4, t))
 
 
 def constant_curvature(scalar) -> Rank4Tensor:
     """Maximally symmetric tensor R_abcd = (R/12)(d_ac d_bd - d_ad d_bc)."""
-    coeff = Fraction(scalar, 12)
-    t = zeros()
-    for a, b, c, d in np.ndindex(4, 4, 4, 4):
-        val = coeff * (DELTA4[a, c] * DELTA4[b, d] - DELTA4[a, d] * DELTA4[b, c])
-        t[a, b, c, d] = _as_rational(val)
-    return t
+    return exact(Fraction(scalar, 12) * DELTA_WEDGE)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +193,7 @@ def rational_from_str(s):
             q = int(parts[1])
             if q <= 0:
                 raise ValueError(f"denominator must be positive in {s!r}")
-            return _as_rational(Fraction(int(parts[0]), q))
+            return exact(Fraction(int(parts[0]), q))
     raise ValueError(f"invalid rational: {s!r}")
 
 

@@ -20,11 +20,10 @@ import numpy as np
 from .curvature import (
     SCHEMA,
     Rank4Tensor,
-    _as_rational,
+    exact,
     rational_from_str,
     rational_to_str,
     validate_riemann,
-    zeros,
 )
 from .thooft import ETA, ETABAR
 
@@ -48,12 +47,7 @@ def _as_matrix3(values, name):
     arr = np.asarray(values, dtype=object)
     if arr.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {arr.shape}")
-    out = np.zeros((3, 3), dtype=object)
-    for i, j in np.ndindex(3, 3):
-        out[i, j] = _as_rational(
-            arr[i, j] if isinstance(arr[i, j], (int, Fraction)) else Fraction(arr[i, j])
-        )
-    return out
+    return exact(arr)
 
 
 def _trace(m):
@@ -101,14 +95,9 @@ class FBlocks:
 
     def weyl_blocks(self):
         """Traceless parts (Ap~, Am~): the two Weyl half-blocks."""
-        tp = Fraction(_trace(self.Ap), 3)
-        tm = Fraction(_trace(self.Am), 3)
-        ap = self.Ap - tp * DELTA3
-        am = self.Am - tm * DELTA3
-        for m in (ap, am):
-            for i, j in np.ndindex(3, 3):
-                m[i, j] = _as_rational(Fraction(m[i, j]))
-        return ap, am
+        return tuple(
+            exact(m - Fraction(_trace(m), 3) * DELTA3) for m in (self.Ap, self.Am)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, FBlocks):
@@ -127,14 +116,9 @@ def raw_blocks(t: Rank4Tensor):
     symmetries these are (Ap, B, B^T, Am); for other antisymmetric-pair
     tensors (e.g. the dual tensor) the four blocks are independent.
     """
-    sixteenth = Fraction(1, 16)
 
     def proj(left, right):
-        m = np.einsum("abcd,iab,jcd->ij", t, left, right)
-        out = np.zeros((3, 3), dtype=object)
-        for i, j in np.ndindex(3, 3):
-            out[i, j] = _as_rational(sixteenth * Fraction(m[i, j]))
-        return out
+        return exact(Fraction(1, 16) * np.einsum("abcd,iab,jcd->ij", t, left, right))
 
     return (
         proj(ETA, ETA),
@@ -166,14 +150,12 @@ def decompose(t: Rank4Tensor, validate=True) -> FBlocks:
 
 def reconstruct(fb: FBlocks) -> Rank4Tensor:
     """Rebuild the rank-4 tensor from its blocks (exact inverse of decompose)."""
-    t = zeros()
-    t += np.einsum("ij,iab,jcd->abcd", fb.Ap, ETA, ETA)
-    t += np.einsum("ij,iab,jcd->abcd", fb.B, ETA, ETABAR)
-    t += np.einsum("ij,iab,jcd->abcd", fb.B.T, ETABAR, ETA)
-    t += np.einsum("ij,iab,jcd->abcd", fb.Am, ETABAR, ETABAR)
-    for idx in np.ndindex(4, 4, 4, 4):
-        t[idx] = _as_rational(Fraction(t[idx]))
-    return t
+    return exact(
+        np.einsum("ij,iab,jcd->abcd", fb.Ap, ETA, ETA)
+        + np.einsum("ij,iab,jcd->abcd", fb.B, ETA, ETABAR)
+        + np.einsum("ij,iab,jcd->abcd", fb.B.T, ETABAR, ETA)
+        + np.einsum("ij,iab,jcd->abcd", fb.Am, ETABAR, ETABAR)
+    )
 
 
 # ---------------------------------------------------------------------------

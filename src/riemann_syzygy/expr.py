@@ -27,7 +27,7 @@ import numpy as np
 from .curvature import (
     DELTA4,
     Rank4Tensor,
-    _as_rational,
+    exact,
     pseudo_riemann,
     ricci,
     ricci_scalar,
@@ -245,7 +245,7 @@ def _eval_monomial(mono: Monomial, context, free):
         if not labels:
             if isinstance(val, np.ndarray) and val.ndim > 0:
                 raise ExprError(f"symbol {name!r} needs {val.ndim} indices")
-            coeff = coeff * Fraction(val if not isinstance(val, np.ndarray) else val[()])
+            coeff = coeff * (val[()] if isinstance(val, np.ndarray) else val)
             continue
         if not isinstance(val, np.ndarray) or val.ndim != len(labels):
             rank = val.ndim if isinstance(val, np.ndarray) else 0
@@ -265,12 +265,7 @@ def _eval_monomial(mono: Monomial, context, free):
         result = np.einsum(spec, *arrays, optimize="greedy")
     except ValueError as exc:
         raise ExprError(f"contraction failed for {spec!r}: {exc}") from exc
-    if not free:
-        return _as_rational(coeff * Fraction(result[()] if isinstance(result, np.ndarray) else result))
-    out = np.zeros(result.shape, dtype=object)
-    for idx in np.ndindex(*result.shape):
-        out[idx] = _as_rational(coeff * Fraction(result[idx]))
-    return out
+    return coeff * result
 
 
 def evaluate(poly, context):
@@ -289,11 +284,7 @@ def evaluate(poly, context):
         if poly.free_labels:
             raise ExprError("cannot evaluate an empty expression with free indices")
         return 0
-    if isinstance(total, np.ndarray):
-        for idx in np.ndindex(*total.shape):
-            total[idx] = _as_rational(Fraction(total[idx]))
-        return total
-    return _as_rational(Fraction(total))
+    return exact(total)
 
 
 def tensor_context(t: Rank4Tensor):

@@ -160,17 +160,13 @@ def sample_matrix(entries, fbs, representation=None):
     nfree = {p.free_labels for _, p in polys}
     if len(nfree) != 1:
         raise ValueError("all catalog entries must share the same free labels")
-    free = nfree.pop()
     rows = []
     for fb in fbs:
         ctx = contexts_for(fb)
-        vals = [expr.evaluate(p, ctx[kind]) for kind, p in polys]
-        if not free:
-            rows.append([Fraction(v) for v in vals])
-        else:
-            shape = vals[0].shape
-            for idx in np.ndindex(*shape):
-                rows.append([Fraction(v[idx]) for v in vals])
+        vals = np.array([expr.evaluate(p, ctx[kind]) for kind, p in polys],
+                        dtype=object)
+        # column per entry, row per free-index assignment in C order
+        rows.extend(vals.reshape(len(polys), -1).T.tolist())
     return rows
 
 
@@ -216,7 +212,7 @@ def rank_report(
         confirm_rows = sample_matrix(entries, confirm_fbs, representation)
         for vec in null:
             if all(
-                sum(Fraction(c) * row[i] for i, c in enumerate(vec)) == 0
+                sum(c * row[i] for i, c in enumerate(vec)) == 0
                 for row in confirm_rows
             ):
                 confirmed.append(vec)

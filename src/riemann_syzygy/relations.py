@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -175,8 +174,7 @@ def residual(rel: Relation, fb, tensor=None):
         return lv
     rv = expr.evaluate(rel.rhs_poly(), ctx[rel.rhs_language])
     if rel.rhs_delta:
-        rv = np.array([[Fraction(rv) * e for e in row] for row in DELTA4],
-                      dtype=object)
+        rv = rv * DELTA4
     return lv - rv
 
 

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, JSON reports, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,22 @@ def test_thooft_check(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["all_ok"] is True
+
+
+def test_module_entry_point_warns_nothing():
+    """``python -m riemann_syzygy.cli`` runs without a RuntimeWarning."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "riemann_syzygy.cli", "thooft-check"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_ok"] is True
 
 
 def test_generate_deterministic(capsys):

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemann_syzygy import curvature
+from riemann_syzygy import curvature, expr
 from riemann_syzygy.curvature import (
+    as_tensor,
     constant_curvature,
     pseudo_riemann,
     rational_from_str,
@@ -23,7 +24,9 @@ from riemann_syzygy.curvature import (
     weyl,
     zeros,
 )
-from riemann_syzygy.decomp import reconstruct
+from riemann_syzygy.decomp import raw_blocks, reconstruct
+from riemann_syzygy.gen import GenConfig, random_fblocks
+from riemann_syzygy.thooft import EPS4
 
 from conftest import relaxed_tensor
 
@@ -57,6 +60,20 @@ def test_validation_names_failing_check():
     for name, ok, ce in report.checks:
         if not ok:
             assert all(1 <= i <= 4 for i in ce)
+    # every check runs, each reporting its first counterexample in C order
+    assert report.checks == [
+        ("Antisymmetry (first pair)", True, None),
+        ("Antisymmetry (second pair)", True, None),
+        ("Pair symmetry", False, (1, 2, 3, 4)),
+        ("First Bianchi identity", False, (1, 2, 3, 4)),
+    ]
+    # eps_abcd has every pair symmetry; its Bianchi sum is 3 eps_abcd
+    assert validate_riemann(EPS4.copy()).checks == [
+        ("Antisymmetry (first pair)", True, None),
+        ("Antisymmetry (second pair)", True, None),
+        ("Pair symmetry", True, None),
+        ("First Bianchi identity", False, (1, 2, 3, 4)),
+    ]
 
 
 def test_bianchi_violation_detected():
@@ -83,6 +100,53 @@ def test_pseudo_riemann_trace_free(samples):
     for fb in samples[:3]:
         rt = pseudo_riemann(reconstruct(fb))
         assert np.all(np.einsum("acbc->ab", rt) == 0)
+
+
+def _normal(value):
+    """int when integral, Fraction (denominator > 1) otherwise."""
+    if isinstance(value, np.ndarray):
+        return all(_normal(v) for v in value.flat)
+    return type(value) is int or (
+        type(value) is Fraction and value.denominator > 1
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 9))
+def test_outputs_in_exact_normal_form(seed, bound):
+    fb = random_fblocks(seed, GenConfig(bound=bound))
+    t = reconstruct(fb)
+    tctx = expr.tensor_context(t)
+    mctx = expr.matrix_context(fb)
+    values = [
+        t,
+        weyl(t),
+        pseudo_riemann(t),
+        traceless_ricci(t),
+        *raw_blocks(t),
+        *raw_blocks(pseudo_riemann(t)),
+        *fb.weyl_blocks(),
+        expr.evaluate("W[a,b,c,d]*W[a,b,c,d] + 1/3*Sc*Sc", tctx),
+        expr.evaluate("Rt[a,b,c,d]*R[a,b,c,d]", tctx),
+        expr.evaluate("Rc[a,c]*Rc[c,b] - 1/4*Sc*Rc[a,b]", tctx),
+        expr.evaluate("1/2*W[a,c,d,e]*R[b,c,d,e]", tctx),
+        expr.evaluate("1/3*Ap[i,j]*Am[j,i] + 1/6*R*detB", mctx),
+        expr.evaluate("1/2*Ap[i,k]*B[k,j]", mctx),
+    ]
+    for i, value in enumerate(values):
+        assert _normal(value), i
+
+
+def test_float_and_string_entries_rejected():
+    for bad in (0.1, "1/2"):
+        t = zeros()
+        t[0, 1, 0, 1] = bad
+        with pytest.raises(TypeError):
+            as_tensor(t)
+        with pytest.raises(TypeError):
+            curvature.exact(bad)
+    assert curvature.exact(Fraction(6, 3)) == 2
+    assert type(curvature.exact(np.int64(2))) is int
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))

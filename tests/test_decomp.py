@@ -81,6 +81,17 @@ def test_fblocks_validation():
         FBlocks(Ap=unbalanced, B=good, Am=good)
 
 
+def test_fblocks_rejects_float_and_string_entries():
+    good = np.zeros((3, 3), dtype=object)
+    for bad in (0.1, "1/2"):
+        b = good.copy()
+        b[0, 1] = bad
+        with pytest.raises(TypeError):
+            FBlocks(Ap=good, B=b, Am=good)
+    with pytest.raises(TypeError):
+        FBlocks(Ap=good, B=np.full((3, 3), 0.5), Am=good)
+
+
 def test_decompose_rejects_non_curvature():
     with pytest.raises(ValueError, match="First Bianchi"):
         decompose(relaxed_tensor(3))
