@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr
-from .curvature import Rank4Tensor
 from .decomp import FBlocks, reconstruct
 
 __all__ = [
@@ -795,16 +794,17 @@ def catalog(name):
         ) from None
 
 
-def contexts_for(fb: FBlocks, tensor: Rank4Tensor = None):
-    """Evaluation contexts for all representation kinds of one sample."""
-    if tensor is None:
-        tensor = reconstruct(fb)
+def contexts_for(fb: FBlocks):
+    """Evaluation contexts for all representation kinds of one sample.
+
+    The tensor context (and the reconstruction it needs) is built only when
+    an expression of the tensor language asks for it.
+    """
     mctx = expr.matrix_context(fb)
-    return {
-        "tensor": expr.tensor_context(tensor),
-        "matrix": mctx,
-        "fform": mctx,
-    }
+    return expr.LazyContext(
+        {"matrix": mctx, "fform": mctx},
+        tensor=lambda: expr.tensor_context(reconstruct(fb)),
+    )
 
 
 def evaluate_entry(entry: CatalogEntry, contexts, representation=None):

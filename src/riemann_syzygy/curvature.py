@@ -229,6 +229,9 @@ def riemann_to_dict(t: Rank4Tensor, format="sparse"):
 def riemann_from_dict(data) -> Rank4Tensor:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
+    schema = data.get("schema", SCHEMA)
+    if schema != SCHEMA:
+        raise ValueError(f"unknown schema {schema!r} (expected {SCHEMA!r})")
     fmt = data.get("format")
     if fmt == "dense":
         comp = data.get("components")
@@ -241,6 +244,7 @@ def riemann_from_dict(data) -> Rank4Tensor:
         return t
     if fmt == "sparse":
         t = zeros()
+        seen = set()
         for entry in data.get("entries", []):
             if len(entry) != 5:
                 raise ValueError(f"sparse entry must be [a,b,c,d,value]: {entry!r}")
@@ -248,6 +252,9 @@ def riemann_from_dict(data) -> Rank4Tensor:
             for name, i in zip("abcd", (a, b, c, d)):
                 if not isinstance(i, int) or not 1 <= i <= 4:
                     raise ValueError(f"index {name}={i!r} out of range 1..4")
+            if (a, b, c, d) in seen:
+                raise ValueError(f"duplicate sparse entry for index {[a, b, c, d]}")
+            seen.add((a, b, c, d))
             t[a - 1, b - 1, c - 1, d - 1] = rational_from_str(v)
         return t
     raise ValueError(f"unknown or missing format {fmt!r}")

@@ -19,6 +19,7 @@ language of a rank-4 curvature tensor and the matrix language of its blocks.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ __all__ = [
     "parse",
     "relabel",
     "evaluate",
+    "LazyContext",
     "tensor_context",
     "matrix_context",
     "pseudo_variant",
@@ -287,21 +289,44 @@ def evaluate(poly, context):
     return exact(total)
 
 
+class LazyContext(Mapping):
+    """A read-only symbol context: ``values`` as given, plus ``builders``
+    (name -> zero-argument function), each run on its symbol's first lookup
+    only and its value kept."""
+
+    def __init__(self, values, **builders):
+        self._values = dict(values)
+        self._builders = builders
+
+    def __getitem__(self, name):
+        if name not in self._values:
+            self._values[name] = self._builders[name]()
+        return self._values[name]
+
+    def __contains__(self, name):
+        return name in self._values or name in self._builders
+
+    def __iter__(self):
+        return iter({**self._values, **self._builders})
+
+    def __len__(self):
+        return len({**self._values, **self._builders})
+
+
 def tensor_context(t: Rank4Tensor):
     """Symbols of the rank-4 tensor language.
 
     R (rank 4), Rc (Ricci, rank 2), Sc (scalar), W (Weyl, rank 4),
-    Rt (dual tensor, rank 4), eps (rank 4), delta (rank 2).
+    Rt (dual tensor, rank 4), eps (rank 4), delta (rank 2).  The curvature
+    symbols derived from ``t`` are computed on first use only.
     """
-    return {
-        "R": t,
-        "Rc": ricci(t),
-        "Sc": ricci_scalar(t),
-        "W": weyl(t),
-        "Rt": pseudo_riemann(t),
-        "eps": EPS4,
-        "delta": DELTA4,
-    }
+    return LazyContext(
+        {"R": t, "eps": EPS4, "delta": DELTA4},
+        Rc=lambda: ricci(t),
+        Sc=lambda: ricci_scalar(t),
+        W=lambda: weyl(t),
+        Rt=lambda: pseudo_riemann(t),
+    )
 
 
 def _det3(m):

@@ -166,24 +166,30 @@ def _is_zero(value):
     return value == 0
 
 
-def residual(rel: Relation, fb, tensor=None):
-    """Exact lhs - rhs on one sample (scalar or object ndarray)."""
-    ctx = contexts_for(fb, tensor=tensor)
-    lv = expr.evaluate(rel.lhs_poly(), ctx[rel.lhs_language])
-    if rel.rhs is None:
+def _residual(rel: Relation, lhs, rhs, fb):
+    """lhs - rhs of ``rel`` on one sample, given its two parsed sides."""
+    ctx = contexts_for(fb)
+    lv = expr.evaluate(lhs, ctx[rel.lhs_language])
+    if rhs is None:
         return lv
-    rv = expr.evaluate(rel.rhs_poly(), ctx[rel.rhs_language])
+    rv = expr.evaluate(rhs, ctx[rel.rhs_language])
     if rel.rhs_delta:
         rv = rv * DELTA4
     return lv - rv
 
 
+def residual(rel: Relation, fb):
+    """Exact lhs - rhs on one sample (scalar or object ndarray)."""
+    return _residual(rel, rel.lhs_poly(), rel.rhs_poly(), fb)
+
+
 def check_relation(rel: Relation, samples):
     """Verify one relation on a list of FBlocks samples."""
+    lhs, rhs = rel.lhs_poly(), rel.rhs_poly()
     first_failure = None
     saw_nonzero = False
     for i, fb in enumerate(samples):
-        zero = _is_zero(residual(rel, fb))
+        zero = _is_zero(_residual(rel, lhs, rhs, fb))
         if rel.expect == "zero" and not zero:
             first_failure = i
             break

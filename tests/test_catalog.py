@@ -112,3 +112,38 @@ def test_rank2_entries_have_two_free_indices():
     for entry in catalog.catalog("cubic_rank2"):
         p = expr.parse(entry.tensor)
         assert p.free_labels == ("a", "b"), entry.label
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns its growing call list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_contexts_build_only_the_symbols_used(monkeypatch, samples):
+    weyl = _count_calls(monkeypatch, expr, "weyl")
+    dual = _count_calls(monkeypatch, expr, "pseudo_riemann")
+    recon = _count_calls(monkeypatch, catalog, "reconstruct")
+    ctx = contexts_for(samples[0])
+    # a matrix-language expression needs no rank-4 tensor at all
+    expr.evaluate("Ap[i,j]*B[j,k]*BT[k,i]", ctx["matrix"])
+    assert "tensor" in ctx and len(recon) == 0
+    # a Ricci contraction needs neither the Weyl tensor nor the dual
+    tctx = ctx["tensor"]
+    expr.evaluate("Rc[a,b]*Rc[a,b]", tctx)
+    assert "W" in tctx and "Rt" in tctx
+    assert (len(recon), len(weyl), len(dual)) == (1, 0, 0)
+    with pytest.raises(expr.ExprError, match="unknown symbol"):
+        expr.evaluate("Nope[a,b]*Rc[a,b]", tctx)
+    # a built symbol is kept for the rest of the context's life
+    w = tctx["W"]
+    expr.evaluate("W[a,b,c,d]*W[a,b,c,d]", tctx)
+    assert tctx["W"] is w and len(weyl) == 1
+    assert ctx["tensor"] is tctx and len(recon) == 1

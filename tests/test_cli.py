@@ -95,6 +95,24 @@ def test_decompose_malformed_json_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+# the sectional curvature 5 in the 1-2 plane, a valid curvature tensor
+_PLANE_12 = [[1, 2, 1, 2, 5], [2, 1, 2, 1, 5], [1, 2, 2, 1, -5], [2, 1, 1, 2, -5]]
+
+
+@pytest.mark.parametrize("data, reason", [
+    ({"schema": "riemann-syzygy/1", "format": "sparse",
+      "entries": _PLANE_12 + [[1, 2, 1, 2, 5]]}, "duplicate"),
+    ({"schema": "nonsense", "format": "sparse", "entries": _PLANE_12},
+     "nonsense"),
+])
+def test_decompose_malformed_tensor_exit_2(tmp_path, capsys, data, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["decompose", str(path)], capsys)
+    assert code == 2
+    assert reason in err and not out
+
+
 def test_verify_all_pass(capsys):
     code, out, _ = run(
         ["verify", "--set", "quadratic", "--samples", "5", "--seed", "7"],

@@ -180,3 +180,16 @@ def test_tensor_json_round_trip(samples, fmt):
 def test_tensor_json_rejects_garbage():
     with pytest.raises((ValueError, KeyError, TypeError)):
         riemann_from_json(json.dumps({"schema": "riemann-syzygy/1"}))
+
+
+def test_tensor_json_rejects_duplicate_entry_and_bad_schema():
+    entries = [[1, 2, 1, 2, 5], [1, 2, 1, 2, 7]]
+    with pytest.raises(ValueError, match=r"duplicate .*\[1, 2, 1, 2\]"):
+        curvature.riemann_from_dict({"format": "sparse", "entries": entries})
+    with pytest.raises(ValueError, match="'nonsense'"):
+        curvature.riemann_from_dict(
+            {"schema": "nonsense", "format": "sparse", "entries": entries[:1]}
+        )
+    # a file without a schema key stays accepted
+    t = curvature.riemann_from_dict({"format": "sparse", "entries": entries[:1]})
+    assert t[0, 1, 0, 1] == 5

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from riemann_syzygy import expr
+from riemann_syzygy import curvature, expr
 from riemann_syzygy.decomp import reconstruct
 from riemann_syzygy.expr import (
     ExprError,
@@ -19,6 +21,7 @@ from riemann_syzygy.expr import (
     scale,
     tensor_context,
 )
+from riemann_syzygy.gen import GenConfig, random_fblocks
 
 
 def test_parse_scalar_and_free_indices():
@@ -124,3 +127,16 @@ def test_unknown_symbol_raises(samples):
     ctx = matrix_context(samples[0])
     with pytest.raises(ExprError):
         evaluate(parse("Nope[i,j]*Nope[i,j]"), ctx)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_lazy_tensor_symbols_equal_eager(seed, einstein):
+    t = reconstruct(random_fblocks(seed, GenConfig(einstein=einstein)))
+    ctx = tensor_context(t)
+    assert sorted(ctx) == ["R", "Rc", "Rt", "Sc", "W", "delta", "eps"]
+    assert ctx["Sc"] == curvature.ricci_scalar(t)
+    for name, eager in (("Rc", curvature.ricci), ("W", curvature.weyl),
+                        ("Rt", curvature.pseudo_riemann)):
+        assert np.array_equal(ctx[name], eager(t)), name
+    assert ctx["R"] is t
