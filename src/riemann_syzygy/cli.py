@@ -21,6 +21,7 @@ from . import catalog as catalog_mod
 from . import expr, ranklab, relations, thooft
 from .curvature import (
     SCHEMA,
+    dumps,
     rational_to_str,
     riemann_from_json,
     riemann_to_dict,
@@ -38,10 +39,6 @@ __all__ = ["main", "run"]
 
 class _UsageError(Exception):
     pass
-
-
-def _dump(data):
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def _emit(text, out_path):
@@ -70,47 +67,28 @@ def _samples_to_dict(fbs, config):
     }
 
 
-def _samples_from_json(text, path):
-    try:
-        data = json.loads(text)
-        return [fblocks_from_dict(d) for d in data["samples"]]
-    except (ValueError, KeyError, TypeError) as e:
-        raise _UsageError(f"malformed samples file {path!r}: {e}") from e
-
-
-def _get_samples(args, count, config):
-    if getattr(args, "import_samples", None):
-        fbs = _samples_from_json(
-            _read_input(args.import_samples), args.import_samples
-        )
-        if len(fbs) < count:
-            raise _UsageError(
-                f"imported {len(fbs)} samples but {count} are needed"
-            )
-        return fbs[:count]
-    if args.seed is None:
-        raise _UsageError("--seed is required (or use --import-samples)")
-    fbs = random_fblocks_stream(args.seed, count, config)
-    if getattr(args, "export_samples", None):
-        _emit(_dump(_samples_to_dict(fbs, config)), args.export_samples)
-    return fbs
-
-
-def _read_blocks(path):
-    """One block triple: a bare blocks object, or a samples envelope (as
-    written by ``generate``) holding exactly one sample."""
+def _read_samples(path):
+    """The block triples of a samples envelope (as written by ``generate``),
+    or the one triple of a bare blocks object."""
     try:
         data = json.loads(_read_input(path))
         if isinstance(data, dict) and "samples" in data:
-            if len(data["samples"]) != 1:
-                raise _UsageError(
-                    f"{path!r} holds {len(data['samples'])} samples; "
-                    "exactly one is needed (generate --samples 1)"
-                )
-            data = data["samples"][0]
-        return fblocks_from_dict(data)
+            return [fblocks_from_dict(d) for d in data["samples"]]
+        return [fblocks_from_dict(data)]
     except (ValueError, KeyError, TypeError) as e:
-        raise _UsageError(f"malformed blocks input: {e}") from e
+        raise _UsageError(f"malformed blocks input {path!r}: {e}") from e
+
+
+def _read_blocks(path):
+    """One block triple: a bare blocks object, or a samples envelope holding
+    exactly one sample."""
+    fbs = _read_samples(path)
+    if len(fbs) != 1:
+        raise _UsageError(
+            f"{path!r} holds {len(fbs)} samples; "
+            "exactly one is needed (generate --samples 1)"
+        )
+    return fbs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +104,18 @@ def _cmd_thooft_check(args):
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_dump(report.to_dict()), args.out)
+        _emit(dumps(report.to_dict()), args.out)
     return 0 if report.all_ok else 1
 
 
 def _cmd_generate(args):
     if args.seed is None:
         raise _UsageError("--seed is required (no wall-clock default)")
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     config = GenConfig(bound=args.bound, einstein=args.einstein)
     fbs = random_fblocks_stream(args.seed, args.samples, config)
-    _emit(_dump(_samples_to_dict(fbs, config)), args.out)
+    _emit(dumps(_samples_to_dict(fbs, config)), args.out)
     return 0
 
 
@@ -149,13 +129,13 @@ def _cmd_decompose(args):
         fb = decompose(tensor)
     except ValueError as e:
         raise _UsageError(str(e)) from e
-    _emit(_dump(fblocks_to_dict(fb)), args.out)
+    _emit(dumps(fblocks_to_dict(fb)), args.out)
     return 0
 
 
 def _cmd_reconstruct(args):
     tensor = reconstruct(_read_blocks(args.input))
-    _emit(_dump(riemann_to_dict(tensor, format=args.tensor_format)), args.out)
+    _emit(dumps(riemann_to_dict(tensor, format=args.tensor_format)), args.out)
     return 0
 
 
@@ -168,9 +148,20 @@ def _cmd_invariants(args):
         )
     if args.input:
         fb = _read_blocks(args.input)
+    elif args.import_samples:
+        fbs = _read_samples(args.import_samples)
+        if not fbs:
+            raise _UsageError(
+                f"{args.import_samples!r} holds 0 samples; one is needed"
+            )
+        fb = fbs[0]
+    elif args.seed is None:
+        raise _UsageError("--seed is required (or use --import-samples)")
     else:
         config = GenConfig(bound=args.bound, einstein=args.einstein)
-        fb = _get_samples(args, 1, config)[0]
+        fb = random_fblocks_stream(args.seed, 1, config)[0]
+        if args.export_samples:
+            _emit(dumps(_samples_to_dict([fb], config)), args.export_samples)
     ctx = catalog_mod.contexts_for(fb)
     values = {}
     for e in entries:
@@ -181,7 +172,7 @@ def _cmd_invariants(args):
         lines = [f"{k} = {v}" for k, v in values.items()]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_dump(report), args.out)
+        _emit(dumps(report), args.out)
     return 0
 
 
@@ -216,7 +207,7 @@ def _cmd_verify(args):
         lines.append(f"{'OK' if report.ok else 'FAILED'}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_dump(report.to_dict()), args.out)
+        _emit(dumps(report.to_dict()), args.out)
     return 0 if report.ok else 1
 
 
@@ -232,9 +223,7 @@ def _rank_common(args):
     config = GenConfig(bound=args.bound, einstein=args.einstein)
     samples = None
     if args.import_samples:
-        samples = _samples_from_json(
-            _read_input(args.import_samples), args.import_samples
-        )
+        samples = _read_samples(args.import_samples)
     elif args.seed is None:
         raise _UsageError("--seed is required (or use --import-samples)")
     report = ranklab.rank_report(
@@ -245,7 +234,7 @@ def _rank_common(args):
     )
     if args.export_samples and samples is None:
         fbs = random_fblocks_stream(args.seed, report.n_samples, config)
-        _emit(_dump(_samples_to_dict(fbs, config)), args.export_samples)
+        _emit(dumps(_samples_to_dict(fbs, config)), args.export_samples)
     return report
 
 
@@ -264,7 +253,7 @@ def _cmd_rank(args):
             lines.append("null: " + " + ".join(terms))
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_dump(report.to_dict()), args.out)
+        _emit(dumps(report.to_dict()), args.out)
     if args.expect is not None and report.rank != args.expect:
         return 1
     return 0

@@ -14,11 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .thooft import EPS4
+from .thooft import DELTA4, DELTA_WEDGE, EPS4, SCHEMA, _first_failure
 
 __all__ = [
     "Rank4Tensor",
     "exact",
+    "as_tensor",
     "ValidationReport",
     "validate_riemann",
     "ricci",
@@ -29,6 +30,10 @@ __all__ = [
     "constant_curvature",
     "rational_to_str",
     "rational_from_str",
+    "rationals_to_json",
+    "rationals_from_json",
+    "check_schema",
+    "dumps",
     "riemann_to_dict",
     "riemann_from_dict",
     "riemann_to_json",
@@ -36,16 +41,6 @@ __all__ = [
 ]
 
 Rank4Tensor = np.ndarray  # (4,4,4,4) object array of ints / Fractions
-
-SCHEMA = "riemann-syzygy/1"
-
-DELTA4 = np.array(
-    [[1 if a == b else 0 for b in range(4)] for a in range(4)], dtype=object
-)
-# d_ac d_bd - d_ad d_bc: the curvature tensor of the unit 4-sphere (R = 12)
-DELTA_WEDGE = np.einsum("ac,bd->abcd", DELTA4, DELTA4) - np.einsum(
-    "ad,bc->abcd", DELTA4, DELTA4
-)
 
 
 def zeros() -> Rank4Tensor:
@@ -66,12 +61,17 @@ def _as_rational(x):
 exact = np.frompyfunc(_as_rational, 1, 1)
 
 
-def as_tensor(values) -> Rank4Tensor:
-    """Coerce a nested sequence / array into a validated object array."""
+def _shaped(values, shape, name):
     arr = np.asarray(values, dtype=object)
-    if arr.shape != (4, 4, 4, 4):
-        raise ValueError(f"curvature tensor must have shape (4,4,4,4), got {arr.shape}")
-    return exact(arr)
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
+def as_tensor(values, shape=(4, 4, 4, 4), name="curvature tensor"):
+    """The shape-checked entry point for values from outside the package:
+    an object array of the given shape in exact normal form."""
+    return exact(_shaped(values, shape, name))
 
 
 @dataclass
@@ -119,11 +119,10 @@ def validate_riemann(t: Rank4Tensor) -> ValidationReport:
         ),
     )
     for name, residual in residuals:
-        bad = np.argwhere(residual != 0)  # in C order, as a, b, c, d loops
-        if len(bad):
-            report.add(name, False, tuple(int(i) + 1 for i in bad[0]))
-        else:
-            report.add(name, True)
+        ce = _first_failure(residual)
+        if ce is not None:
+            ce = tuple(i + 1 for i in ce)
+        report.add(name, ce is None, ce)
     return report
 
 
@@ -205,43 +204,57 @@ def _is_int(s):
         return False
 
 
-def riemann_to_dict(t: Rank4Tensor, format="sparse"):
-    if format == "dense":
-        comp = [
-            [
-                [[rational_to_str(t[a, b, c, d]) for d in range(4)] for c in range(4)]
-                for b in range(4)
-            ]
-            for a in range(4)
-        ]
-        return {"schema": SCHEMA, "format": "dense", "components": comp}
-    if format == "sparse":
-        entries = []
-        for a, b, c, d in np.ndindex(4, 4, 4, 4):
-            if t[a, b, c, d] != 0:
-                entries.append(
-                    [a + 1, b + 1, c + 1, d + 1, rational_to_str(t[a, b, c, d])]
-                )
-        return {"schema": SCHEMA, "format": "sparse", "entries": entries}
-    raise ValueError(f"unknown format {format!r}")
+_to_str = np.frompyfunc(rational_to_str, 1, 1)
+_from_str = np.frompyfunc(rational_from_str, 1, 1)
 
 
-def riemann_from_dict(data) -> Rank4Tensor:
+def rationals_to_json(arr):
+    """Nested lists of ints and "p/q" strings for an array of rationals."""
+    return _to_str(arr).tolist()
+
+
+def rationals_from_json(values, shape, name):
+    """Object array of the given shape from nested JSON ints and "p/q"
+    strings; the shape is checked first."""
+    return _from_str(_shaped(values, shape, name))
+
+
+def check_schema(data):
+    """Reject anything but a JSON object whose schema, if given, is SCHEMA."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     schema = data.get("schema", SCHEMA)
     if schema != SCHEMA:
         raise ValueError(f"unknown schema {schema!r} (expected {SCHEMA!r})")
+
+
+def dumps(data):
+    """The package's JSON text: sorted keys, two-space indent, final newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def riemann_to_dict(t: Rank4Tensor, format="sparse"):
+    if format == "dense":
+        return {"schema": SCHEMA, "format": "dense",
+                "components": rationals_to_json(t)}
+    if format == "sparse":
+        nonzero = t != 0  # values and indices both in C order
+        entries = [
+            idx + [v]
+            for idx, v in zip((np.argwhere(nonzero) + 1).tolist(),
+                              rationals_to_json(t[nonzero]))
+        ]
+        return {"schema": SCHEMA, "format": "sparse", "entries": entries}
+    raise ValueError(f"unknown format {format!r}")
+
+
+def riemann_from_dict(data) -> Rank4Tensor:
+    check_schema(data)
     fmt = data.get("format")
     if fmt == "dense":
-        comp = data.get("components")
-        arr = np.asarray(comp, dtype=object)
-        if arr.shape != (4, 4, 4, 4):
-            raise ValueError("dense components must be a 4x4x4x4 nested list")
-        t = zeros()
-        for idx in np.ndindex(4, 4, 4, 4):
-            t[idx] = rational_from_str(arr[idx])
-        return t
+        return rationals_from_json(
+            data.get("components"), (4, 4, 4, 4), "dense components"
+        )
     if fmt == "sparse":
         t = zeros()
         seen = set()
@@ -250,7 +263,8 @@ def riemann_from_dict(data) -> Rank4Tensor:
                 raise ValueError(f"sparse entry must be [a,b,c,d,value]: {entry!r}")
             a, b, c, d, v = entry
             for name, i in zip("abcd", (a, b, c, d)):
-                if not isinstance(i, int) or not 1 <= i <= 4:
+                # type(), not isinstance(): a JSON true is not the index 1
+                if type(i) is not int or not 1 <= i <= 4:
                     raise ValueError(f"index {name}={i!r} out of range 1..4")
             if (a, b, c, d) in seen:
                 raise ValueError(f"duplicate sparse entry for index {[a, b, c, d]}")
@@ -261,7 +275,7 @@ def riemann_from_dict(data) -> Rank4Tensor:
 
 
 def riemann_to_json(t: Rank4Tensor, format="sparse"):
-    return json.dumps(riemann_to_dict(t, format=format), sort_keys=True, indent=2) + "\n"
+    return dumps(riemann_to_dict(t, format=format))
 
 
 def riemann_from_json(text) -> Rank4Tensor:

@@ -20,12 +20,15 @@ import numpy as np
 from .curvature import (
     SCHEMA,
     Rank4Tensor,
+    as_tensor,
+    check_schema,
+    dumps,
     exact,
-    rational_from_str,
-    rational_to_str,
+    rationals_from_json,
+    rationals_to_json,
     validate_riemann,
 )
-from .thooft import ETA, ETABAR
+from .thooft import DELTA3, ETA, ETABAR
 
 __all__ = [
     "FBlocks",
@@ -38,16 +41,7 @@ __all__ = [
     "fblocks_from_json",
 ]
 
-DELTA3 = np.array(
-    [[1 if i == j else 0 for j in range(3)] for i in range(3)], dtype=object
-)
-
-
-def _as_matrix3(values, name):
-    arr = np.asarray(values, dtype=object)
-    if arr.shape != (3, 3):
-        raise ValueError(f"{name} must be a 3x3 matrix, got shape {arr.shape}")
-    return exact(arr)
+_BLOCKS = ("Ap", "B", "Am")
 
 
 def _trace(m):
@@ -67,9 +61,9 @@ class FBlocks:
     Am: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Ap", _as_matrix3(self.Ap, "Ap"))
-        object.__setattr__(self, "B", _as_matrix3(self.B, "B"))
-        object.__setattr__(self, "Am", _as_matrix3(self.Am, "Am"))
+        for name in _BLOCKS:
+            m = as_tensor(getattr(self, name), (3, 3), name)
+            object.__setattr__(self, name, m)
         for name in ("Ap", "Am"):
             m = getattr(self, name)
             if not np.array_equal(m, m.T):
@@ -162,44 +156,25 @@ def reconstruct(fb: FBlocks) -> Rank4Tensor:
 # JSON serialization
 
 
-def _matrix_to_lists(m):
-    return [[rational_to_str(m[i, j]) for j in range(3)] for i in range(3)]
-
-
-def _matrix_from_lists(rows, name):
-    arr = np.asarray(rows, dtype=object)
-    if arr.shape != (3, 3):
-        raise ValueError(f"{name} must be a 3x3 nested list")
-    out = np.zeros((3, 3), dtype=object)
-    for i, j in np.ndindex(3, 3):
-        out[i, j] = rational_from_str(arr[i, j])
-    return out
-
-
 def fblocks_to_dict(fb: FBlocks):
     return {
         "schema": SCHEMA,
-        "Ap": _matrix_to_lists(fb.Ap),
-        "B": _matrix_to_lists(fb.B),
-        "Am": _matrix_to_lists(fb.Am),
+        **{name: rationals_to_json(getattr(fb, name)) for name in _BLOCKS},
     }
 
 
 def fblocks_from_dict(data) -> FBlocks:
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object")
-    missing = [k for k in ("Ap", "B", "Am") if k not in data]
+    check_schema(data)
+    missing = [k for k in _BLOCKS if k not in data]
     if missing:
         raise ValueError(f"missing blocks: {', '.join(missing)}")
     return FBlocks(
-        Ap=_matrix_from_lists(data["Ap"], "Ap"),
-        B=_matrix_from_lists(data["B"], "B"),
-        Am=_matrix_from_lists(data["Am"], "Am"),
+        **{name: rationals_from_json(data[name], (3, 3), name) for name in _BLOCKS}
     )
 
 
 def fblocks_to_json(fb: FBlocks):
-    return json.dumps(fblocks_to_dict(fb), sort_keys=True, indent=2) + "\n"
+    return dumps(fblocks_to_dict(fb))
 
 
 def fblocks_from_json(text) -> FBlocks:

@@ -26,7 +26,6 @@ from fractions import Fraction
 import numpy as np
 
 from .curvature import (
-    DELTA4,
     Rank4Tensor,
     exact,
     pseudo_riemann,
@@ -34,8 +33,8 @@ from .curvature import (
     ricci_scalar,
     weyl,
 )
-from .decomp import DELTA3, FBlocks
-from .thooft import EPS4
+from .decomp import FBlocks
+from .thooft import DELTA3, DELTA4, EPS3, EPS4
 
 __all__ = [
     "Monomial",
@@ -337,15 +336,6 @@ def _det3(m):
     )
 
 
-def _build_eps3():
-    e = np.zeros((3, 3, 3), dtype=object)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        e[i, j, k] = 1
-        e[j, i, k] = -1
-    return e
-
-
-EPS3 = _build_eps3()
 
 
 def matrix_context(fb: FBlocks):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import expr
 from .catalog import CatalogEntry, contexts_for
+from .curvature import SCHEMA
 from .gen import GenConfig, random_fblocks, random_fblocks_stream
 
 __all__ = [
@@ -129,7 +130,7 @@ class RankReport:
 
     def to_dict(self):
         return {
-            "schema": "riemann-syzygy/1",
+            "schema": SCHEMA,
             "catalog": self.catalog,
             "labels": list(self.labels),
             "n_samples": self.n_samples,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expr
 from .catalog import contexts_for
-from .curvature import DELTA4
+from .curvature import DELTA4, SCHEMA
 from .gen import GenConfig, random_fblocks_stream
 
 __all__ = [
@@ -109,7 +109,7 @@ class VerifyReport:
 
     def to_dict(self):
         return {
-            "schema": "riemann-syzygy/1",
+            "schema": SCHEMA,
             "seed": self.seed,
             "n_samples": self.n_samples,
             "ok": self.ok,

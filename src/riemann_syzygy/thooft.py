@@ -28,25 +28,27 @@ __all__ = [
 ]
 
 
-def _perm_sign(p):
-    """Signature of a permutation given as a tuple of distinct ints."""
-    sign = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
-def _build_eps4():
-    e = np.zeros((4, 4, 4, 4), dtype=object)
-    for p in itertools.permutations(range(4)):
-        e[p] = _perm_sign(p)
+def _levi_civita(n):
+    """Totally antisymmetric symbol on n indices, +1 at (0, 1, ..., n-1)."""
+    e = np.zeros((n,) * n, dtype=object)
+    for p in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+        e[p] = (-1) ** inversions
     return e
 
 
-EPS4 = _build_eps4()
+# Schema tag of every JSON document the package reads or writes; defined here
+# because thooft imports no other package module.  curvature re-exports it.
+SCHEMA = "riemann-syzygy/1"
+
+EPS3 = _levi_civita(3)
+EPS4 = _levi_civita(4)
+DELTA3 = np.eye(3, dtype=object)
+DELTA4 = np.eye(4, dtype=object)
+# d_ac d_bd - d_ad d_bc: the curvature tensor of the unit 4-sphere (R = 12)
+DELTA_WEDGE = np.einsum("ac,bd->abcd", DELTA4, DELTA4) - np.einsum(
+    "ad,bc->abcd", DELTA4, DELTA4
+)
 
 
 def _build_eta(sign):
@@ -55,17 +57,8 @@ def _build_eta(sign):
     sign=+1 gives the self-dual family, sign=-1 the anti-self-dual one.
     (0-based: i in 0..2 maps to index value i, the distinguished index is 3.)
     """
-    t = np.zeros((3, 4, 4), dtype=object)
-    for i in range(3):
-        for a in range(4):
-            for b in range(4):
-                val = EPS4[i, 3, a, b]
-                if a == i and b == 3:
-                    val += sign
-                if b == i and a == 3:
-                    val -= sign
-                t[i, a, b] = val
-    return t
+    x = np.einsum("ia,b->iab", DELTA4[:3], DELTA4[3])
+    return EPS4[:3, 3] + sign * (x - x.transpose(0, 2, 1))
 
 
 ETA = _build_eta(+1)
@@ -100,12 +93,6 @@ def levi_civita(a, b, c, d):
     return int(EPS4[a - 1, b - 1, c - 1, d - 1])
 
 
-def _eps3(i, j, k):
-    if len({i, j, k}) < 3:
-        return 0
-    return _perm_sign((i, j, k))
-
-
 @dataclass
 class IdentityReport:
     """Pass/fail per identity family with the first counterexample if any."""
@@ -121,7 +108,7 @@ class IdentityReport:
 
     def to_dict(self):
         return {
-            "schema": "riemann-syzygy/1",
+            "schema": SCHEMA,
             "all_ok": self.all_ok,
             "identities": [
                 {"name": name, "ok": ok, "counterexample": ce}
@@ -133,12 +120,11 @@ class IdentityReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _first_failure(predicate, index_ranges):
-    """Return the first index tuple violating the predicate, or None."""
-    for idx in itertools.product(*index_ranges):
-        if not predicate(*idx):
-            return idx
-    return None
+def _first_failure(*residuals):
+    """First index, in C order, at which any of the same-shaped residual
+    arrays is nonzero (0-based, as a tuple of ints), or None."""
+    bad = np.argwhere(np.any([r != 0 for r in residuals], axis=0))
+    return tuple(int(i) for i in bad[0]) if len(bad) else None
 
 
 def verify_appendix_a():
@@ -147,122 +133,71 @@ def verify_appendix_a():
     Covers: self/anti-self-duality, the i-summed product formula, the
     epsilon contraction identity, mutual orthogonality, the c-contracted
     product, the exchange symmetry, the eps^{ijk} expansion, and the su(2)
-    commutators of tau = eta/2.
+    commutators of tau = eta/2.  Each identity is a residual array over its
+    free indices, taken for eta (s = +1) and etabar (s = -1) together where
+    it holds for both.
     """
-    report = IdentityReport()
-    r3 = range(3)
-    r4 = range(4)
     tables = ((ETA, 1), (ETABAR, -1))
-
-    # (anti-)self-duality: eta^i_ab = +- 1/2 eps_abcd eta^i_cd
-    def duality(i, a, b):
-        for t, s in tables:
-            lhs = 2 * t[i, a, b]
-            rhs = s * sum(EPS4[a, b, c, d] * t[i, c, d] for c in r4 for d in r4)
-            if lhs != rhs:
-                return False
-        return True
-
-    ce = _first_failure(duality, (r3, r4, r4))
-    report.add("self_duality", ce is None, ce)
-
-    # sum_i eta^i_ab eta^i_cd = delta_ac delta_bd - delta_ad delta_bc +- eps_abcd
-    def product_i(a, b, c, d):
-        for t, s in tables:
-            lhs = sum(t[i, a, b] * t[i, c, d] for i in r3)
-            rhs = (
-                (a == c) * (b == d)
-                - (a == d) * (b == c)
-                + s * EPS4[a, b, c, d]
+    identities = {
+        # (anti-)self-duality: eta^i_ab = +- 1/2 eps_abcd eta^i_cd
+        "self_duality": [
+            2 * t - s * np.einsum("abcd,icd->iab", EPS4, t) for t, s in tables
+        ],
+        # sum_i eta^i_ab eta^i_cd = delta_ac delta_bd - delta_ad delta_bc +- eps_abcd
+        "product_sum_i": [
+            np.einsum("iab,icd->abcd", t, t) - DELTA_WEDGE - s * EPS4
+            for t, s in tables
+        ],
+        # eps_abcd eta^i_de = -+ (delta_ec eta^i_ab + delta_ea eta^i_bc
+        #                         - delta_eb eta^i_ac)
+        "eps_contraction": [
+            np.einsum("abcd,ide->iabce", EPS4, t)
+            + s * (
+                np.einsum("ec,iab->iabce", DELTA4, t)
+                + np.einsum("ea,ibc->iabce", DELTA4, t)
+                - np.einsum("eb,iac->iabce", DELTA4, t)
             )
-            if lhs != rhs:
-                return False
-        return True
-
-    ce = _first_failure(product_i, (r4, r4, r4, r4))
-    report.add("product_sum_i", ce is None, ce)
-
-    # eps_abcd eta^i_de = -+ (delta_ec eta^i_ab + delta_ea eta^i_bc - delta_eb eta^i_ac)
-    def eps_contract(i, a, b, c, e):
-        for t, s in tables:
-            lhs = sum(EPS4[a, b, c, d] * t[i, d, e] for d in r4)
-            rhs = -s * (
-                (e == c) * t[i, a, b] + (e == a) * t[i, b, c] - (e == b) * t[i, a, c]
-            )
-            if lhs != rhs:
-                return False
-        return True
-
-    ce = _first_failure(eps_contract, (r3, r4, r4, r4, r4))
-    report.add("eps_contraction", ce is None, ce)
-
-    # eta^i_ab etabar^j_ab = 0
-    def orthogonality(i, j):
-        return sum(ETA[i, a, b] * ETABAR[j, a, b] for a in r4 for b in r4) == 0
-
-    ce = _first_failure(orthogonality, (r3, r3))
-    report.add("orthogonality", ce is None, ce)
-
-    # eta^i_ac eta^j_bc = delta^ij delta_ab + eps^ijk eta^k_ab
-    def product_c(i, j, a, b):
-        for t, _ in tables:
-            lhs = sum(t[i, a, c] * t[j, b, c] for c in r4)
-            rhs = (i == j) * (a == b) + sum(
-                _eps3(i, j, k) * t[k, a, b] for k in r3
-            )
-            if lhs != rhs:
-                return False
-        return True
-
-    ce = _first_failure(product_c, (r3, r3, r4, r4))
-    report.add("product_sum_c", ce is None, ce)
-
-    # eta^i_ac etabar^j_bc = eta^i_bc etabar^j_ac
-    def exchange(i, j, a, b):
-        lhs = sum(ETA[i, a, c] * ETABAR[j, b, c] for c in r4)
-        rhs = sum(ETA[i, b, c] * ETABAR[j, a, c] for c in r4)
-        return lhs == rhs
-
-    ce = _first_failure(exchange, (r3, r3, r4, r4))
-    report.add("exchange_symmetry", ce is None, ce)
-
-    # eps^ijk eta^j_ab eta^k_cd = delta_ac eta^i_bd - delta_ad eta^i_bc
-    #                             - delta_bc eta^i_ad + delta_bd eta^i_ac
-    def eps_ijk(i, a, b, c, d):
-        for t, _ in tables:
-            lhs = sum(
-                _eps3(i, j, k) * t[j, a, b] * t[k, c, d] for j in r3 for k in r3
-            )
-            rhs = (
-                (a == c) * t[i, b, d]
-                - (a == d) * t[i, b, c]
-                - (b == c) * t[i, a, d]
-                + (b == d) * t[i, a, c]
-            )
-            if lhs != rhs:
-                return False
-        return True
-
-    ce = _first_failure(eps_ijk, (r3, r4, r4, r4, r4))
-    report.add("eps_ijk_expansion", ce is None, ce)
-
-    # su(2) commutators of tau = eta/2: [tau^i+-, tau^j+-] = -eps^ijk tau^k+-,
-    # and the two families commute.  Checked with 4*eta to stay integer.
-    def commutators(i, j, a, b):
-        for t, _ in tables:
-            comm = sum(
-                t[i, a, c] * t[j, c, b] - t[j, a, c] * t[i, c, b] for c in r4
-            )
-            rhs = -2 * sum(_eps3(i, j, k) * t[k, a, b] for k in r3)
-            if comm != rhs:
-                return False
-        cross = sum(
-            ETA[i, a, c] * ETABAR[j, c, b] - ETABAR[j, a, c] * ETA[i, c, b]
-            for c in r4
-        )
-        return cross == 0
-
-    ce = _first_failure(commutators, (r3, r3, r4, r4))
-    report.add("su2_commutators", ce is None, ce)
-
+            for t, s in tables
+        ],
+        # eta^i_ab etabar^j_ab = 0
+        "orthogonality": [np.einsum("iab,jab->ij", ETA, ETABAR)],
+        # eta^i_ac eta^j_bc = delta^ij delta_ab + eps^ijk eta^k_ab
+        "product_sum_c": [
+            np.einsum("iac,jbc->ijab", t, t)
+            - np.einsum("ij,ab->ijab", DELTA3, DELTA4)
+            - np.einsum("ijk,kab->ijab", EPS3, t)
+            for t, _ in tables
+        ],
+        # eta^i_ac etabar^j_bc = eta^i_bc etabar^j_ac
+        "exchange_symmetry": [
+            np.einsum("iac,jbc->ijab", ETA, ETABAR)
+            - np.einsum("ibc,jac->ijab", ETA, ETABAR)
+        ],
+        # eps^ijk eta^j_ab eta^k_cd = delta_ac eta^i_bd - delta_ad eta^i_bc
+        #                             - delta_bc eta^i_ad + delta_bd eta^i_ac
+        "eps_ijk_expansion": [
+            np.einsum("ijk,jab,kcd->iabcd", EPS3, t, t)
+            - np.einsum("ac,ibd->iabcd", DELTA4, t)
+            + np.einsum("ad,ibc->iabcd", DELTA4, t)
+            + np.einsum("bc,iad->iabcd", DELTA4, t)
+            - np.einsum("bd,iac->iabcd", DELTA4, t)
+            for t, _ in tables
+        ],
+        # su(2) commutators of tau = eta/2: [tau^i+-, tau^j+-] = -eps^ijk tau^k+-,
+        # and the two families commute.  Checked with 4*eta to stay integer.
+        "su2_commutators": [
+            np.einsum("iac,jcb->ijab", t, t)
+            - np.einsum("jac,icb->ijab", t, t)
+            + 2 * np.einsum("ijk,kab->ijab", EPS3, t)
+            for t, _ in tables
+        ]
+        + [
+            np.einsum("iac,jcb->ijab", ETA, ETABAR)
+            - np.einsum("jac,icb->ijab", ETABAR, ETA)
+        ],
+    }
+    report = IdentityReport()
+    for name, residuals in identities.items():
+        ce = _first_failure(*residuals)
+        report.add(name, ce is None, ce)
     return report

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON reports, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -60,6 +61,13 @@ def test_generate_requires_seed(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_generate_needs_a_sample_exit_2(capsys, n):
+    code, out, err = run(["generate", "--seed", "1", "--samples", n], capsys)
+    assert code == 2 and not out
+    assert "--samples must be at least 1" in err
+
+
 def test_decompose_reconstruct_round_trip(tmp_path, capsys):
     fb = random_fblocks(11)
     t = reconstruct(fb)
@@ -104,6 +112,8 @@ _PLANE_12 = [[1, 2, 1, 2, 5], [2, 1, 2, 1, 5], [1, 2, 2, 1, -5], [2, 1, 1, 2, -5
       "entries": _PLANE_12 + [[1, 2, 1, 2, 5]]}, "duplicate"),
     ({"schema": "nonsense", "format": "sparse", "entries": _PLANE_12},
      "nonsense"),
+    ({"schema": "riemann-syzygy/1", "format": "sparse",
+      "entries": [[True, 2, 1, 2, 5]] + _PLANE_12[1:]}, "out of range 1..4"),
 ])
 def test_decompose_malformed_tensor_exit_2(tmp_path, capsys, data, reason):
     path = tmp_path / "bad.json"
@@ -111,6 +121,24 @@ def test_decompose_malformed_tensor_exit_2(tmp_path, capsys, data, reason):
     code, out, err = run(["decompose", str(path)], capsys)
     assert code == 2
     assert reason in err and not out
+
+
+_ZERO3 = [[0] * 3] * 3
+
+
+@pytest.mark.parametrize("argv, data, reason", [
+    (["reconstruct"],
+     {"schema": "nonsense", "Ap": _ZERO3, "B": _ZERO3, "Am": _ZERO3},
+     "nonsense"),
+    (["invariants", "--catalog", "quadratic", "--import-samples"],
+     {"schema": "riemann-syzygy/1", "samples": []}, "holds 0 samples"),
+])
+def test_malformed_blocks_exit_2(tmp_path, capsys, argv, data, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(argv + [str(path)], capsys)
+    assert code == 2 and not out
+    assert reason in err
 
 
 def test_verify_all_pass(capsys):
@@ -278,3 +306,45 @@ def test_rank_import_confirms_null_vectors(tmp_path, capsys):
         # Einstein-only relations are not identities of the general domain,
         # but on the Einstein domain they are confirmed and reported
         assert bool(null) == einstein
+
+
+# sha256 of the stdout of each command, recorded before the symbol-table
+# checks and the JSON readers and writers were consolidated.  A mismatch means
+# the output bytes changed.  The third field saves stdout under a name that
+# later commands read as {name}.
+_GOLDEN = [
+    (["thooft-check"],
+     "dc8fae57f4af87f1ebaa870fee6e7d33de26ed662ee4111bf4818fe2fde49b1d", None),
+    (["thooft-check", "--format", "table"],
+     "371da6eb591903420615238e99cfb79a16ef7840175db6490286bc708f0c2bfa", None),
+    (["generate", "--seed", "7", "--samples", "1"],
+     "881b5fe53549330c6bfa79fd656972c718d0059d99b8d8074d2cda09c5820fb8",
+     "blocks"),
+    (["reconstruct", "{blocks}"],
+     "73089c54bfdef07af46dcdb310fb9a923d1ba70fe02d463a8ff0fe1a0fdefc53",
+     "tensor"),
+    (["reconstruct", "{blocks}", "--tensor-format", "dense"],
+     "00e2dce8f54c472a60b5a4a1cf1e4b32293ee801dad4af13a62929df829494ab", None),
+    (["decompose", "{tensor}"],
+     "e1a30ef64673fd965e6e6c56beb5bf78282ef90a3f8d9d88fafffd7dcb275119", None),
+    (["invariants", "--catalog", "quartic", "--seed", "4"],
+     "cf43ca288f0422a0f44125314d3cde2bb6de420962bfba96754d1072c69d5fe4", None),
+    (["verify", "--seed", "11", "--samples", "3"],
+     "e5b1e54fd9abf2b9de861ebdb41e705c95253be8f316f0a9403818b574944ae4", None),
+    (["rank", "--catalog", "cubic_rank2", "--seed", "2", "--format", "table"],
+     "2a2f90d42dd77f4f74c6fc2888d650f98b860d34ad313ec4ed93ce325c2fde0f", None),
+    (["discover", "--catalog", "quadratic", "--seed", "11"],
+     "6435233e5b83a532b1e4327d4f482bba86c3d87f33b6f99eda041228bef50404", None),
+]
+
+
+def test_cli_outputs_byte_identical(tmp_path, capsys):
+    files = {}
+    for argv, digest, save in _GOLDEN:
+        argv = [a.format(**files) for a in argv]
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        if save:
+            files[save] = str(tmp_path / f"{save}.json")
+            Path(files[save]).write_text(out)

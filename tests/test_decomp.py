@@ -117,3 +117,13 @@ def test_fblocks_json_round_trip(samples):
 def test_fblocks_json_missing_block():
     with pytest.raises(ValueError, match="missing"):
         fblocks_from_json(json.dumps({"Ap": [[0] * 3] * 3}))
+
+
+def test_fblocks_json_bad_schema_and_shape():
+    zero = [[0] * 3] * 3
+    with pytest.raises(ValueError, match="nonsense"):
+        fblocks_from_json(json.dumps(
+            {"schema": "nonsense", "Ap": zero, "B": zero, "Am": zero}
+        ))
+    with pytest.raises(ValueError, match=r"B must have shape \(3, 3\), got \(2, 3\)"):
+        fblocks_from_json(json.dumps({"Ap": zero, "B": zero[:2], "Am": zero}))

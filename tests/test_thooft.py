@@ -83,3 +83,32 @@ def test_report_json_round_trips():
     data = json.loads(report.to_json())
     assert data["schema"] == "riemann-syzygy/1"
     assert data["all_ok"] is True
+
+
+_NAMES = ["self_duality", "product_sum_i", "eps_contraction", "orthogonality",
+          "product_sum_c", "exchange_symmetry", "eps_ijk_expansion",
+          "su2_commutators"]
+
+
+@pytest.mark.parametrize("table, index, shift, counterexamples", [
+    ("ETA", (0, 1, 2), 1,
+     [(0, 0, 3), (0, 3, 1, 2), (0, 0, 1, 2, 0), (0, 0), (0, 0, 1, 1),
+      (0, 1, 0, 1), (0, 0, 1, 0, 2), (0, 0, 1, 1)]),
+    ("ETABAR", (2, 3, 0), -2,
+     [(2, 1, 2), (0, 1, 3, 0), (2, 0, 1, 2, 0), (0, 2), (0, 1, 3, 0),
+      (1, 2, 2, 3), (0, 0, 2, 3, 0), (0, 1, 3, 0)]),
+    ("EPS4", (1, 0, 3, 2), 1,
+     [(2, 1, 0), (1, 0, 3, 2), (0, 1, 0, 3, 1)] + [None] * 5),
+])
+def test_corrupted_table_first_failures(table, index, shift, counterexamples):
+    """Each identity reports its first failing index in C order (0-based)."""
+    t = getattr(thooft, table)
+    old = t[index]
+    t[index] = old + shift
+    try:
+        results = thooft.verify_appendix_a().results
+    finally:
+        t[index] = old
+    assert results == [
+        (name, ce is None, ce) for name, ce in zip(_NAMES, counterexamples)
+    ]
