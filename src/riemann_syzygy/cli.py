@@ -232,6 +232,10 @@ def _rank_common(args):
         representation=args.representation, catalog_name=args.catalog,
         samples=samples,
     )
+    ncols = len(report.labels)
+    if report.n_rows < ncols:
+        print(f"warning: {report.n_rows} sample rows for {ncols} columns; "
+              "the rank cannot reach full column rank", file=sys.stderr)
     if args.export_samples and samples is None:
         fbs = random_fblocks_stream(args.seed, report.n_samples, config)
         _emit(dumps(_samples_to_dict(fbs, config)), args.export_samples)

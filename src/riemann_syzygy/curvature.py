@@ -9,6 +9,7 @@ exact arithmetic.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -179,29 +180,24 @@ def rational_to_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
+# a bare ASCII integer or p/q: no sign on q, no spaces, "_" or other digits
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_str(s):
     if isinstance(s, bool):
         raise ValueError(f"invalid rational: {s!r}")
     if isinstance(s, int):
         return s
-    if isinstance(s, str):
-        parts = s.split("/")
-        if len(parts) == 1 and _is_int(parts[0]):
-            return int(parts[0])
-        if len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
-            q = int(parts[1])
-            if q <= 0:
-                raise ValueError(f"denominator must be positive in {s!r}")
-            return exact(Fraction(int(parts[0]), q))
-    raise ValueError(f"invalid rational: {s!r}")
-
-
-def _is_int(s):
-    try:
-        int(s)
-        return True
-    except ValueError:
-        return False
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        raise ValueError(f"invalid rational: {s!r}")
+    p, q = m.groups()
+    if q is None:
+        return int(p)
+    if int(q) == 0:
+        raise ValueError(f"denominator must be positive in {s!r}")
+    return exact(Fraction(int(p), int(q)))
 
 
 _to_str = np.frompyfunc(rational_to_str, 1, 1)

@@ -2,11 +2,20 @@
 
 A catalog of n invariants is probed by evaluating every entry on randomly
 generated curvature blocks, stacking the values into a rows-by-n rational
-matrix, and running exact Gaussian elimination.  The rank of that matrix
-lower-bounds (and, with enough samples, equals with overwhelming probability)
-the dimension of the span of the invariants as polynomial functions; its
+matrix, and finding its exact rank.  The rank of that matrix lower-bounds
+(and, with enough samples, equals with overwhelming probability) the
+dimension of the span of the invariants as polynomial functions; its
 nullspace vectors are candidate linear identities, which are confirmed on an
 independently seeded batch of samples before being reported.
+
+The rank is found without eliminating every row exactly.  Rows are chosen
+greedily modulo the prime p = 2^61 - 1, keeping each row independent of those
+kept before (at most n of them); rows independent mod p are independent over
+the rationals.  Exact elimination then runs on the chosen rows only, and each
+of their null vectors is checked against every row in exact arithmetic.  When
+all vanish, the chosen rows span the row space of the whole matrix, so rank,
+pivots and null vectors are exactly those of all rows; otherwise (p divided a
+minor) the whole matrix is eliminated exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +43,9 @@ __all__ = [
 
 # xor-mask used to derive an independent confirmation seed from a user seed
 CONFIRM_SEED_XOR = 0x9E3779B9
+
+# the Mersenne prime 2^61 - 1, modulus of the row selection
+_PRIME = (1 << 61) - 1
 
 
 def _to_fraction_matrix(rows):
@@ -111,6 +123,53 @@ def nullspace(rows, ncols=None):
             vec[pc] = -row[fc]
         basis.append(_primitive(vec))
     return basis
+
+
+def _independent_rows(rows):
+    """Rows independent modulo ``_PRIME``, chosen greedily in order.
+
+    A rational a/b is read as a * b^-1 mod p.  Selection stops once one row
+    per column is kept; all rows are returned when p divides a denominator.
+    """
+    p = _PRIME
+    ncols = len(rows[0]) if rows else 0
+    basis = []
+    echelon = []  # (pivot column, reduced row mod p with 1 at the pivot)
+    for row in rows:
+        if len(basis) == ncols:
+            break
+        v = []
+        for x in row:
+            d = x.denominator
+            if d % p == 0:
+                return list(rows)
+            v.append(x.numerator * pow(d, -1, p) % p)
+        for c, prow in echelon:
+            f = v[c]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, prow)]
+        c = next((i for i, a in enumerate(v) if a), None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, p)
+        echelon.append((c, [a * inv % p for a in v]))
+        basis.append(row)
+    return basis
+
+
+def _certified_basis(rows, ncols):
+    """Rows spanning the row space of ``rows``, and its nullspace.
+
+    The null vectors of the rows chosen by ``_independent_rows`` are checked
+    against every row in exact arithmetic; if one fails to vanish, the
+    nullspace of all rows is computed instead.
+    """
+    basis = _independent_rows(rows)
+    null = nullspace(basis, ncols)
+    if all(sum(c * x for c, x in zip(vec, row) if c) == 0
+           for vec in null for row in rows):
+        return basis, null
+    return rows, nullspace(rows, ncols)
 
 
 @dataclass
@@ -201,10 +260,12 @@ def rank_report(
         # with one sample the half set is the full set: stability is vacuous
         raise ValueError(f"rank analysis needs at least 2 samples, got {n_samples}")
     rows = sample_matrix(entries, samples, representation)
-    pivots = rref(rows)[1]
+    n = len(entries)
+    basis, null = _certified_basis(rows, n)
+    pivots = rref(basis)[1]
     # sample_matrix emits rows sample by sample, so a prefix is a sample prefix
-    stable = rank(rows[: len(rows) // n_samples * (n_samples // 2)]) == len(pivots)
-    null = nullspace(rows, ncols=len(entries))
+    half = rows[: len(rows) // n_samples * (n_samples // 2)]
+    stable = n - len(_certified_basis(half, n)[1]) == len(pivots)
     confirmed = []
     if null:
         confirm_fbs = random_fblocks_stream(

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from riemann_syzygy import catalog, cli
-from riemann_syzygy.curvature import riemann_to_json, zeros
+from riemann_syzygy.curvature import dumps, riemann_to_json, zeros
 from riemann_syzygy.decomp import reconstruct
 from riemann_syzygy.gen import GenConfig, random_fblocks, random_fblocks_stream
-from riemann_syzygy.ranklab import sample_matrix
+from riemann_syzygy.ranklab import rank_report, sample_matrix
 
 
 def run(argv, capsys):
@@ -114,6 +114,8 @@ _PLANE_12 = [[1, 2, 1, 2, 5], [2, 1, 2, 1, 5], [1, 2, 2, 1, -5], [2, 1, 1, 2, -5
      "nonsense"),
     ({"schema": "riemann-syzygy/1", "format": "sparse",
       "entries": [[True, 2, 1, 2, 5]] + _PLANE_12[1:]}, "out of range 1..4"),
+    ({"schema": "riemann-syzygy/1", "format": "sparse",
+      "entries": [[1, 2, 1, 2, "1_0"]] + _PLANE_12[1:]}, "'1_0'"),
 ])
 def test_decompose_malformed_tensor_exit_2(tmp_path, capsys, data, reason):
     path = tmp_path / "bad.json"
@@ -246,6 +248,20 @@ def test_verify_zero_samples_exit_2(capsys):
     )
     assert code == 2 and not out
     assert "n_samples" in err
+
+
+def test_rank_warns_when_under_sampled(capsys):
+    # 5 rows for 26 columns: the rank cannot reach 26, so stderr says so
+    argv = ["rank", "--catalog", "quartic", "--seed", "3", "--samples", "5"]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ("warning: 5 sample rows for 26 columns; "
+                   "the rank cannot reach full column rank\n")
+    report = rank_report(catalog.catalog("quartic"), seed=3, n_samples=5,
+                         catalog_name="quartic")
+    assert out == dumps(report.to_dict())
+    _, _, err = run(argv[:-1] + ["26"], capsys)
+    assert err == ""
 
 
 def test_rank_zero_samples_exit_2(capsys):

@@ -1,6 +1,7 @@
 """Curvature tensor helpers: validation, derived tensors, serialization."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +166,24 @@ def test_rational_string_forms():
         rational_from_str("1/0")
     with pytest.raises(ValueError):
         rational_from_str("x")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1_0", None),
+    (" 7 ", None),
+    ("+3", None),
+    ("2/ 4", None),
+    ("\u0663", None),  # ARABIC-INDIC DIGIT THREE
+    ("-3/2", Fraction(-3, 2)),
+    (7, 7),
+])
+def test_rational_from_str_is_strict(text, value):
+    # only ASCII -?[0-9]+ and -?[0-9]+/[0-9]+ are rationals; int() is laxer
+    if value is None:
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            rational_from_str(text)
+    else:
+        assert rational_from_str(text) == value
 
 
 @pytest.mark.parametrize("fmt", ["sparse", "dense"])

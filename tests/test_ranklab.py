@@ -1,10 +1,15 @@
 """Exact linear algebra and randomized rank analysis."""
 
+import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riemann_syzygy import catalog, ranklab
+from riemann_syzygy.curvature import dumps
 from riemann_syzygy.gen import GenConfig, random_fblocks_stream
 from riemann_syzygy.ranklab import (
     express_over,
@@ -132,3 +137,140 @@ def test_rank_report_rejects_too_few_samples():
 
 def test_confirmation_seed_differs():
     assert ranklab.CONFIRM_SEED_XOR != 0
+
+
+_ENTRY = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def _planted_matrix(draw):
+    """Rows spanned by a few generators: combinations, zero rows, repeats."""
+    ncols = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.lists(_ENTRY, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["combo", "zero", "repeat"]),
+                              min_size=1, max_size=10)):
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(gens),
+                                   max_size=len(gens)))
+            rows.append([sum(c * g[j] for c, g in zip(coeffs, gens))
+                         for j in range(ncols)])
+    return rows
+
+
+# the default prime, and 3, which often loses rank and forces the fallback
+@pytest.mark.parametrize("prime", [ranklab._PRIME, 3])
+@settings(max_examples=60, deadline=None)
+@given(rows=_planted_matrix())
+@example(rows=[[0, 0, 0]])
+@example(rows=[[1, Fraction(1, 2), 0]])
+@example(rows=[[1, 2, 3], [1, 2, 3], [0, 0, 0]])
+@example(rows=[[2, 4], [1, 2], [Fraction(1, 3), Fraction(2, 3)], [0, 1]])
+def test_certified_basis_matches_full_elimination(prime, rows):
+    ncols = len(rows[0])
+    with mock.patch.object(ranklab, "_PRIME", prime):
+        basis, null = ranklab._certified_basis(rows, ncols)
+        prefix_nulls = [ranklab._certified_basis(rows[:k], ncols)[1]
+                        for k in range(1, len(rows) + 1)]
+    assert all(row in rows for row in basis)
+    assert null == nullspace(rows, ncols)
+    assert ncols - len(null) == rank(rows)
+    assert rref(basis)[1] == rref(rows)[1]
+    for k, prefix_null in enumerate(prefix_nulls, 1):
+        assert ncols - len(prefix_null) == rank(rows[:k])
+
+
+def test_forced_fallback_gives_same_reports(monkeypatch):
+    def reports():
+        return [
+            rank_report(catalog.catalog(name), seed=3,
+                        catalog_name=name).to_dict()
+            for name in ("quadratic", "cubic", "cubic_rank2")
+        ]
+
+    sizes = []
+    exact_nullspace = ranklab.nullspace
+
+    def recording_nullspace(rows, ncols=None):
+        sizes.append(len(rows))
+        return exact_nullspace(rows, ncols)
+
+    monkeypatch.setattr(ranklab, "nullspace", recording_nullspace)
+    default = reports()
+    # with p = 2^61 - 1 only chosen rows, at most one per column, are reduced
+    assert max(sizes) <= 16
+    monkeypatch.setattr(ranklab, "_PRIME", 2)
+    sizes.clear()
+    assert reports() == default
+    # p = 2 loses rank, so the null vectors of the chosen rows fail on some
+    # row and every full sample matrix is reduced exactly
+    assert {d["n_rows"] for d in default} <= set(sizes)
+
+
+# sha256 of dumps(rank_report(catalog, seed=1).to_dict()), recorded with the
+# exact elimination of every sampled row
+_GOLDEN_REPORTS = {
+    ("quadratic", False):
+        "91b7acb4a8af87a528861bcffb7fc44528b6c00377c23e28b64c685376ab9696",
+    ("quadratic", True):
+        "8b88272ecde93666e0fc24a8a43b4de0bf78abf9b3074a4649e77ed349099b7d",
+    ("quadratic_basis", False):
+        "35b8482b656ec1986a7aec84aef778171732b0fa9686f8a50267a441620b8205",
+    ("quadratic_basis", True):
+        "d943eb19b014147a9c3295cf72878c9f72c61a034542d270c404fc6543dcb920",
+    ("cubic", False):
+        "603580fcb0ac2adc0d0b88dc288feed6dddd3b2dcd8ac71526a10d1ec0d929e7",
+    ("cubic", True):
+        "599418dd2088f6e348e27da565aec1c8a4ca14eb38a9f77e6537ad99765599cf",
+    ("cubic_basis", False):
+        "8e1bd1b72eb4910b8f3c9380f61c29c0945d2db3732c06e57b06a8909ec4bab5",
+    ("cubic_basis", True):
+        "9ba1e4404487270b945e51713a477084802a6bd5408c97769ecfd86d2b33baf1",
+    ("cubic_rank2", False):
+        "40b6ede3981e772582d731ce6f6ba5c5b6961ff3c12e62bdff9223194a4cd972",
+    ("cubic_rank2", True):
+        "d6b6998a4e4254a42e30fb80d5c1a13cefc22b0e2b9934965d0741e72599bc5f",
+    ("quartic", False):
+        "878a8ad0f5814c8b24528b859d17e3a22a70bdd644ba8553187b9ac9a8008e37",
+    ("quartic", True):
+        "d7ea0c204f50455cdad8644e895edebad945e7a799ebd05ce4cffeadf852a75f",
+    ("quartic_basis", False):
+        "7164a5ffbb8183d717340a809924485e77feb11f0be521e3ff5baf4bc5de5e28",
+    ("quartic_basis", True):
+        "0fe3398115c66316c3dcbd8ef932e142f3576f1d229212d9bb504a262f3f8bd1",
+    ("quintic", False):
+        "e1c9287bd4e6bbda9b06e1942daae2f96217e5c0adefc986c6369d61d8083132",
+    ("quintic", True):
+        "0b51f32e5e8c9221e3f6b3135c9b4f7f357347cec8dcd9b5315cef8247c49f46",
+    ("pseudo_q2", False):
+        "a108cf7f0c1acdaeca321a9413269b000f365a14c83fc9912458cf813de4eec3",
+    ("pseudo_q2", True):
+        "805f7846a740f72d44f037277a041c09290c9c3f22553ac1d535b4e704af915e",
+    ("pseudo_q3", False):
+        "6455c78bd02bb039c76c8f49a1cf355275f21f9e7235377b198d1edbe61e8777",
+    ("pseudo_q3", True):
+        "616182b79e154efd2a2ecbd00c1a0b145f094e3416ffdf3450bffb511cc953fd",
+    ("pseudo_q4", False):
+        "b64b22f91701ddc0e1ef49930e06341d321144f4f490a33e76c76da543df38c0",
+    ("pseudo_q4", True):
+        "37a90f9b48a784b5897d6b784eb62d3133ce27af628ffc13ffbac2b20acc441e",
+}
+
+
+def test_rank_reports_byte_identical():
+    names = {name for name, _ in _GOLDEN_REPORTS}
+    assert names == set(catalog.catalog_names())
+    for (name, einstein), digest in _GOLDEN_REPORTS.items():
+        report = rank_report(catalog.catalog(name), seed=1,
+                             config=GenConfig(einstein=einstein),
+                             catalog_name=name)
+        text = dumps(report.to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
