@@ -4,18 +4,27 @@ A curvature tensor is stored as a ``(4, 4, 4, 4)`` numpy array with
 ``dtype=object`` whose entries are Python ints or ``fractions.Fraction``.
 All derived quantities (Ricci, scalar, Weyl, pseudo-tensor) are computed in
 exact arithmetic.
+
+An exact value can also be held as a ``Scaled``: integer numerators over one
+positive denominator.  The numerators are an int64 array when their
+magnitudes are proven below ``INT64_BOUND`` and an object array of Python
+ints otherwise, so integer arithmetic on them never wraps.  The Ricci,
+scalar, Weyl and dual builders take integer numerators as readily as exact
+entries; Weyl and the dual come as 6 W and 2 Rt there, which stay integral.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .thooft import DELTA4, DELTA_WEDGE, EPS4, SCHEMA, _first_failure
+from .thooft import DELTA4, DELTA_WEDGE, EPS4, SCHEMA, _first_failure, int64
 
 __all__ = [
     "Rank4Tensor",
@@ -60,6 +69,87 @@ def _as_rational(x):
 # int when the value is integral, a Fraction otherwise.  Ints, numpy integers
 # and Fractions are accepted; anything else (floats, strings) is a TypeError.
 exact = np.frompyfunc(_as_rational, 1, 1)
+
+
+# Integer arithmetic runs on int64 only when a bound proves every entry and
+# every intermediate below this, half of int64's range.
+INT64_BOUND = 2**62
+
+
+class Scaled(NamedTuple):
+    """An exact scalar or array as ``num / den``, with ``den`` > 0 and every
+    ``|num|`` entry at most ``bound``.  An array ``num`` is int64 when
+    ``bound < INT64_BOUND`` and an object array of Python ints otherwise; a
+    scalar ``num`` is a Python int."""
+
+    num: object
+    den: int
+    bound: int
+
+
+def int_dtype(bound):
+    """The dtype for integers of magnitude at most ``bound``."""
+    return np.int64 if bound < INT64_BOUND else object
+
+
+def _from_ints(num, den):
+    """The Scaled form of integer numerators (int64 or Python ints) over den."""
+    if np.ndim(num) == 0:
+        num = int(num)
+        return Scaled(num, den, abs(num))
+    bound = max(map(abs, num.ravel().tolist()))
+    return Scaled(num.astype(int_dtype(bound), copy=False), den, bound)
+
+
+def scaled(value) -> Scaled:
+    """Integer numerators of an exact scalar or array over the least common
+    denominator of its entries."""
+    if not isinstance(value, np.ndarray) or value.ndim == 0:
+        x = _as_rational(value[()] if isinstance(value, np.ndarray) else value)
+        if type(x) is int:
+            return Scaled(x, 1, abs(x))
+        return Scaled(x.numerator, x.denominator, abs(x.numerator))
+    flat = value.ravel().tolist()
+    den = 1
+    if set(map(type, flat)) != {int}:
+        flat = [_as_rational(x) for x in flat]
+        den = math.lcm(*(x.denominator for x in flat if type(x) is Fraction))
+        flat = [x.numerator * (den // x.denominator) for x in flat]
+    bound = max(map(abs, flat))
+    num = np.array(flat, dtype=int_dtype(bound)).reshape(value.shape)
+    return Scaled(num, den, bound)
+
+
+def derived(fn, growth, s: Scaled, den_factor=1) -> Scaled:
+    """Scaled form of ``fn(s.num) / (s.den * den_factor)``.
+
+    ``fn`` is integer arithmetic that multiplies magnitudes by at most
+    ``growth``, in every intermediate as in its result; it runs on int64 only
+    when ``growth * s.bound`` is below INT64_BOUND, on Python ints otherwise.
+    """
+    num = s.num
+    if growth * s.bound >= INT64_BOUND and np.ndim(num):
+        num = num.astype(object)
+    return _from_ints(fn(num), s.den * den_factor)
+
+
+def _divide(n, den):
+    return _as_rational(Fraction(int(n), den))
+
+
+def unscaled(num, den):
+    """The exact value ``num / den`` of integer numerators (int64 or Python
+    ints, array or scalar), in exact normal form: no numpy scalar leaves."""
+    if np.ndim(num) == 0:
+        return _divide(num, den)
+    if den == 1:
+        return num.astype(object)
+    flat = num.ravel().tolist()
+    if math.gcd(den, *flat) == den:
+        flat = [n // den for n in flat]
+    else:
+        flat = [_divide(n, den) for n in flat]
+    return np.array(flat, dtype=object).reshape(num.shape)
 
 
 def _shaped(values, shape, name):
@@ -142,25 +232,40 @@ def traceless_ricci(t: Rank4Tensor):
     return exact(ricci(t) - Fraction(ricci_scalar(t), 4) * DELTA4)
 
 
-def weyl(t: Rank4Tensor) -> Rank4Tensor:
-    """Weyl (conformal) part: W = R - 1/2 delta (.) Rc + (Sc/6) DELTA_WEDGE.
+def weyl6(t):
+    """6 W = 6 R - 3 delta (.) Rc + Sc DELTA_WEDGE, in the dtype of ``t``.
 
     delta (.) Rc is the Kulkarni-Nomizu product
-    d_ac Rc_bd + d_bd Rc_ac - d_ad Rc_bc - d_bc Rc_ad.
+    d_ac Rc_bd + d_bd Rc_ac - d_ad Rc_bc - d_bc Rc_ad.  On integers of
+    magnitude at most M every entry and intermediate is below 128 M
+    (|Rc| <= 4 M, |Sc| <= 16 M).
     """
-    x = np.einsum("ac,bd->abcd", DELTA4, ricci(t))
-    kn = (
+    delta = np.eye(4, dtype=t.dtype)
+    x = np.einsum("ac,bd->abcd", delta, 3 * ricci(t))
+    kn3 = (
         x
         + np.einsum("badc->abcd", x)
         - np.einsum("abdc->abcd", x)
         - np.einsum("bacd->abcd", x)
     )
-    return exact(t - Fraction(1, 2) * kn + Fraction(ricci_scalar(t), 6) * DELTA_WEDGE)
+    wedge = np.einsum("ac,bd->abcd", delta, delta)
+    return 6 * t - kn3 + ricci_scalar(t) * (wedge - wedge.transpose(0, 1, 3, 2))
+
+
+def weyl(t: Rank4Tensor) -> Rank4Tensor:
+    """Weyl (conformal) part: W = R - 1/2 delta (.) Rc + (Sc/6) DELTA_WEDGE."""
+    return exact(Fraction(1, 6) * weyl6(t))
+
+
+def dual2(t):
+    """2 Rt_abcd = eps_cdef R_abef, in the dtype of ``t``; on integers of
+    magnitude at most M every entry and intermediate is below 16 M."""
+    return np.einsum("cdef,abef->abcd", EPS4 if t.dtype == object else int64("EPS4"), t)
 
 
 def pseudo_riemann(t: Rank4Tensor) -> Rank4Tensor:
     """Dual on the second pair: Rt_abcd = 1/2 eps_cdef R_abef."""
-    return exact(Fraction(1, 2) * np.einsum("cdef,abef->abcd", EPS4, t))
+    return exact(Fraction(1, 2) * dual2(t))
 
 
 def constant_curvature(scalar) -> Rank4Tensor:

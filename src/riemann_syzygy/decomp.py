@@ -11,6 +11,7 @@ splits into two symmetric 3x3 blocks ``Ap`` (self-dual/self-dual) and ``Am``
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curvature import (
+    INT64_BOUND,
     SCHEMA,
     Rank4Tensor,
     as_tensor,
@@ -26,9 +28,11 @@ from .curvature import (
     exact,
     rationals_from_json,
     rationals_to_json,
+    scaled,
+    unscaled,
     validate_riemann,
 )
-from .thooft import DELTA3, ETA, ETABAR
+from .thooft import DELTA3, ETA, ETABAR, int64
 
 __all__ = [
     "FBlocks",
@@ -143,13 +147,26 @@ def decompose(t: Rank4Tensor, validate=True) -> FBlocks:
 
 
 def reconstruct(fb: FBlocks) -> Rank4Tensor:
-    """Rebuild the rank-4 tensor from its blocks (exact inverse of decompose)."""
-    return exact(
-        np.einsum("ij,iab,jcd->abcd", fb.Ap, ETA, ETA)
-        + np.einsum("ij,iab,jcd->abcd", fb.B, ETA, ETABAR)
-        + np.einsum("ij,iab,jcd->abcd", fb.B.T, ETABAR, ETA)
-        + np.einsum("ij,iab,jcd->abcd", fb.Am, ETABAR, ETABAR)
-    )
+    """Rebuild the rank-4 tensor from its blocks (exact inverse of decompose).
+
+    R_abcd = M_ij S^i_ab S^j_cd with M = [[Ap, B], [B^T, Am]] and S the
+    stacked (eta, etabar), on M's integer numerators: each entry is a sum of
+    36 terms of magnitude at most max |M|, so it runs on int64 whenever
+    36 max |M| is below INT64_BOUND.
+    """
+    m = np.empty((6, 6), dtype=object)
+    m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:] = fb.Ap, fb.B, fb.B.T, fb.Am
+    num, den, bound = scaled(m)
+    if 36 * bound >= INT64_BOUND:
+        num = num.astype(object)
+    etas = _etas()
+    return unscaled(np.einsum("ij,iab,jcd->abcd", num, etas, etas), den)
+
+
+@functools.cache
+def _etas():
+    """eta stacked on etabar, (6, 4, 4) int64, made on first use."""
+    return np.concatenate([int64("ETA"), int64("ETABAR")])
 
 
 # ---------------------------------------------------------------------------

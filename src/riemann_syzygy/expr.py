@@ -11,30 +11,48 @@ a label occurring once is a free index of the expression.  Examples:
     Rc[a,c]*Rc[c,b] - 1/4*Sc*Rc[a,b]    a free-index (a, b) tensor
     -2*Ap[i,j]*B[j,k]*BT[k,i]           a matrix-language trace word
 
-Evaluation is exact: numpy einsum over ``dtype=object`` arrays of ints and
-``fractions.Fraction``.  Two evaluation contexts are provided: the tensor
-language of a rank-4 curvature tensor and the matrix language of its blocks.
+Evaluation is exact and runs on integers.  Every symbol of a context also
+has a scaled form (``curvature.Scaled``): integer numerators over one
+denominator.  An expression is brought over one denominator too: each
+monomial's coefficient, times its symbols' denominators, over their least
+common multiple.  A monomial is then bounded by |coefficient| * the product
+of its factors' largest numerators * the product of the ranges of its summed
+indices; that bound covers every intermediate of its contraction.  When the
+sum of these bounds over all monomials is below 2**62 the numpy einsums run
+on int64, and otherwise the same contractions run on object arrays of
+Python ints.  Only the final division makes ``fractions.Fraction`` entries.
+
+Two evaluation contexts are provided: the tensor language of a rank-4
+curvature tensor and the matrix language of its blocks.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .curvature import (
     Rank4Tensor,
-    exact,
+    Scaled,
+    derived,
+    dual2,
+    int_dtype,
     pseudo_riemann,
     ricci,
     ricci_scalar,
+    scaled,
+    unscaled,
     weyl,
+    weyl6,
 )
 from .decomp import FBlocks
-from .thooft import DELTA3, DELTA4, EPS3, EPS4
+from .thooft import DELTA3, DELTA4, EPS3, EPS4, int64
 
 __all__ = [
     "Monomial",
@@ -225,12 +243,60 @@ def render(poly):
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
+# A contraction over at most this many index points runs in one pass of
+# numpy's C loop (a few ns per point on int64); larger ones are split into
+# pairwise contractions along numpy's greedy path, whose search costs about
+# 0.1 ms per call.
+_ONE_PASS_POINTS = 2**14
 
-def _eval_monomial(mono: Monomial, context, free):
-    coeff = mono.coeff
+
+def _contract(spec, arrays, pairwise):
+    """``np.einsum(spec, *arrays)`` on arrays of one dtype, in one pass or
+    pairwise along numpy's greedy path.  Each pairwise step is a one-pass
+    einsum whose result keeps the dtype: numpy's own pairwise code, like
+    einsum given a bare Python int, multiplies object scalars as int64,
+    which wraps."""
+    if not pairwise:
+        return np.einsum(spec, *arrays)
+    dtype = arrays[0].dtype
+    path = np.einsum_path(spec, *arrays, optimize="greedy")[0]
+    inputs, out = spec.split("->")
+    terms, arrays = inputs.split(","), list(arrays)
+    for step in path[1:]:
+        picked = sorted(step, reverse=True)
+        subs = [terms.pop(i) for i in picked]
+        args = [arrays.pop(i) for i in picked]
+        keep = set(out).union(*terms)
+        res = "".join(dict.fromkeys(l for t in subs for l in t if l in keep))
+        res = res if terms else out
+        arrays.append(np.asarray(np.einsum(",".join(subs) + "->" + res, *args), dtype))
+        terms.append(res)
+    return arrays[0][()]
+
+
+class _Term(NamedTuple):
+    """One monomial over integers: ``p / q`` times the contraction ``spec``
+    of the numerator ``arrays`` (of the output ``shape``); ``p / q`` holds
+    the coefficient, the scalar factors and the arrays' denominators.
+    ``bound`` is at least |p| times every entry of the contraction and of
+    each of its intermediates; 0 when a factor is zero."""
+
+    p: int
+    q: int
+    bound: int
+    spec: str | None
+    pairwise: bool
+    arrays: list
+    shape: tuple
+
+
+def _monomial(mono: Monomial, context, free) -> _Term:
+    p, q = mono.coeff.numerator, mono.coeff.denominator
     arrays = []
     subs = []
     letter_of = {}
+    size_of = {}
+    bound = 1
 
     def letter(lbl):
         if lbl not in letter_of:
@@ -242,31 +308,39 @@ def _eval_monomial(mono: Monomial, context, free):
     for name, labels in mono.factors:
         if name not in context:
             raise ExprError(f"unknown symbol {name!r}")
-        val = context[name]
+        num, den, top = context.scaled(name)
+        rank = np.ndim(num)
         if not labels:
-            if isinstance(val, np.ndarray) and val.ndim > 0:
-                raise ExprError(f"symbol {name!r} needs {val.ndim} indices")
-            coeff = coeff * (val[()] if isinstance(val, np.ndarray) else val)
+            if rank:
+                raise ExprError(f"symbol {name!r} needs {rank} indices")
+            p, q = p * num, q * den
             continue
-        if not isinstance(val, np.ndarray) or val.ndim != len(labels):
-            rank = val.ndim if isinstance(val, np.ndarray) else 0
+        if rank != len(labels):
             raise ExprError(
                 f"symbol {name!r} has rank {rank}, got {len(labels)} indices"
             )
-        arrays.append(val)
+        arrays.append(num)
         subs.append("".join(letter(l) for l in labels))
+        q *= den
+        bound *= top
+        for lbl, n in zip(labels, num.shape):
+            if size_of.setdefault(lbl, n) != n:
+                raise ExprError(
+                    f"index {lbl!r} ranges over {size_of[lbl]} and {n} values"
+                )
 
-    out_sub = "".join(letter(l) for l in free)
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
     if not arrays:
         if free:
             raise ExprError("free indices in a purely scalar monomial")
-        return coeff
-    spec = ",".join(subs) + "->" + out_sub
-    try:
-        result = np.einsum(spec, *arrays, optimize="greedy")
-    except ValueError as exc:
-        raise ExprError(f"contraction failed for {spec!r}: {exc}") from exc
-    return coeff * result
+        return _Term(p, q, abs(p), None, False, arrays, ())
+    for lbl in set(size_of) - set(free):
+        bound *= size_of[lbl]
+    spec = ",".join(subs) + "->" + "".join(letter(l) for l in free)
+    pairwise = math.prod(size_of.values()) > _ONE_PASS_POINTS
+    shape = tuple(size_of[l] for l in free)
+    return _Term(p, q, abs(p) * bound, spec, pairwise, arrays, shape)
 
 
 def evaluate(poly, context):
@@ -277,25 +351,51 @@ def evaluate(poly, context):
     """
     if isinstance(poly, str):
         poly = parse(poly)
-    total = None
-    for mono in poly.monomials:
-        val = _eval_monomial(mono, context, poly.free_labels)
-        total = val if total is None else total + val
-    if total is None:
+    if not isinstance(context, LazyContext):
+        context = LazyContext(context)
+    terms = [_monomial(m, context, poly.free_labels) for m in poly.monomials]
+    if not terms:
         if poly.free_labels:
             raise ExprError("cannot evaluate an empty expression with free indices")
         return 0
-    return exact(total)
+    # over the common denominator each numerator p, and its bound, grow by den/q
+    den = math.lcm(*(t.q for t in terms))
+    dtype = int_dtype(sum(t.bound * (den // t.q) for t in terms))
+    total = 0
+    for t in terms:
+        k = t.p * (den // t.q)
+        if t.spec is None:
+            total = total + k
+        elif not t.bound:
+            if t.shape:
+                total = total + np.zeros(t.shape, dtype=dtype)
+        else:
+            arrays = [a.astype(dtype, copy=False) for a in t.arrays]
+            total = total + k * _contract(t.spec, arrays, t.pairwise)
+    return unscaled(total, den)
+
+
+def _table(name):
+    """The scaled form of a constant symbol table (entries 0, 1 and -1)."""
+    return lambda ctx: Scaled(int64(name), 1, 1)
 
 
 class LazyContext(Mapping):
     """A read-only symbol context: ``values`` as given, plus ``builders``
     (name -> zero-argument function), each run on its symbol's first lookup
-    only and its value kept."""
+    only and its value kept.
+
+    ``scaled(name)`` gives the symbol's scaled form, also made on first
+    request only and kept: by the context's ``_scalers`` entry for the name
+    (a function of the context) if it has one, else from the value.
+    """
+
+    _scalers = {}
 
     def __init__(self, values, **builders):
         self._values = dict(values)
         self._builders = builders
+        self._scaled = {}
 
     def __getitem__(self, name):
         if name not in self._values:
@@ -311,6 +411,33 @@ class LazyContext(Mapping):
     def __len__(self):
         return len({**self._values, **self._builders})
 
+    def scaled(self, name):
+        if name not in self._scaled:
+            make = self._scalers.get(name)
+            self._scaled[name] = make(self) if make else scaled(self[name])
+        return self._scaled[name]
+
+
+class _TensorContext(LazyContext):
+    # Rc, Sc, 6 W and 2 Rt from R's numerators, with the growth of each
+    # builder (see curvature)
+    _scalers = {
+        "Rc": lambda ctx: derived(ricci, 4, ctx.scaled("R")),
+        "Sc": lambda ctx: derived(ricci_scalar, 16, ctx.scaled("R")),
+        "W": lambda ctx: derived(weyl6, 128, ctx.scaled("R"), 6),
+        "Rt": lambda ctx: derived(dual2, 16, ctx.scaled("R"), 2),
+        "eps": _table("EPS4"),
+        "delta": _table("DELTA4"),
+    }
+
+
+class _MatrixContext(LazyContext):
+    _scalers = {
+        "BT": lambda ctx: derived(np.transpose, 1, ctx.scaled("B")),
+        "eps3": _table("EPS3"),
+        "delta3": _table("DELTA3"),
+    }
+
 
 def tensor_context(t: Rank4Tensor):
     """Symbols of the rank-4 tensor language.
@@ -319,7 +446,7 @@ def tensor_context(t: Rank4Tensor):
     Rt (dual tensor, rank 4), eps (rank 4), delta (rank 2).  The curvature
     symbols derived from ``t`` are computed on first use only.
     """
-    return LazyContext(
+    return _TensorContext(
         {"R": t, "eps": EPS4, "delta": DELTA4},
         Rc=lambda: ricci(t),
         Sc=lambda: ricci_scalar(t),
@@ -336,24 +463,18 @@ def _det3(m):
     )
 
 
-
-
 def matrix_context(fb: FBlocks):
     """Symbols of the block (matrix) language.
 
     Ap, Am, B, BT (rank 2 over 3-dim indices), eps3 (rank 3), delta3
     (rank 2), R (scalar curvature), detB (determinant of the mixed block).
     """
-    return {
-        "Ap": fb.Ap,
-        "Am": fb.Am,
-        "B": fb.B,
-        "BT": fb.B.T.copy(),
-        "eps3": EPS3,
-        "delta3": DELTA3,
-        "R": fb.scalar_curvature(),
-        "detB": _det3(fb.B),
-    }
+    return _MatrixContext(
+        {"Ap": fb.Ap, "Am": fb.Am, "B": fb.B, "eps3": EPS3, "delta3": DELTA3},
+        BT=lambda: fb.B.T.copy(),
+        R=fb.scalar_curvature,
+        detB=lambda: _det3(fb.B),
+    )
 
 
 # ---------------------------------------------------------------------------

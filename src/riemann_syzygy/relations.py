@@ -166,6 +166,25 @@ def _is_zero(value):
     return value == 0
 
 
+def _check_sides(rel: Relation, lhs, rhs):
+    """Reject sides that cannot be compared entry by entry: different free
+    labels, or, with ``rhs_delta``, anything but a two-index lhs and a
+    scalar rhs."""
+    if rhs is None:
+        return
+    if rel.rhs_delta:
+        ok = len(lhs.free_labels) == 2 and rhs.is_scalar
+        want = "a two-index lhs and a scalar rhs"
+    else:
+        ok = lhs.free_labels == rhs.free_labels
+        want = "the same free labels on both sides"
+    if not ok:
+        raise ValueError(
+            f"{rel.name}: lhs free labels {lhs.free_labels} and rhs free "
+            f"labels {rhs.free_labels} do not fit; expected {want}"
+        )
+
+
 def _residual(rel: Relation, lhs, rhs, fb):
     """lhs - rhs of ``rel`` on one sample, given its two parsed sides."""
     ctx = contexts_for(fb)
@@ -180,12 +199,15 @@ def _residual(rel: Relation, lhs, rhs, fb):
 
 def residual(rel: Relation, fb):
     """Exact lhs - rhs on one sample (scalar or object ndarray)."""
-    return _residual(rel, rel.lhs_poly(), rel.rhs_poly(), fb)
+    lhs, rhs = rel.lhs_poly(), rel.rhs_poly()
+    _check_sides(rel, lhs, rhs)
+    return _residual(rel, lhs, rhs, fb)
 
 
 def check_relation(rel: Relation, samples):
     """Verify one relation on a list of FBlocks samples."""
     lhs, rhs = rel.lhs_poly(), rel.rhs_poly()
+    _check_sides(rel, lhs, rhs)
     first_failure = None
     saw_nonzero = False
     for i, fb in enumerate(samples):

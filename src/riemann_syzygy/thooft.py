@@ -10,6 +10,7 @@ conventional notation; the arrays themselves are 0-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -63,6 +64,13 @@ def _build_eta(sign):
 
 ETA = _build_eta(+1)
 ETABAR = _build_eta(-1)
+
+
+@functools.cache
+def int64(name):
+    """The table ``name`` of this module ("EPS4", "DELTA3", "ETA", ...) as
+    an int64 array, made on its first use only and kept."""
+    return globals()[name].astype(np.int64)
 
 
 def _check_range(name, value, lo, hi):

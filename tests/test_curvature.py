@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemann_syzygy import curvature, expr
+from riemann_syzygy import catalog, curvature, expr, ranklab, relations
 from riemann_syzygy.curvature import (
     as_tensor,
     constant_curvature,
@@ -25,7 +25,7 @@ from riemann_syzygy.curvature import (
     weyl,
     zeros,
 )
-from riemann_syzygy.decomp import raw_blocks, reconstruct
+from riemann_syzygy.decomp import FBlocks, raw_blocks, reconstruct
 from riemann_syzygy.gen import GenConfig, random_fblocks
 from riemann_syzygy.thooft import EPS4
 
@@ -105,17 +105,19 @@ def test_pseudo_riemann_trace_free(samples):
 
 def _normal(value):
     """int when integral, Fraction (denominator > 1) otherwise."""
-    if isinstance(value, np.ndarray):
-        return all(_normal(v) for v in value.flat)
+    if isinstance(value, (np.ndarray, list)):
+        return all(_normal(v) for v in np.ravel(np.array(value, dtype=object)))
     return type(value) is int or (
         type(value) is Fraction and value.denominator > 1
     )
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**9), st.integers(1, 9))
-def test_outputs_in_exact_normal_form(seed, bound):
+@given(st.integers(0, 10**9), st.integers(1, 9), st.sampled_from([1, 2**14, 2**40]))
+def test_outputs_in_exact_normal_form(seed, bound, scale):
+    # scale 2**14 keeps entries on int64; 2**40 puts products on Python ints
     fb = random_fblocks(seed, GenConfig(bound=bound))
+    fb = FBlocks(Ap=scale * fb.Ap, B=scale * fb.B, Am=scale * fb.Am)
     t = reconstruct(fb)
     tctx = expr.tensor_context(t)
     mctx = expr.matrix_context(fb)
@@ -133,6 +135,9 @@ def test_outputs_in_exact_normal_form(seed, bound):
         expr.evaluate("1/2*W[a,c,d,e]*R[b,c,d,e]", tctx),
         expr.evaluate("1/3*Ap[i,j]*Am[j,i] + 1/6*R*detB", mctx),
         expr.evaluate("1/2*Ap[i,k]*B[k,j]", mctx),
+        *(relations.residual(rel, fb) for rel in relations.load_relations()),
+        ranklab.sample_matrix(catalog.catalog("cubic"), [fb]),
+        ranklab.sample_matrix(catalog.catalog("cubic_rank2"), [fb]),
     ]
     for i, value in enumerate(values):
         assert _normal(value), i

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemann_syzygy import curvature, expr
-from riemann_syzygy.decomp import reconstruct
+from riemann_syzygy import catalog, curvature, expr, relations
+from riemann_syzygy.decomp import FBlocks, reconstruct
 from riemann_syzygy.expr import (
     ExprError,
     combine,
@@ -22,6 +22,7 @@ from riemann_syzygy.expr import (
     tensor_context,
 )
 from riemann_syzygy.gen import GenConfig, random_fblocks
+from riemann_syzygy.thooft import DELTA3
 
 
 def test_parse_scalar_and_free_indices():
@@ -140,3 +141,110 @@ def test_lazy_tensor_symbols_equal_eager(seed, einstein):
                         ("Rt", curvature.pseudo_riemann)):
         assert np.array_equal(ctx[name], eager(t)), name
     assert ctx["R"] is t
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against a plain object-dtype reference
+
+
+def _reference(poly, context):
+    """Object einsums folding in one factor at a time (the next one sharing
+    the most labels; a label is summed once no later factor needs it), then
+    the Fraction coefficient, then the exact normal form."""
+    total = 0
+    for mono in poly.monomials:
+        letter = {}
+
+        def sub(labels):
+            return "".join(letter.setdefault(l, chr(97 + len(letter))) for l in labels)
+
+        # every step on object arrays: einsum narrows bare Python ints to int64
+        value, held, rest = np.asarray(1, dtype=object), (), list(mono.factors)
+        while rest:
+            name, labels = max(rest, key=lambda f: len(set(f[1]) & set(held)))
+            rest.remove((name, labels))
+            later = set(poly.free_labels).union(*(l for _, l in rest))
+            keep = tuple(dict.fromkeys(l for l in held + labels if l in later))
+            factor = np.asarray(context[name], dtype=object)
+            spec = f"{sub(held)},{sub(labels)}->{sub(keep)}"
+            value = np.asarray(np.einsum(spec, value, factor), dtype=object)
+            held = keep
+        value = np.einsum(f"{sub(held)}->{sub(poly.free_labels)}", value)
+        total = total + Fraction(mono.coeff) * value
+    return curvature.exact(total)
+
+
+def _same(a, b):
+    """Equal in value and in type, entry by entry for arrays."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (type(a) is type(b) and a.dtype == b.dtype == object
+                and a.shape == b.shape
+                and all(_same(x, y) for x, y in zip(a.flat, b.flat)))
+    return type(a) is type(b) and a == b
+
+
+# every relation side and every catalog representation, with its language
+_EXPRESSIONS = [
+    (f"{rel.name} {side}", lang, parse(text))
+    for rel in relations.load_relations()
+    for side, lang, text in (("lhs", rel.lhs_language, rel.lhs),
+                             ("rhs", rel.rhs_language, rel.rhs))
+    if text is not None
+] + [
+    (f"{name}/{entry.label} {kind}", kind,
+     parse(rep) if isinstance(rep, str) else rep)
+    for name, entries in catalog.CATALOGS.items()
+    for entry in entries
+    for kind, rep in entry.representations().items()
+]
+
+# block entries and examples per kind (the Fraction reference is slow)
+_ENTRIES = {
+    "small": (st.integers(-9, 9), 3),
+    # magnitudes near 2**40 put every product of two or more on Python ints
+    "near 2**40": (st.builds(lambda s, d: s * (2**40 + d),
+                             st.sampled_from([-1, 1]), st.integers(-9, 9)), 2),
+    "fractions": (st.fractions(-9, 9, max_denominator=6), 2),
+}
+
+
+@st.composite
+def _fblocks(draw, entries):
+    ap, am = np.zeros((3, 3), dtype=object), np.zeros((3, 3), dtype=object)
+    for m, n in ((ap, 6), (am, 5)):
+        values = draw(st.lists(entries, min_size=n, max_size=n))
+        for v, (i, j) in zip(values, [(0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2)]):
+            m[i, j] = m[j, i] = v
+    am[2, 2] = ap[0, 0] + ap[1, 1] + ap[2, 2] - am[0, 0] - am[1, 1]
+    b = draw(st.lists(entries, min_size=9, max_size=9))
+    return FBlocks(Ap=ap, B=np.array(b, dtype=object).reshape(3, 3), Am=am)
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+def test_evaluate_equals_object_reference(kind):
+    entries, examples = _ENTRIES[kind]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(_fblocks(entries))
+    def check(fb):
+        ctx = catalog.contexts_for(fb)
+        for what, language, poly in _EXPRESSIONS:
+            got = evaluate(poly, ctx[language])
+            assert _same(got, _reference(poly, ctx[language])), what
+
+    check()
+
+
+def test_quartic_bound_counts_summed_ranges():
+    # max|R| = 2**15: max|R|**4 = 2**60 fits int64, but the contraction sums
+    # 4**8 such products, and the exact value exceeds 2**63
+    c = 2**14 * DELTA3
+    fb = FBlocks(Ap=c, B=np.zeros((3, 3), dtype=object), Am=c)
+    t = reconstruct(fb)
+    top = max(abs(x) for x in t.flat)
+    assert top**4 < 2**62 < top**4 * 4**8
+    poly = parse("R[a,b,c,d]*R[c,d,e,f]*R[e,f,g,h]*R[g,h,a,b]")
+    value = evaluate(poly, tensor_context(t))
+    assert abs(value) >= 2**63
+    assert _same(value, _reference(poly, tensor_context(t)))
+    assert value == 1536 * 2**56  # tr M**4 for M = 2**15 (1 - P) on pairs

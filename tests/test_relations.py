@@ -82,6 +82,28 @@ def test_rhs_delta_mechanism(einstein_samples):
         assert np.all(v == 0)
 
 
+@pytest.mark.parametrize("lhs, rhs, rhs_delta", [
+    ("R[a,b,c,d]", "Rc[a,b]", False),  # numpy would broadcast to (4,4,4,4)
+    ("Rc[a,b]", "Rc[c,d]", False),  # same shape, different labels
+    ("R[a,b,c,d]*Sc", "Sc", True),  # rhs_delta needs a two-index lhs
+    ("Rc[a,b]", "Rc[a,b]", True),  # and a scalar rhs
+])
+def test_mismatched_sides_rejected(lhs, rhs, rhs_delta, samples, monkeypatch):
+    rel = relations.Relation(name="bad_shape", domain="general",
+                             lhs_language="tensor", lhs=lhs,
+                             rhs_language="tensor", rhs=rhs, rhs_delta=rhs_delta)
+    monkeypatch.setattr(relations, "contexts_for", None)  # no sample is evaluated
+    with pytest.raises(ValueError, match="bad_shape"):
+        check_relation(rel, samples)
+    with pytest.raises(ValueError, match="bad_shape"):
+        residual(rel, samples[0])
+
+
+def test_registry_sides_accepted():
+    for rel in load_relations():
+        relations._check_sides(rel, rel.lhs_poly(), rel.rhs_poly())
+
+
 # ---------------------------------------------------------------------------
 # Meta-checks: structural consequences beyond residual-zero
 
