@@ -165,8 +165,10 @@ def reconstruct(fb: FBlocks) -> Rank4Tensor:
 
 @functools.cache
 def _etas():
-    """eta stacked on etabar, (6, 4, 4) int64, made on first use."""
-    return np.concatenate([int64("ETA"), int64("ETABAR")])
+    """eta stacked on etabar, (6, 4, 4) read-only int64, made on first use."""
+    etas = np.concatenate([int64("ETA"), int64("ETABAR")])
+    etas.flags.writeable = False
+    return etas
 
 
 # ---------------------------------------------------------------------------

@@ -243,10 +243,12 @@ def render(poly):
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
-# A contraction over at most this many index points runs in one pass of
-# numpy's C loop (a few ns per point on int64); larger ones are split into
-# pairwise contractions along numpy's greedy path, whose search costs about
-# 0.1 ms per call.
+# A contraction over at most this many index points runs in one einsum pass;
+# larger ones run pairwise along numpy's greedy path.  Timed on int64 over
+# every distinct contraction the registry and the catalogs make (numpy 2.4,
+# 2-CPU Xeon): one pass wins at every size up to 2**14 points (pairwise
+# costs 50-100 us more), pairwise wins at every size from 2**18 (one pass
+# takes 1-16 ms there), and at 2**16 they split by the number of factors.
 _ONE_PASS_POINTS = 2**14
 
 
@@ -386,15 +388,14 @@ class LazyContext(Mapping):
     only and its value kept.
 
     ``scaled(name)`` gives the symbol's scaled form, also made on first
-    request only and kept: by the context's ``_scalers`` entry for the name
-    (a function of the context) if it has one, else from the value.
+    request only and kept: by ``scalers[name]`` (a function of the context)
+    if there is one, else from the value.
     """
 
-    _scalers = {}
-
-    def __init__(self, values, **builders):
+    def __init__(self, values, scalers=None, **builders):
         self._values = dict(values)
         self._builders = builders
+        self._scalers = scalers or {}
         self._scaled = {}
 
     def __getitem__(self, name):
@@ -418,25 +419,22 @@ class LazyContext(Mapping):
         return self._scaled[name]
 
 
-class _TensorContext(LazyContext):
-    # Rc, Sc, 6 W and 2 Rt from R's numerators, with the growth of each
-    # builder (see curvature)
-    _scalers = {
-        "Rc": lambda ctx: derived(ricci, 4, ctx.scaled("R")),
-        "Sc": lambda ctx: derived(ricci_scalar, 16, ctx.scaled("R")),
-        "W": lambda ctx: derived(weyl6, 128, ctx.scaled("R"), 6),
-        "Rt": lambda ctx: derived(dual2, 16, ctx.scaled("R"), 2),
-        "eps": _table("EPS4"),
-        "delta": _table("DELTA4"),
-    }
+# Rc, Sc, 6 W and 2 Rt from R's numerators, with the growth of each builder
+# (see curvature)
+_TENSOR_SCALERS = {
+    "Rc": lambda ctx: derived(ricci, 4, ctx.scaled("R")),
+    "Sc": lambda ctx: derived(ricci_scalar, 16, ctx.scaled("R")),
+    "W": lambda ctx: derived(weyl6, 128, ctx.scaled("R"), 6),
+    "Rt": lambda ctx: derived(dual2, 16, ctx.scaled("R"), 2),
+    "eps": _table("EPS4"),
+    "delta": _table("DELTA4"),
+}
 
-
-class _MatrixContext(LazyContext):
-    _scalers = {
-        "BT": lambda ctx: derived(np.transpose, 1, ctx.scaled("B")),
-        "eps3": _table("EPS3"),
-        "delta3": _table("DELTA3"),
-    }
+_MATRIX_SCALERS = {
+    "BT": lambda ctx: derived(np.transpose, 1, ctx.scaled("B")),
+    "eps3": _table("EPS3"),
+    "delta3": _table("DELTA3"),
+}
 
 
 def tensor_context(t: Rank4Tensor):
@@ -446,8 +444,9 @@ def tensor_context(t: Rank4Tensor):
     Rt (dual tensor, rank 4), eps (rank 4), delta (rank 2).  The curvature
     symbols derived from ``t`` are computed on first use only.
     """
-    return _TensorContext(
+    return LazyContext(
         {"R": t, "eps": EPS4, "delta": DELTA4},
+        _TENSOR_SCALERS,
         Rc=lambda: ricci(t),
         Sc=lambda: ricci_scalar(t),
         W=lambda: weyl(t),
@@ -469,8 +468,9 @@ def matrix_context(fb: FBlocks):
     Ap, Am, B, BT (rank 2 over 3-dim indices), eps3 (rank 3), delta3
     (rank 2), R (scalar curvature), detB (determinant of the mixed block).
     """
-    return _MatrixContext(
+    return LazyContext(
         {"Ap": fb.Ap, "Am": fb.Am, "B": fb.B, "eps3": EPS3, "delta3": DELTA3},
+        _MATRIX_SCALERS,
         BT=lambda: fb.B.T.copy(),
         R=fb.scalar_curvature,
         detB=lambda: _det3(fb.B),

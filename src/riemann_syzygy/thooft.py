@@ -66,11 +66,23 @@ ETA = _build_eta(+1)
 ETABAR = _build_eta(-1)
 
 
+_TABLES = {
+    "EPS3": EPS3,
+    "EPS4": EPS4,
+    "DELTA3": DELTA3,
+    "DELTA4": DELTA4,
+    "ETA": ETA,
+    "ETABAR": ETABAR,
+}
+
+
 @functools.cache
 def int64(name):
-    """The table ``name`` of this module ("EPS4", "DELTA3", "ETA", ...) as
-    an int64 array, made on its first use only and kept."""
-    return globals()[name].astype(np.int64)
+    """The table ``name`` of this module ("EPS4", "DELTA3", "ETA", ...) as a
+    read-only int64 array, made on its first use only and kept."""
+    table = _TABLES[name].astype(np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _check_range(name, value, lo, hi):

@@ -105,11 +105,20 @@ def test_pseudo_riemann_trace_free(samples):
 
 def _normal(value):
     """int when integral, Fraction (denominator > 1) otherwise."""
-    if isinstance(value, (np.ndarray, list)):
-        return all(_normal(v) for v in np.ravel(np.array(value, dtype=object)))
+    if isinstance(value, np.ndarray):
+        return all(_normal(v) for v in value.flat)
+    if isinstance(value, list):
+        return all(_normal(v) for v in value)
     return type(value) is int or (
         type(value) is Fraction and value.denominator > 1
     )
+
+
+def test_normal_form_check_rejects_numpy_integers():
+    assert not _normal(np.array([1, 2], dtype=np.int64))
+    assert not _normal(np.array([1, np.int64(2)], dtype=object))
+    assert not _normal([[1, np.int64(2)]])
+    assert _normal([[1, Fraction(1, 2)]])
 
 
 @settings(max_examples=20, deadline=None)

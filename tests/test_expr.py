@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from riemann_syzygy import catalog, curvature, expr, relations
@@ -148,9 +148,9 @@ def test_lazy_tensor_symbols_equal_eager(seed, einstein):
 
 
 def _reference(poly, context):
-    """Object einsums folding in one factor at a time (the next one sharing
-    the most labels; a label is summed once no later factor needs it), then
-    the Fraction coefficient, then the exact normal form."""
+    """Per monomial, object einsums on the exact values along numpy's
+    optimal pairwise path (a label is summed once no later operand needs
+    it), then the Fraction coefficient, then the exact normal form."""
     total = 0
     for mono in poly.monomials:
         letter = {}
@@ -158,18 +158,20 @@ def _reference(poly, context):
         def sub(labels):
             return "".join(letter.setdefault(l, chr(97 + len(letter))) for l in labels)
 
-        # every step on object arrays: einsum narrows bare Python ints to int64
-        value, held, rest = np.asarray(1, dtype=object), (), list(mono.factors)
-        while rest:
-            name, labels = max(rest, key=lambda f: len(set(f[1]) & set(held)))
-            rest.remove((name, labels))
-            later = set(poly.free_labels).union(*(l for _, l in rest))
-            keep = tuple(dict.fromkeys(l for l in held + labels if l in later))
-            factor = np.asarray(context[name], dtype=object)
-            spec = f"{sub(held)},{sub(labels)}->{sub(keep)}"
-            value = np.asarray(np.einsum(spec, value, factor), dtype=object)
-            held = keep
-        value = np.einsum(f"{sub(held)}->{sub(poly.free_labels)}", value)
+        terms = [sub(labels) for _, labels in mono.factors]
+        ops = [np.asarray(context[name], dtype=object) for name, _ in mono.factors]
+        out = sub(poly.free_labels)
+        path = np.einsum_path(",".join(terms) + "->" + out, *ops, optimize="optimal")
+        for step in path[0][1:]:
+            picked = sorted(step, reverse=True)
+            subs = [terms.pop(i) for i in picked]
+            args = [ops.pop(i) for i in picked]
+            keep = set(out).union(*terms)
+            res = "".join(dict.fromkeys(l for t in subs for l in t if l in keep))
+            # every step on object arrays: einsum narrows bare Python ints to int64
+            ops.append(np.asarray(np.einsum(",".join(subs) + "->" + res, *args), dtype=object))
+            terms.append(res)
+        value = np.einsum(f"{terms[0]}->{out}", ops[0])
         total = total + Fraction(mono.coeff) * value
     return curvature.exact(total)
 
@@ -198,34 +200,48 @@ _EXPRESSIONS = [
     for kind, rep in entry.representations().items()
 ]
 
-# block entries and examples per kind (the Fraction reference is slow)
-_ENTRIES = {
-    "small": (st.integers(-9, 9), 3),
-    # magnitudes near 2**40 put every product of two or more on Python ints
-    "near 2**40": (st.builds(lambda s, d: s * (2**40 + d),
-                             st.sampled_from([-1, 1]), st.integers(-9, 9)), 2),
-    "fractions": (st.fractions(-9, 9, max_denominator=6), 2),
-}
-
-
-@st.composite
-def _fblocks(draw, entries):
+def _blocks(values):
+    """Blocks from 20 entries: Ap's 6 and Am's first 5 upper-triangle entries
+    (Am[2, 2] keeps the traces equal), then B's 9."""
     ap, am = np.zeros((3, 3), dtype=object), np.zeros((3, 3), dtype=object)
-    for m, n in ((ap, 6), (am, 5)):
-        values = draw(st.lists(entries, min_size=n, max_size=n))
-        for v, (i, j) in zip(values, [(0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2)]):
-            m[i, j] = m[j, i] = v
+    upper = [(0, 0), (1, 1), (0, 1), (0, 2), (1, 2)]
+    for v, (i, j) in zip(values[:6], upper + [(2, 2)]):
+        ap[i, j] = ap[j, i] = v
+    for v, (i, j) in zip(values[6:11], upper):
+        am[i, j] = am[j, i] = v
     am[2, 2] = ap[0, 0] + ap[1, 1] + ap[2, 2] - am[0, 0] - am[1, 1]
-    b = draw(st.lists(entries, min_size=9, max_size=9))
-    return FBlocks(Ap=ap, B=np.array(b, dtype=object).reshape(3, 3), Am=am)
+    return FBlocks(Ap=ap, B=np.array(values[11:], dtype=object).reshape(3, 3), Am=am)
+
+
+_SMALL = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8, -9, 7, 9, -3, 2, 3, -8, 4]
+
+# per kind: block entries, generated examples (the Fraction reference is
+# slow), and a fixed non-zero example checked on every run
+_ENTRIES = {
+    "small": (st.integers(-9, 9), 3, _blocks(_SMALL)),
+    # magnitudes near 2**40 put every product of two or more on Python ints
+    "near 2**40": (
+        st.builds(lambda s, d: s * (2**40 + d), st.sampled_from([-1, 1]), st.integers(-9, 9)),
+        2,
+        _blocks([(-1) ** i * (2**40 + x) for i, x in enumerate(_SMALL)]),
+    ),
+    "fractions": (
+        st.fractions(-9, 9, max_denominator=6),
+        2,
+        _blocks([Fraction(x, d) for x, d in zip(_SMALL, [2, 3, 5, 1, 6, 4] * 4)]),
+    ),
+}
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
 def test_evaluate_equals_object_reference(kind):
-    entries, examples = _ENTRIES[kind]
+    entries, examples, fixed = _ENTRIES[kind]
 
-    @settings(max_examples=examples, deadline=None)
-    @given(_fblocks(entries))
+    # no shrinking: a failure reports its example at once
+    @settings(max_examples=examples, deadline=None,
+              phases=[Phase.explicit, Phase.generate])
+    @example(fixed)
+    @given(st.lists(entries, min_size=20, max_size=20).map(_blocks))
     def check(fb):
         ctx = catalog.contexts_for(fb)
         for what, language, poly in _EXPRESSIONS:
