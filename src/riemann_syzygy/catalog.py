@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr
-from .decomp import FBlocks, reconstruct
+from .decomp import FBlocks
 
 __all__ = [
     "CatalogEntry",
@@ -797,14 +797,11 @@ def catalog(name):
 def contexts_for(fb: FBlocks):
     """Evaluation contexts for all representation kinds of one sample.
 
-    The tensor context (and the reconstruction it needs) is built only when
-    an expression of the tensor language asks for it.
+    The tensor is reconstructed only when an expression of the tensor
+    language asks for one of its symbols.
     """
-    mctx = expr.matrix_context(fb)
-    return expr.LazyContext(
-        {"matrix": mctx, "fform": mctx},
-        tensor=lambda: expr.tensor_context(reconstruct(fb)),
-    )
+    m = expr.matrix_context(fb)
+    return {"matrix": m, "fform": m, "tensor": expr.tensor_context(fb)}
 
 
 def evaluate_entry(entry: CatalogEntry, contexts, representation=None):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .thooft import DELTA4, DELTA_WEDGE, EPS4, SCHEMA, _first_failure, int64
+from .thooft import DELTA4, DELTA_WEDGE, EPS4, SCHEMA, _first_failure, dumps, int64
 
 __all__ = [
     "Rank4Tensor",
@@ -97,7 +97,10 @@ def _from_ints(num, den):
     if np.ndim(num) == 0:
         num = int(num)
         return Scaled(num, den, abs(num))
-    bound = max(map(abs, num.ravel().tolist()))
+    if num.dtype == object:
+        bound = max(map(abs, num.ravel().tolist()))
+    else:  # int64: two numpy reductions, not a Python pass over the entries
+        bound = max(int(num.max()), -int(num.min()))
     return Scaled(num.astype(int_dtype(bound), copy=False), den, bound)
 
 
@@ -327,11 +330,6 @@ def check_schema(data):
     schema = data.get("schema", SCHEMA)
     if schema != SCHEMA:
         raise ValueError(f"unknown schema {schema!r} (expected {SCHEMA!r})")
-
-
-def dumps(data):
-    """The package's JSON text: sorted keys, two-space indent, final newline."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def riemann_to_dict(t: Rank4Tensor, format="sparse"):

@@ -19,11 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from .curvature import (
-    INT64_BOUND,
     SCHEMA,
     Rank4Tensor,
+    Scaled,
     as_tensor,
     check_schema,
+    derived,
     dumps,
     exact,
     rationals_from_json,
@@ -32,7 +33,7 @@ from .curvature import (
     unscaled,
     validate_riemann,
 )
-from .thooft import DELTA3, ETA, ETABAR, int64
+from .thooft import DELTA3, int64
 
 __all__ = [
     "FBlocks",
@@ -113,17 +114,16 @@ def raw_blocks(t: Rank4Tensor):
     Returns (fpp, fpm, fmp, fmm).  For a tensor with the full curvature
     symmetries these are (Ap, B, B^T, Am); for other antisymmetric-pair
     tensors (e.g. the dual tensor) the four blocks are independent.
+
+    The mirror of ``reconstruct``: one contraction of T's integer numerators
+    with S the stacked (eta, etabar) gives the four blocks as one 6x6 array;
+    each entry is a sum of 16 terms of magnitude at most max |T|.
     """
-
-    def proj(left, right):
-        return exact(Fraction(1, 16) * np.einsum("abcd,iab,jcd->ij", t, left, right))
-
-    return (
-        proj(ETA, ETA),
-        proj(ETA, ETABAR),
-        proj(ETABAR, ETA),
-        proj(ETABAR, ETABAR),
-    )
+    etas = _etas()
+    pairs = derived(lambda n: np.einsum("abcd,iab,jcd->ij", n, etas, etas),
+                    16, scaled(t), 16)
+    m = unscaled(pairs.num, pairs.den)
+    return m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]
 
 
 def decompose(t: Rank4Tensor, validate=True) -> FBlocks:
@@ -147,20 +147,23 @@ def decompose(t: Rank4Tensor, validate=True) -> FBlocks:
 
 
 def reconstruct(fb: FBlocks) -> Rank4Tensor:
-    """Rebuild the rank-4 tensor from its blocks (exact inverse of decompose).
+    """Rebuild the rank-4 tensor from its blocks (exact inverse of decompose)."""
+    s = reconstruct_scaled(fb)
+    return unscaled(s.num, s.den)
+
+
+def reconstruct_scaled(fb: FBlocks) -> Scaled:
+    """The scaled form of the tensor of ``fb``.
 
     R_abcd = M_ij S^i_ab S^j_cd with M = [[Ap, B], [B^T, Am]] and S the
     stacked (eta, etabar), on M's integer numerators: each entry is a sum of
-    36 terms of magnitude at most max |M|, so it runs on int64 whenever
-    36 max |M| is below INT64_BOUND.
+    36 terms of magnitude at most max |M|.
     """
     m = np.empty((6, 6), dtype=object)
     m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:] = fb.Ap, fb.B, fb.B.T, fb.Am
-    num, den, bound = scaled(m)
-    if 36 * bound >= INT64_BOUND:
-        num = num.astype(object)
     etas = _etas()
-    return unscaled(np.einsum("ij,iab,jcd->abcd", num, etas, etas), den)
+    return derived(lambda n: np.einsum("ij,iab,jcd->abcd", n, etas, etas),
+                   36, scaled(m))
 
 
 @functools.cache

@@ -11,16 +11,18 @@ a label occurring once is a free index of the expression.  Examples:
     Rc[a,c]*Rc[c,b] - 1/4*Sc*Rc[a,b]    a free-index (a, b) tensor
     -2*Ap[i,j]*B[j,k]*BT[k,i]           a matrix-language trace word
 
-Evaluation is exact and runs on integers.  Every symbol of a context also
-has a scaled form (``curvature.Scaled``): integer numerators over one
-denominator.  An expression is brought over one denominator too: each
-monomial's coefficient, times its symbols' denominators, over their least
-common multiple.  A monomial is then bounded by |coefficient| * the product
-of its factors' largest numerators * the product of the ranges of its summed
-indices; that bound covers every intermediate of its contraction.  When the
-sum of these bounds over all monomials is below 2**62 the numpy einsums run
-on int64, and otherwise the same contractions run on object arrays of
-Python ints.  Only the final division makes ``fractions.Fraction`` entries.
+Evaluation is exact and runs on integers.  A context holds each symbol in
+one form only, its scaled form (``curvature.Scaled``): integer numerators
+over one denominator, made on the symbol's first use.  The symbol's exact
+value, when asked for, is derived from that form.  An expression is brought
+over one denominator too: each monomial's coefficient, times its symbols'
+denominators, over their least common multiple.  A monomial is then bounded
+by |coefficient| * the product of its factors' largest numerators * the
+product of the ranges of its summed indices; that bound covers every
+intermediate of its contraction.  When the sum of these bounds over all
+monomials is below 2**62 the numpy einsums run on int64, and otherwise the
+same contractions run on object arrays of Python ints.  Only the final
+division makes ``fractions.Fraction`` entries.
 
 Two evaluation contexts are provided: the tensor language of a rank-4
 curvature tensor and the matrix language of its blocks.
@@ -43,16 +45,14 @@ from .curvature import (
     derived,
     dual2,
     int_dtype,
-    pseudo_riemann,
     ricci,
     ricci_scalar,
     scaled,
     unscaled,
-    weyl,
     weyl6,
 )
-from .decomp import FBlocks
-from .thooft import DELTA3, DELTA4, EPS3, EPS4, int64
+from .decomp import FBlocks, reconstruct_scaled
+from .thooft import int64
 
 __all__ = [
     "Monomial",
@@ -353,8 +353,6 @@ def evaluate(poly, context):
     """
     if isinstance(poly, str):
         poly = parse(poly)
-    if not isinstance(context, LazyContext):
-        context = LazyContext(context)
     terms = [_monomial(m, context, poly.free_labels) for m in poly.monomials]
     if not terms:
         if poly.free_labels:
@@ -383,45 +381,45 @@ def _table(name):
 
 
 class LazyContext(Mapping):
-    """A read-only symbol context: ``values`` as given, plus ``builders``
-    (name -> zero-argument function), each run on its symbol's first lookup
-    only and its value kept.
+    """A read-only symbol context holding each symbol in one form, its
+    scaled form.  ``rules`` maps each name to a function of the context that
+    returns that form; a rule runs on its symbol's first use only and its
+    result is kept.
 
-    ``scaled(name)`` gives the symbol's scaled form, also made on first
-    request only and kept: by ``scalers[name]`` (a function of the context)
-    if there is one, else from the value.
+    ``ctx[name]`` is the exact value of the scaled form, made on first
+    request and kept; ``values`` may seed it, so an input keeps the value it
+    was given.
     """
 
-    def __init__(self, values, scalers=None, **builders):
-        self._values = dict(values)
-        self._builders = builders
-        self._scalers = scalers or {}
+    def __init__(self, rules, **values):
+        self._rules = rules
+        self._values = values
         self._scaled = {}
 
     def __getitem__(self, name):
         if name not in self._values:
-            self._values[name] = self._builders[name]()
+            s = self.scaled(name)
+            self._values[name] = unscaled(s.num, s.den)
         return self._values[name]
 
     def __contains__(self, name):
-        return name in self._values or name in self._builders
+        return name in self._rules
 
     def __iter__(self):
-        return iter({**self._values, **self._builders})
+        return iter(self._rules)
 
     def __len__(self):
-        return len({**self._values, **self._builders})
+        return len(self._rules)
 
     def scaled(self, name):
         if name not in self._scaled:
-            make = self._scalers.get(name)
-            self._scaled[name] = make(self) if make else scaled(self[name])
+            self._scaled[name] = self._rules[name](self)
         return self._scaled[name]
 
 
 # Rc, Sc, 6 W and 2 Rt from R's numerators, with the growth of each builder
 # (see curvature)
-_TENSOR_SCALERS = {
+_TENSOR_RULES = {
     "Rc": lambda ctx: derived(ricci, 4, ctx.scaled("R")),
     "Sc": lambda ctx: derived(ricci_scalar, 16, ctx.scaled("R")),
     "W": lambda ctx: derived(weyl6, 128, ctx.scaled("R"), 6),
@@ -430,28 +428,24 @@ _TENSOR_SCALERS = {
     "delta": _table("DELTA4"),
 }
 
-_MATRIX_SCALERS = {
+_MATRIX_RULES = {
     "BT": lambda ctx: derived(np.transpose, 1, ctx.scaled("B")),
     "eps3": _table("EPS3"),
     "delta3": _table("DELTA3"),
 }
 
 
-def tensor_context(t: Rank4Tensor):
+def tensor_context(t: Rank4Tensor | FBlocks):
     """Symbols of the rank-4 tensor language.
 
     R (rank 4), Rc (Ricci, rank 2), Sc (scalar), W (Weyl, rank 4),
-    Rt (dual tensor, rank 4), eps (rank 4), delta (rank 2).  The curvature
-    symbols derived from ``t`` are computed on first use only.
+    Rt (dual tensor, rank 4), eps (rank 4), delta (rank 2).  ``t`` is a
+    curvature tensor, or the FBlocks of one, whose tensor is then
+    reconstructed on first use.  Every symbol is computed on first use only.
     """
-    return LazyContext(
-        {"R": t, "eps": EPS4, "delta": DELTA4},
-        _TENSOR_SCALERS,
-        Rc=lambda: ricci(t),
-        Sc=lambda: ricci_scalar(t),
-        W=lambda: weyl(t),
-        Rt=lambda: pseudo_riemann(t),
-    )
+    if isinstance(t, FBlocks):
+        return LazyContext({"R": lambda ctx: reconstruct_scaled(t), **_TENSOR_RULES})
+    return LazyContext({"R": lambda ctx: scaled(t), **_TENSOR_RULES}, R=t)
 
 
 def _det3(m):
@@ -467,14 +461,17 @@ def matrix_context(fb: FBlocks):
 
     Ap, Am, B, BT (rank 2 over 3-dim indices), eps3 (rank 3), delta3
     (rank 2), R (scalar curvature), detB (determinant of the mixed block).
+    Every symbol is computed on first use only.
     """
-    return LazyContext(
-        {"Ap": fb.Ap, "Am": fb.Am, "B": fb.B, "eps3": EPS3, "delta3": DELTA3},
-        _MATRIX_SCALERS,
-        BT=lambda: fb.B.T.copy(),
-        R=fb.scalar_curvature,
-        detB=lambda: _det3(fb.B),
-    )
+    rules = {
+        "Ap": lambda ctx: scaled(fb.Ap),
+        "Am": lambda ctx: scaled(fb.Am),
+        "B": lambda ctx: scaled(fb.B),
+        "R": lambda ctx: scaled(fb.scalar_curvature()),
+        "detB": lambda ctx: scaled(_det3(fb.B)),
+        **_MATRIX_RULES,
+    }
+    return LazyContext(rules, Ap=fb.Ap, Am=fb.Am, B=fb.B)
 
 
 # ---------------------------------------------------------------------------

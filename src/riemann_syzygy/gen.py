@@ -59,10 +59,8 @@ def _draw(rng, config):
     bound = config.bound
     ap = _random_symmetric(rng, bound)
     am = _random_symmetric(rng, bound)
-    if config.einstein:
-        b = np.zeros((3, 3), dtype=object)
-    else:
-        b = np.zeros((3, 3), dtype=object)
+    b = np.zeros((3, 3), dtype=object)
+    if not config.einstein:
         for i, j in np.ndindex(3, 3):
             b[i, j] = rng.randint(-bound, bound)
     am[2, 2] = ap[0, 0] + ap[1, 1] + ap[2, 2] - am[0, 0] - am[1, 1]

@@ -20,6 +20,7 @@ minor) the whole matrix is eliminated exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,16 +49,12 @@ CONFIRM_SEED_XOR = 0x9E3779B9
 _PRIME = (1 << 61) - 1
 
 
-def _to_fraction_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rref(rows):
     """Reduced row echelon form over the rationals.
 
     Returns (rref_rows, pivot_columns); the input is not modified.
     """
-    m = _to_fraction_matrix(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -87,18 +84,12 @@ def rank(rows):
 
 def _primitive(vec):
     """Scale a rational vector to coprime integers, first nonzero positive."""
-    from math import gcd, lcm
-
     denoms = [v.denominator for v in vec if v != 0]
     if not denoms:
         return [0] * len(vec)
-    mult = 1
-    for d in denoms:
-        mult = lcm(mult, d)
+    mult = math.lcm(*denoms)
     ints = [int(v * mult) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = math.gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v != 0)
     if lead < 0:

@@ -38,9 +38,16 @@ def _levi_civita(n):
     return e
 
 
-# Schema tag of every JSON document the package reads or writes; defined here
-# because thooft imports no other package module.  curvature re-exports it.
+# Schema tag of every JSON document the package reads or writes, and the
+# writer of its JSON text; defined here because thooft imports no other
+# package module.  curvature re-exports both.
 SCHEMA = "riemann-syzygy/1"
+
+
+def dumps(data):
+    """The package's JSON text: sorted keys, two-space indent, final newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
 
 EPS3 = _levi_civita(3)
 EPS4 = _levi_civita(4)
@@ -137,7 +144,7 @@ class IdentityReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self.to_dict())
 
 
 def _first_failure(*residuals):

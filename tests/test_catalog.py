@@ -128,9 +128,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_contexts_build_only_the_symbols_used(monkeypatch, samples):
-    weyl = _count_calls(monkeypatch, expr, "weyl")
-    dual = _count_calls(monkeypatch, expr, "pseudo_riemann")
-    recon = _count_calls(monkeypatch, catalog, "reconstruct")
+    weyl = _count_calls(monkeypatch, expr, "weyl6")
+    dual = _count_calls(monkeypatch, expr, "dual2")
+    recon = _count_calls(monkeypatch, expr, "reconstruct_scaled")
     ctx = contexts_for(samples[0])
     # a matrix-language expression needs no rank-4 tensor at all
     expr.evaluate("Ap[i,j]*B[j,k]*BT[k,i]", ctx["matrix"])

@@ -1,13 +1,19 @@
 """Block decomposition: round trips, parity, raw projections, serialization."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemann_syzygy.curvature import constant_curvature, ricci_scalar
+from riemann_syzygy.curvature import (
+    constant_curvature,
+    exact,
+    pseudo_riemann,
+    ricci_scalar,
+)
 from riemann_syzygy.decomp import (
     FBlocks,
     decompose,
@@ -17,6 +23,7 @@ from riemann_syzygy.decomp import (
     reconstruct,
 )
 from riemann_syzygy.gen import GenConfig, random_fblocks
+from riemann_syzygy.thooft import ETA, ETABAR
 
 from conftest import relaxed_tensor
 
@@ -32,10 +39,19 @@ def test_round_trip_tensor_to_tensor(samples):
         assert np.array_equal(reconstruct(decompose(t)), t)
 
 
+# block scales: small numerators (int64), numerators that fit int64 but whose
+# sums may not (Python ints), and entries with a denominator
+_SCALES = [1, 2**56, Fraction(1, 7)]
+
+
+def _scaled_blocks(fb, scale):
+    return FBlocks(Ap=scale * fb.Ap, B=scale * fb.B, Am=scale * fb.Am)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**9))
-def test_round_trip_property(seed):
-    fb = random_fblocks(seed, GenConfig(bound=9))
+@given(st.integers(0, 10**9), st.sampled_from(_SCALES))
+def test_round_trip_property(seed, scale):
+    fb = _scaled_blocks(random_fblocks(seed, GenConfig(bound=9)), scale)
     assert decompose(reconstruct(fb)) == fb
 
 
@@ -104,6 +120,26 @@ def test_raw_blocks_of_valid_tensor(samples):
     assert np.array_equal(fpm, fb.B)
     assert np.array_equal(fmp, fb.B.T)
     assert np.array_equal(fmm, fb.Am)
+
+
+def _raw_blocks_reference(t):
+    """The four projections as object einsums, each scaled by 1/16."""
+    return tuple(
+        exact(Fraction(1, 16) * np.einsum("abcd,iab,jcd->ij", t, left, right))
+        for left, right in ((ETA, ETA), (ETA, ETABAR), (ETABAR, ETA), (ETABAR, ETABAR))
+    )
+
+
+@pytest.mark.parametrize("scale", _SCALES, ids=str)
+def test_raw_blocks_of_dual_tensor(samples, scale):
+    for fb in samples[:3]:
+        t = pseudo_riemann(reconstruct(_scaled_blocks(fb, scale)))
+        got, want = raw_blocks(t), _raw_blocks_reference(t)
+        # the dual's mixed blocks are not transposes of each other
+        assert not np.array_equal(want[2], want[1].T)
+        for a, b in zip(got, want):
+            assert a.dtype == object and a.shape == (3, 3)
+            assert [(type(x), x) for x in a.flat] == [(type(x), x) for x in b.flat]
 
 
 def test_fblocks_json_round_trip(samples):
