@@ -97,10 +97,7 @@ def _from_ints(num, den):
     if np.ndim(num) == 0:
         num = int(num)
         return Scaled(num, den, abs(num))
-    if num.dtype == object:
-        bound = max(map(abs, num.ravel().tolist()))
-    else:  # int64: two numpy reductions, not a Python pass over the entries
-        bound = max(int(num.max()), -int(num.min()))
+    bound = max(int(num.max()), -int(num.min()))
     return Scaled(num.astype(int_dtype(bound), copy=False), den, bound)
 
 
