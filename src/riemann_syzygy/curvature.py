@@ -192,24 +192,30 @@ class ValidationReport:
         }
 
 
+# Each check as a residual of integer numerators that sums at most 3 entries
+_SYMMETRIES = (
+    ("Antisymmetry (first pair)", lambda n: n + np.einsum("bacd->abcd", n)),
+    ("Antisymmetry (second pair)", lambda n: n + np.einsum("abdc->abcd", n)),
+    ("Pair symmetry", lambda n: n - np.einsum("cdab->abcd", n)),
+    (
+        "First Bianchi identity",
+        lambda n: n + np.einsum("acdb->abcd", n) + np.einsum("adbc->abcd", n),
+    ),
+)
+
+
 def validate_riemann(t: Rank4Tensor) -> ValidationReport:
     """Check the algebraic curvature symmetries.
 
     Antisymmetry in the first and second index pairs, symmetry under pair
-    exchange, and the first Bianchi identity.  Counterexamples are reported
-    with 1-based indices.
+    exchange, and the first Bianchi identity, each as a residual of ``t``'s
+    integer numerators.  Counterexamples are reported with 1-based indices.
     """
+    residuals = derived(
+        lambda n: np.stack([check(n) for _, check in _SYMMETRIES]), 3, scaled(t)
+    ).num
     report = ValidationReport()
-    residuals = (
-        ("Antisymmetry (first pair)", t + np.einsum("bacd->abcd", t)),
-        ("Antisymmetry (second pair)", t + np.einsum("abdc->abcd", t)),
-        ("Pair symmetry", t - np.einsum("cdab->abcd", t)),
-        (
-            "First Bianchi identity",
-            t + np.einsum("acdb->abcd", t) + np.einsum("adbc->abcd", t),
-        ),
-    )
-    for name, residual in residuals:
+    for (name, _), residual in zip(_SYMMETRIES, residuals):
         ce = _first_failure(residual)
         if ce is not None:
             ce = tuple(i + 1 for i in ce)

@@ -24,6 +24,13 @@ monomials is below 2**62 the numpy einsums run on int64, and otherwise the
 same contractions run on object arrays of Python ints.  Only the final
 division makes ``fractions.Fraction`` entries.
 
+What a monomial's contraction needs apart from the sample (index letters,
+einsum spec, rank and range checks, the product of the summed ranges and,
+for a large contraction, numpy's greedy pairwise path) is compiled once per
+process into a plan, keyed by the monomial's factors, the free labels and
+the shapes of the factors; the coefficient is not part of the key.  Each
+sample then only fetches its symbols, bounds the monomial and contracts.
+
 Two evaluation contexts are provided: the tensor language of a rank-4
 curvature tensor and the matrix language of its blocks.
 """
@@ -244,61 +251,80 @@ def render(poly):
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # A contraction over at most this many index points runs in one einsum pass;
-# larger ones run pairwise along numpy's greedy path.  Timed on int64 over
-# every distinct contraction the registry and the catalogs make (numpy 2.4,
-# 2-CPU Xeon): one pass wins at every size up to 2**14 points (pairwise
-# costs 50-100 us more), pairwise wins at every size from 2**18 (one pass
-# takes 1-16 ms there), and at 2**16 they split by the number of factors.
-_ONE_PASS_POINTS = 2**14
+# larger ones run pairwise along numpy's greedy path, found once per plan.
+# Timed on int64 over every distinct contraction the registry and the
+# catalogs make (numpy 2.4, 2-CPU Xeon), pairwise along stored steps: at
+# 2**12 points one pass wins 13 of 23 (-35..+11 us), at 2**14 pairwise wins
+# 7 of 8 (16 against 76 us at the median), and at 2**16 all 29.  End to
+# end, a cut at 2**12 rather than 2**14 took verify_all(1, 10) from 0.31 to
+# 0.27 s at the median of 12 interleaved runs.
+_ONE_PASS_POINTS = 2**12
 
 
-def _contract(spec, arrays, pairwise):
-    """``np.einsum(spec, *arrays)`` on arrays of one dtype, in one pass or
-    pairwise along numpy's greedy path.  Each pairwise step is a one-pass
-    einsum whose result keeps the dtype: numpy's own pairwise code, like
-    einsum given a bare Python int, multiplies object scalars as int64,
-    which wraps."""
-    if not pairwise:
+def _contract(spec, steps, arrays):
+    """``np.einsum(spec, *arrays)`` on arrays of one dtype, in one pass when
+    ``steps`` is empty, otherwise pairwise along the stored ``steps`` (see
+    ``_compile``).  Each pairwise step is a one-pass einsum whose result
+    keeps the dtype: numpy's own pairwise code, like einsum given a bare
+    Python int, multiplies object scalars as int64, which wraps."""
+    if not steps:
         return np.einsum(spec, *arrays)
     dtype = arrays[0].dtype
-    path = np.einsum_path(spec, *arrays, optimize="greedy")[0]
-    inputs, out = spec.split("->")
-    terms, arrays = inputs.split(","), list(arrays)
-    for step in path[1:]:
-        picked = sorted(step, reverse=True)
-        subs = [terms.pop(i) for i in picked]
+    for picked, step in steps:
         args = [arrays.pop(i) for i in picked]
-        keep = set(out).union(*terms)
-        res = "".join(dict.fromkeys(l for t in subs for l in t if l in keep))
-        res = res if terms else out
-        arrays.append(np.asarray(np.einsum(",".join(subs) + "->" + res, *args), dtype))
-        terms.append(res)
+        arrays.append(np.asarray(np.einsum(step, *args), dtype))
     return arrays[0][()]
 
 
-class _Term(NamedTuple):
-    """One monomial over integers: ``p / q`` times the contraction ``spec``
-    of the numerator ``arrays`` (of the output ``shape``); ``p / q`` holds
-    the coefficient, the scalar factors and the arrays' denominators.
-    ``bound`` is at least |p| times every entry of the contraction and of
-    each of its intermediates; 0 when a factor is zero."""
+def _pairwise_steps(spec, shapes):
+    """The greedy pairwise path of ``spec`` over operands of these shapes, as
+    (operand positions to pop, einsum spec of the step) pairs.  numpy's
+    greedy path depends only on the spec and the shapes, so it is taken on
+    zero-stride dummies."""
+    dummies = [np.broadcast_to(np.int64(0), shape) for shape in shapes]
+    path = np.einsum_path(spec, *dummies, optimize="greedy")[0]
+    inputs, out = spec.split("->")
+    terms, steps = inputs.split(","), []
+    for step in path[1:]:
+        picked = tuple(sorted(step, reverse=True))
+        subs = [terms.pop(i) for i in picked]
+        keep = set(out).union(*terms)
+        res = "".join(dict.fromkeys(l for t in subs for l in t if l in keep))
+        res = res if terms else out
+        steps.append((picked, ",".join(subs) + "->" + res))
+        terms.append(res)
+    return tuple(steps)
 
-    p: int
-    q: int
-    bound: int
+
+class _Plan(NamedTuple):
+    """A monomial's contraction, apart from its coefficient and its sample:
+    the positions of its ``scalars`` and of its ``arrays`` factors, the
+    product ``summed`` of the ranges of its summed indices, the einsum
+    ``spec`` of its arrays (None when it has none) with its pairwise
+    ``steps`` (empty for one pass), and the output ``shape``."""
+
+    scalars: tuple
+    arrays: tuple
+    summed: int
     spec: str | None
-    pairwise: bool
-    arrays: list
+    steps: tuple
     shape: tuple
 
 
-def _monomial(mono: Monomial, context, free) -> _Term:
-    p, q = mono.coeff.numerator, mono.coeff.denominator
-    arrays = []
-    subs = []
+_PLANS = {}
+
+
+def _compile(factors, free, shapes) -> _Plan:
+    """The plan of a monomial with these factors and free labels whose
+    factors' numerators have these shapes (None for a symbol missing from
+    the context), made on first request and kept for the process.  A
+    monomial that does not fit its shapes raises, and nothing is kept."""
+    key = (factors, free, shapes)
+    if key in _PLANS:
+        return _PLANS[key]
+    scalars, arrays, subs = [], [], []
     letter_of = {}
     size_of = {}
-    bound = 1
 
     def letter(lbl):
         if lbl not in letter_of:
@@ -307,42 +333,76 @@ def _monomial(mono: Monomial, context, free) -> _Term:
             letter_of[lbl] = _LETTERS[len(letter_of)]
         return letter_of[lbl]
 
-    for name, labels in mono.factors:
-        if name not in context:
+    for i, ((name, labels), shape) in enumerate(zip(factors, shapes)):
+        if shape is None:
             raise ExprError(f"unknown symbol {name!r}")
-        num, den, top = context.scaled(name)
-        rank = np.ndim(num)
+        rank = len(shape)
         if not labels:
             if rank:
                 raise ExprError(f"symbol {name!r} needs {rank} indices")
-            p, q = p * num, q * den
+            scalars.append(i)
             continue
         if rank != len(labels):
             raise ExprError(
                 f"symbol {name!r} has rank {rank}, got {len(labels)} indices"
             )
-        arrays.append(num)
+        arrays.append(i)
         subs.append("".join(letter(l) for l in labels))
-        q *= den
-        bound *= top
-        for lbl, n in zip(labels, num.shape):
+        for lbl, n in zip(labels, shape):
             if size_of.setdefault(lbl, n) != n:
                 raise ExprError(
                     f"index {lbl!r} ranges over {size_of[lbl]} and {n} values"
                 )
 
-    g = math.gcd(p, q)
-    p, q = p // g, q // g
     if not arrays:
         if free:
             raise ExprError("free indices in a purely scalar monomial")
-        return _Term(p, q, abs(p), None, False, arrays, ())
-    for lbl in set(size_of) - set(free):
-        bound *= size_of[lbl]
-    spec = ",".join(subs) + "->" + "".join(letter(l) for l in free)
-    pairwise = math.prod(size_of.values()) > _ONE_PASS_POINTS
-    shape = tuple(size_of[l] for l in free)
-    return _Term(p, q, abs(p) * bound, spec, pairwise, arrays, shape)
+        plan = _Plan(tuple(scalars), (), 1, None, (), ())
+    else:
+        spec = ",".join(subs) + "->" + "".join(letter(l) for l in free)
+        steps = ()
+        if math.prod(size_of.values()) > _ONE_PASS_POINTS:
+            steps = _pairwise_steps(spec, [shapes[i] for i in arrays])
+        summed = math.prod(size_of[l] for l in set(size_of) - set(free))
+        shape = tuple(size_of[l] for l in free)
+        plan = _Plan(tuple(scalars), tuple(arrays), summed, spec, steps, shape)
+    _PLANS[key] = plan
+    return plan
+
+
+class _Term(NamedTuple):
+    """One monomial over integers: ``p / q`` times the contraction of the
+    numerator ``arrays`` along ``plan``; ``p / q`` holds the coefficient,
+    the scalar factors and the arrays' denominators.  ``bound`` is at least
+    |p| times every entry of the contraction and of each of its
+    intermediates; 0 when a factor is zero."""
+
+    p: int
+    q: int
+    bound: int
+    plan: _Plan
+    arrays: list
+
+
+def _monomial(mono: Monomial, context, free) -> _Term:
+    forms = [context.scaled(name) if name in context else None
+             for name, _ in mono.factors]
+    shapes = tuple(None if f is None else np.shape(f.num) for f in forms)
+    plan = _compile(mono.factors, free, shapes)
+    p, q = mono.coeff.numerator, mono.coeff.denominator
+    for i in plan.scalars:
+        num, den, _ = forms[i]
+        p, q = p * num, q * den
+    bound = plan.summed
+    arrays = []
+    for i in plan.arrays:
+        num, den, top = forms[i]
+        arrays.append(num)
+        q *= den
+        bound *= top
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    return _Term(p, q, abs(p) * bound, plan, arrays)
 
 
 def evaluate(poly, context):
@@ -364,14 +424,14 @@ def evaluate(poly, context):
     total = 0
     for t in terms:
         k = t.p * (den // t.q)
-        if t.spec is None:
+        if t.plan.spec is None:
             total = total + k
         elif not t.bound:
-            if t.shape:
-                total = total + np.zeros(t.shape, dtype=dtype)
+            if t.plan.shape:
+                total = total + np.zeros(t.plan.shape, dtype=dtype)
         else:
             arrays = [a.astype(dtype, copy=False) for a in t.arrays]
-            total = total + k * _contract(t.spec, arrays, t.pairwise)
+            total = total + k * _contract(t.plan.spec, t.plan.steps, arrays)
     return unscaled(total, den)
 
 

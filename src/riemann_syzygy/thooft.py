@@ -150,8 +150,12 @@ class IdentityReport:
 def _first_failure(*residuals):
     """First index, in C order, at which any of the same-shaped residual
     arrays is nonzero (0-based, as a tuple of ints), or None."""
-    bad = np.argwhere(np.any([r != 0 for r in residuals], axis=0))
-    return tuple(int(i) for i in bad[0]) if len(bad) else None
+    bad = residuals[0] != 0
+    for r in residuals[1:]:
+        bad |= r != 0
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
 
 
 def verify_appendix_a():

@@ -77,6 +77,26 @@ def test_validation_names_failing_check():
     ]
 
 
+def test_validation_on_python_ints():
+    # at block scale 2**60, 3 * max|R| passes INT64_BOUND: the residuals,
+    # each a sum of at most 3 entries, run on Python ints
+    fb = random_fblocks(3, GenConfig())
+    t = reconstruct(FBlocks(Ap=2**60 * fb.Ap, B=2**60 * fb.B, Am=2**60 * fb.Am))
+    assert 3 * curvature.scaled(t).bound >= curvature.INT64_BOUND
+    assert validate_riemann(t).is_riemann
+    # a cyclic sum of 2**64, which int64 would wrap to 0
+    parts = [3 * 2**61, 3 * 2**61, 2**62]
+    assert int(np.array(parts, dtype=np.int64).sum()) == 0
+    t = zeros()
+    t[0, 1, 2, 3], t[0, 2, 3, 1], t[0, 3, 1, 2] = parts
+    assert validate_riemann(t).checks == [
+        ("Antisymmetry (first pair)", False, (1, 2, 3, 4)),
+        ("Antisymmetry (second pair)", False, (1, 2, 3, 4)),
+        ("Pair symmetry", False, (1, 2, 3, 4)),
+        ("First Bianchi identity", False, (1, 2, 3, 4)),
+    ]
+
+
 def test_bianchi_violation_detected():
     t = relaxed_tensor(5)
     report = validate_riemann(t)

@@ -264,3 +264,81 @@ def test_quartic_bound_counts_summed_ranges():
     assert abs(value) >= 2**63
     assert _same(value, _reference(poly, tensor_context(t)))
     assert value == 1536 * 2**56  # tr M**4 for M = 2**15 (1 - P) on pairs
+
+
+# ---------------------------------------------------------------------------
+# Contraction plans: compiled once per factors, free labels and shapes
+
+
+def _symbols(**arrays):
+    """A context whose symbols are the given exact arrays."""
+    return expr.LazyContext({name: (lambda ctx, a=a: curvature.scaled(a))
+                             for name, a in arrays.items()})
+
+
+def test_pairwise_path_found_once_per_contraction(monkeypatch):
+    monkeypatch.setattr(expr, "_PLANS", {})
+    calls = []
+    einsum_path = np.einsum_path
+    monkeypatch.setattr(np, "einsum_path",
+                        lambda *a, **k: calls.append(a[0]) or einsum_path(*a, **k))
+    # 4**8 index points each, so pairwise; the first two share their factors
+    quartic = "R[a,b,c,d]*R[c,d,e,f]*R[e,f,g,h]*R[g,h,a,b]"
+    poly = parse(f"{quartic} - 2*{quartic} + {quartic.replace('R', 'W')}")
+    contexts = [tensor_context(reconstruct(random_fblocks(seed, GenConfig())))
+                for seed in range(5)]
+    values = [evaluate(poly, ctx) for ctx in contexts]
+    # once for the R factors and once for the W factors, on the first sample
+    assert calls == ["abcd,cdef,efgh,ghab->"] * 2
+    for ctx, value in zip(contexts, values):
+        assert _same(value, _reference(poly, ctx))
+
+
+def test_mutant_compiles_no_new_plan(samples, monkeypatch):
+    monkeypatch.setattr(expr, "_PLANS", {})
+    rel = relations.get_relation("gauss_bonnet")
+    ctx = catalog.contexts_for(samples[0])
+
+    def evaluate_sides(r):
+        evaluate(r.lhs_poly(), ctx[r.lhs_language])
+        if r.rhs is not None:
+            evaluate(r.rhs_poly(), ctx[r.rhs_language])
+
+    evaluate_sides(rel)
+    plans = dict(expr._PLANS)
+    assert plans
+    mutants = list(relations.mutations(rel))
+    assert mutants
+    for _, mutant in mutants:
+        evaluate_sides(mutant)
+        assert expr._PLANS == plans
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Nope[i,j]*X[i,j]", "unknown symbol 'Nope'"),
+    ("X[i,j,k]", "symbol 'X' has rank 2, got 3 indices"),
+    ("X", "symbol 'X' needs 2 indices"),
+    ("X[i,j]*Y[j,i]", "index 'j' ranges over 3 and 4 values"),
+])
+def test_failed_compile_raises_every_time(text, message, monkeypatch):
+    monkeypatch.setattr(expr, "_PLANS", {})
+    ctx = _symbols(X=np.ones((3, 3), dtype=object), Y=np.ones((4, 4), dtype=object))
+    poly = parse(text)
+    for _ in range(2):
+        with pytest.raises(ExprError) as err:
+            evaluate(poly, ctx)
+        assert str(err.value) == message
+    assert expr._PLANS == {}
+
+
+def test_one_poly_over_symbol_shapes():
+    poly = parse("X[a,b]*X[b,a]")
+    for n in (3, 4, 3):
+        x = np.arange(n * n, dtype=object).reshape(n, n) - Fraction(1, 2)
+        assert evaluate(poly, _symbols(X=x)) == np.trace(x @ x)
+    # the range check runs for each new combination of shapes
+    poly = parse("X[a,b]*Y[b,a]")
+    ones = {n: np.ones((n, n), dtype=object) for n in (3, 4)}
+    assert evaluate(poly, _symbols(X=ones[3], Y=ones[3])) == 9
+    with pytest.raises(ExprError, match="index 'b' ranges over 3 and 4 values"):
+        evaluate(poly, _symbols(X=ones[3], Y=ones[4]))

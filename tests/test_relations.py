@@ -1,5 +1,7 @@
 """Relation registry: exact verification, negative controls, meta-checks."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from riemann_syzygy import expr, relations
 from riemann_syzygy.catalog import contexts_for
+from riemann_syzygy.curvature import dumps
 from riemann_syzygy.gen import GenConfig, random_fblocks_stream
 from riemann_syzygy.relations import (
     check_relation,
@@ -207,3 +210,27 @@ def test_mutated_relation_detected(samples):
         result = check_relation(mutant, samples[:5])
         assert not result.ok
         assert result.first_failure is not None
+
+
+# sha256 of dumps(verify_all(1, 10).to_dict()), and of the JSON list of
+# (description, ok, first_failure) of every mutant of every expect-zero
+# relation on 5 samples per domain (seed 1), both recorded before each
+# monomial's contraction plan was compiled once
+_GOLDEN_VERIFY = "9f6b478f264a35631b1fff0d56c24974d5d44f15b2440834c35a01fa2efd2c7f"
+_GOLDEN_MUTANTS = "e3d0dee2828dc0a566c721c772dfbbeeeea3a0f40f5452060102585100f530d9"
+
+
+def test_verify_and_mutation_verdicts_byte_identical():
+    text = dumps(verify_all(1, 10).to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_VERIFY
+    samples = {domain: random_fblocks_stream(1, 5, GenConfig(einstein=domain == "einstein"))
+               for domain in ("general", "einstein")}
+    rows = []
+    for rel in load_relations():
+        if rel.expect == "zero":
+            for desc, mutant in mutations(rel):
+                result = check_relation(mutant, samples[mutant.domain])
+                rows.append([desc, result.ok, result.first_failure])
+    assert len(rows) == 398 and sum(not ok for _, ok, _ in rows) == 395
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _GOLDEN_MUTANTS
