@@ -8,10 +8,13 @@ Each entry carries one or more exact representations:
   (Ap, Am, B, BT, eps3, delta3, R, detB), written so the distinction
   between B and its transpose is preserved,
 * ``fform``  — the same matrix-language value written entry-wise in the
-  block coefficients (B only), mirroring the block-expansion normal form.
+  block coefficients (B only), mirroring the block-expansion normal form;
+  it is evaluated in the matrix language.
 
 All representations of an entry evaluate to the same exact rational on every
 curvature tensor; the test suite verifies this on random samples.
+``CatalogEntry.form`` is the one rule that picks the expression and language
+that ``evaluate_entry``, ``ranklab.sample_matrix`` and the CLI evaluate.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ __all__ = [
     "catalog_names",
     "contexts_for",
     "evaluate_entry",
-    "Q5_ODD",
-    "EINSTEIN_PSEUDO_LHS",
 ]
+
+
+# the language each representation is written in
+_LANGUAGE = dict(tensor="tensor", matrix="matrix", fform="matrix")
 
 
 @dataclass(frozen=True)
@@ -45,14 +50,23 @@ class CatalogEntry:
     def representations(self):
         return {
             name: getattr(self, name)
-            for name in ("tensor", "matrix", "fform")
+            for name in _LANGUAGE
             if getattr(self, name) is not None
         }
 
+    def form(self, representation=None):
+        """(language, Poly) of the named representation, or of the first one
+        when none is named; a string form is parsed on every call."""
+        reps = self.representations()
+        name = representation or next(iter(reps))
+        if name not in reps:
+            raise ValueError(f"catalog entry {self.label!r} has no {name!r} form")
+        rep = reps[name]
+        return _LANGUAGE[name], expr.parse(rep) if isinstance(rep, str) else rep
+
     def free_labels(self):
         """Free index labels of the entry (empty for a scalar invariant)."""
-        rep = next(iter(self.representations().values()))
-        return (expr.parse(rep) if isinstance(rep, str) else rep).free_labels
+        return self.form()[1].free_labels
 
 
 def _c(*terms):
@@ -591,7 +605,7 @@ QUARTIC_BASIS = [
 # Quintic order: 24 basis candidates
 
 def _times_r(entry):
-    poly = entry.matrix if not isinstance(entry.matrix, str) else expr.parse(entry.matrix)
+    poly = entry.form("matrix")[1]
     monos = tuple(
         expr.Monomial(coeff=m.coeff, factors=(("R", ()),) + m.factors)
         for m in poly.monomials
@@ -674,14 +688,6 @@ QUINTIC_BASIS = [
 ]
 
 
-# Parity even in itself but with an odd power of the mixed block; exposed for
-# inspection, deliberately excluded from the quintic catalog.
-Q5_ODD = (
-    "BT[i,j]*B[j,k]*Ap[k,l]*B[l,m]*Am[m,i]"
-    " + B[i,j]*BT[j,k]*Am[k,l]*BT[l,m]*Ap[m,i]"
-)
-
-
 # ---------------------------------------------------------------------------
 # Pseudo (orientation-odd) scalar sets
 
@@ -742,20 +748,6 @@ PSEUDO_Q4 = [
 PSEUDO_Q4_SOURCES = ["III", "IV", "V", "IX", "X", "XIII", "XIV"]
 
 
-# Left-hand sides of the quadratic orientation-odd tensor relations
-# (curvature with one dual factor); all have free indices a, b, c, d.
-EINSTEIN_PSEUDO_LHS = [
-    "eps[a1,a2,b1,b2]*R[a,b,a1,a2]*R[c,d,b1,b2]",
-    "eps[a1,a2,b1,b2]*R[a,b,a1,a2]*R[c,b1,d,b2]",
-    "eps[a1,a2,b1,b2]*R[a,a1,b,a2]*R[c,b1,d,b2]",
-    "eps[a,a1,a2,a3]*R[b,a1,a3,a4]*R[c,d,a2,a4]",
-    "eps[a,a1,a2,a3]*R[b,a1,a3,a4]*R[a2,c,a4,d]",
-    "eps[a,b,a1,a2]*R[c,d,b1,b2]*R[a1,a2,b1,b2]",
-    "eps[a,b,a1,a2]*R[c,a1,b1,b2]*R[d,b1,a2,b2]",
-    "eps[a,b,c,a1]*R[a1,a2,a3,a4]*R[d,a3,a4,a2]",
-]
-
-
 CATALOGS = {
     "quadratic": QUADRATIC_SCALARS,
     "quadratic_basis": QUADRATIC_BASIS,
@@ -795,20 +787,15 @@ def catalog(name):
 
 
 def contexts_for(fb: FBlocks):
-    """Evaluation contexts for all representation kinds of one sample.
+    """Evaluation contexts of one sample, keyed by language.
 
     The tensor is reconstructed only when an expression of the tensor
     language asks for one of its symbols.
     """
-    m = expr.matrix_context(fb)
-    return {"matrix": m, "fform": m, "tensor": expr.tensor_context(fb)}
+    return {"matrix": expr.matrix_context(fb), "tensor": expr.tensor_context(fb)}
 
 
 def evaluate_entry(entry: CatalogEntry, contexts, representation=None):
-    """Evaluate one representation of an entry (default: first available)."""
-    reps = entry.representations()
-    if representation is None:
-        representation = next(iter(reps))
-    if representation not in reps:
-        raise KeyError(f"entry {entry.label!r} has no {representation!r} form")
-    return expr.evaluate(reps[representation], contexts[representation])
+    """Evaluate ``entry.form(representation)`` in its language's context."""
+    language, poly = entry.form(representation)
+    return expr.evaluate(poly, contexts[language])

@@ -162,11 +162,8 @@ def _cmd_invariants(args):
         fb = random_fblocks_stream(args.seed, 1, config)[0]
         if args.export_samples:
             _emit(dumps(_samples_to_dict([fb], config)), args.export_samples)
-    ctx = catalog_mod.contexts_for(fb)
-    values = {}
-    for e in entries:
-        v = catalog_mod.evaluate_entry(e, ctx)
-        values[e.label] = rational_to_str(v)
+    row = ranklab.sample_matrix(entries, [fb])[0]
+    values = {e.label: rational_to_str(v) for e, v in zip(entries, row)}
     report = {"schema": SCHEMA, "catalog": args.catalog, "values": values}
     if args.format == "table":
         lines = [f"{k} = {v}" for k, v in values.items()]

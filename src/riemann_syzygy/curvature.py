@@ -211,8 +211,13 @@ def validate_riemann(t: Rank4Tensor) -> ValidationReport:
     exchange, and the first Bianchi identity, each as a residual of ``t``'s
     integer numerators.  Counterexamples are reported with 1-based indices.
     """
+    return symmetry_report(scaled(t))
+
+
+def symmetry_report(s: Scaled) -> ValidationReport:
+    """``validate_riemann`` of the tensor whose scaled form is ``s``."""
     residuals = derived(
-        lambda n: np.stack([check(n) for _, check in _SYMMETRIES]), 3, scaled(t)
+        lambda n: np.stack([check(n) for _, check in _SYMMETRIES]), 3, s
     ).num
     report = ValidationReport()
     for (name, _), residual in zip(_SYMMETRIES, residuals):

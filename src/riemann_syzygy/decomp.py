@@ -30,8 +30,8 @@ from .curvature import (
     rationals_from_json,
     rationals_to_json,
     scaled,
+    symmetry_report,
     unscaled,
-    validate_riemann,
 )
 from .thooft import DELTA3, int64
 
@@ -119,28 +119,31 @@ def raw_blocks(t: Rank4Tensor):
     with S the stacked (eta, etabar) gives the four blocks as one 6x6 array;
     each entry is a sum of 16 terms of magnitude at most max |T|.
     """
+    return _project(scaled(t))
+
+
+def _project(s: Scaled):
+    """``raw_blocks`` of the tensor whose scaled form is ``s``."""
     etas = _etas()
     pairs = derived(lambda n: np.einsum("abcd,iab,jcd->ij", n, etas, etas),
-                    16, scaled(t), 16)
+                    16, s, 16)
     m = unscaled(pairs.num, pairs.den)
     return m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]
 
 
-def decompose(t: Rank4Tensor, validate=True) -> FBlocks:
+def decompose(t: Rank4Tensor) -> FBlocks:
     """Split a curvature tensor into its FBlocks.
 
-    With ``validate=True`` the algebraic curvature symmetries are checked
-    first and a ValueError naming the first failed check is raised if the
-    input is not a curvature tensor.
+    The algebraic curvature symmetries are checked first, on the scaled form
+    of ``t`` that the block projection uses too; a ValueError naming the
+    first failed check is raised if ``t`` is not a curvature tensor.
     """
-    if validate:
-        report = validate_riemann(t)
-        if not report.is_riemann:
-            raise ValueError(
-                "not a curvature tensor; failed checks: "
-                + ", ".join(report.failures())
-            )
-    fpp, fpm, fmp, fmm = raw_blocks(t)
+    s = scaled(t)
+    report = symmetry_report(s)
+    if not report.is_riemann:
+        raise ValueError("not a curvature tensor; failed checks: "
+                         + ", ".join(report.failures()))
+    fpp, fpm, fmp, fmm = _project(s)
     if not np.array_equal(fmp, fpm.T):
         raise ValueError("mixed blocks are not transposes of each other")
     return FBlocks(Ap=fpp, B=fpm, Am=fmm)

@@ -79,7 +79,6 @@ class ExprError(ValueError):
     """Raised for malformed expressions or evaluation mismatches."""
 
 
-_IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 _LABEL_RE = re.compile(r"^[a-z][a-z0-9]*$")
 _RATIONAL_RE = re.compile(r"^[0-9]+(/[0-9]+)?$")
 
@@ -206,8 +205,6 @@ def combine(*terms):
 
 def relabel(poly, mapping):
     """Rename index labels; merging two free labels contracts them."""
-    if isinstance(poly, str):
-        poly = parse(poly)
     monos = tuple(
         Monomial(
             coeff=m.coeff,
@@ -227,8 +224,6 @@ def relabel(poly, mapping):
 
 def render(poly):
     """Deterministic string form re-parseable by parse()."""
-    if isinstance(poly, str):
-        poly = parse(poly)
     parts = []
     for m in poly.monomials:
         c = m.coeff
@@ -552,8 +547,6 @@ def pseudo_variant(poly):
     counts Am/B factors (detB counts three B entries); balanced monomials
     cancel and are dropped.
     """
-    if isinstance(poly, str):
-        poly = parse(poly)
     out = []
     for mono in poly.monomials:
         n_plus = sum(_PLUS_WEIGHT.get(name, 0) for name, _ in mono.factors)

@@ -194,30 +194,21 @@ class RankReport:
         }
 
 
-def _entry_polys(entries, representation=None):
-    polys = []
-    for e in entries:
-        reps = e.representations()
-        kind = representation if representation in reps else next(iter(reps))
-        p = reps[kind]
-        polys.append((kind, expr.parse(p) if isinstance(p, str) else p))
-    return polys
-
-
 def sample_matrix(entries, fbs, representation=None):
     """Rows of exact values: one row per sample for scalar entries, or one
-    row per sample and free-index assignment for tensor-valued entries."""
-    polys = _entry_polys(entries, representation)
-    nfree = {p.free_labels for _, p in polys}
-    if len(nfree) != 1:
+    row per sample and free-index assignment for tensor-valued entries.
+
+    Each entry contributes ``entry.form(representation)``."""
+    forms = [e.form(representation) for e in entries]
+    if len({p.free_labels for _, p in forms}) != 1:
         raise ValueError("all catalog entries must share the same free labels")
     rows = []
     for fb in fbs:
         ctx = contexts_for(fb)
-        vals = np.array([expr.evaluate(p, ctx[kind]) for kind, p in polys],
+        vals = np.array([expr.evaluate(p, ctx[language]) for language, p in forms],
                         dtype=object)
         # column per entry, row per free-index assignment in C order
-        rows.extend(vals.reshape(len(polys), -1).T.tolist())
+        rows.extend(vals.reshape(len(forms), -1).T.tolist())
     return rows
 
 
@@ -283,8 +274,7 @@ def rank_report(
     )
 
 
-def express_over(target, entries, seed, n_samples=None, config=GenConfig(),
-                 representation=None):
+def express_over(target, entries, seed, n_samples=None, config=GenConfig()):
     """Exact coordinates of an expression over a catalog, or None.
 
     The target joins the catalog as one more column of ``rank_report``; it
@@ -303,8 +293,7 @@ def express_over(target, entries, seed, n_samples=None, config=GenConfig(),
     except expr.ExprError:
         kind = "tensor"
     column = CatalogEntry(label="target", **{kind: target})
-    report = rank_report(list(entries) + [column], seed, n_samples, config,
-                         representation)
+    report = rank_report(list(entries) + [column], seed, n_samples, config)
     vec = next((v for v in report.nullspace if v[-1]), None)
     if vec is None:
         return None

@@ -42,6 +42,7 @@ __all__ = [
 
 _DATA_PACKAGE = "riemann_syzygy.data"
 _DATA_FILE = "relations.json"
+_LANGUAGES = ("tensor", "matrix")
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,35 @@ class Relation:
             raise ValueError(f"{self.name}: bad domain {self.domain!r}")
         if self.expect not in ("zero", "nonzero"):
             raise ValueError(f"{self.name}: bad expect {self.expect!r}")
+        if self.lhs_language not in _LANGUAGES:
+            raise ValueError(f"{self.name}: bad lhs language {self.lhs_language!r}")
+        if (self.rhs is None) != (self.rhs_language is None):
+            raise ValueError(f"{self.name}: rhs and rhs_language must be given together")
+        if self.rhs is not None and self.rhs_language not in _LANGUAGES:
+            raise ValueError(f"{self.name}: bad rhs language {self.rhs_language!r}")
         if self.rhs_delta and self.rhs is None:
             raise ValueError(f"{self.name}: rhs_delta requires an rhs")
 
-    def lhs_poly(self):
-        return expr.parse(self.lhs)
-
-    def rhs_poly(self):
-        return expr.parse(self.rhs) if self.rhs is not None else None
+    def sides(self):
+        """The parsed (lhs, rhs), rhs None when there is none.  ValueError
+        when they cannot be compared entry by entry: different free labels,
+        or, with ``rhs_delta``, anything but a two-index lhs and scalar rhs."""
+        lhs = expr.parse(self.lhs)
+        if self.rhs is None:
+            return lhs, None
+        rhs = expr.parse(self.rhs)
+        if self.rhs_delta:
+            ok = len(lhs.free_labels) == 2 and rhs.is_scalar
+            want = "a two-index lhs and a scalar rhs"
+        else:
+            ok = lhs.free_labels == rhs.free_labels
+            want = "the same free labels on both sides"
+        if not ok:
+            raise ValueError(
+                f"{self.name}: lhs free labels {lhs.free_labels} and rhs free "
+                f"labels {rhs.free_labels} do not fit; expected {want}"
+            )
+        return lhs, rhs
 
 
 @dataclass
@@ -166,25 +188,6 @@ def _is_zero(value):
     return value == 0
 
 
-def _check_sides(rel: Relation, lhs, rhs):
-    """Reject sides that cannot be compared entry by entry: different free
-    labels, or, with ``rhs_delta``, anything but a two-index lhs and a
-    scalar rhs."""
-    if rhs is None:
-        return
-    if rel.rhs_delta:
-        ok = len(lhs.free_labels) == 2 and rhs.is_scalar
-        want = "a two-index lhs and a scalar rhs"
-    else:
-        ok = lhs.free_labels == rhs.free_labels
-        want = "the same free labels on both sides"
-    if not ok:
-        raise ValueError(
-            f"{rel.name}: lhs free labels {lhs.free_labels} and rhs free "
-            f"labels {rhs.free_labels} do not fit; expected {want}"
-        )
-
-
 def _residual(rel: Relation, lhs, rhs, fb):
     """lhs - rhs of ``rel`` on one sample, given its two parsed sides."""
     ctx = contexts_for(fb)
@@ -199,15 +202,13 @@ def _residual(rel: Relation, lhs, rhs, fb):
 
 def residual(rel: Relation, fb):
     """Exact lhs - rhs on one sample (scalar or object ndarray)."""
-    lhs, rhs = rel.lhs_poly(), rel.rhs_poly()
-    _check_sides(rel, lhs, rhs)
+    lhs, rhs = rel.sides()
     return _residual(rel, lhs, rhs, fb)
 
 
 def check_relation(rel: Relation, samples):
     """Verify one relation on a list of FBlocks samples."""
-    lhs, rhs = rel.lhs_poly(), rel.rhs_poly()
-    _check_sides(rel, lhs, rhs)
+    lhs, rhs = rel.sides()
     first_failure = None
     saw_nonzero = False
     for i, fb in enumerate(samples):
@@ -259,8 +260,7 @@ def verify_all(seed, n_samples=50, relations=None, bound=9):
 # coefficients rather than passing vacuously.
 
 
-def _mutate_expr(text, index):
-    poly = expr.parse(text)
+def _mutate_expr(poly, index):
     monos = list(poly.monomials)
     m = monos[index]
     monos[index] = replace(m, coeff=m.coeff + 1)
@@ -271,15 +271,15 @@ def _mutate_expr(text, index):
 def mutations(rel: Relation):
     """Yield (description, relation) pairs, each with one coefficient of the
     original relation shifted by +1."""
-    n_lhs = len(rel.lhs_poly().monomials)
-    for i in range(n_lhs):
+    lhs, rhs = rel.sides()
+    for i in range(len(lhs.monomials)):
         yield (
             f"{rel.name}: lhs monomial {i} coefficient +1",
-            replace(rel, lhs=_mutate_expr(rel.lhs, i)),
+            replace(rel, lhs=_mutate_expr(lhs, i)),
         )
-    if rel.rhs is not None:
-        for i in range(len(rel.rhs_poly().monomials)):
+    if rhs is not None:
+        for i in range(len(rhs.monomials)):
             yield (
                 f"{rel.name}: rhs monomial {i} coefficient +1",
-                replace(rel, rhs=_mutate_expr(rel.rhs, i)),
+                replace(rel, rhs=_mutate_expr(rhs, i)),
             )

@@ -31,13 +31,9 @@ def parity_sign(entry):
     index-contraction form, which are built from even block words) is
     invariant.
     """
-    from riemann_syzygy import expr
-
-    reps = entry.representations()
-    if "tensor" not in reps:
+    if entry.tensor is None:
         return 1
-    p = reps["tensor"]
-    poly = expr.parse(p) if isinstance(p, str) else p
+    poly = entry.form("tensor")[1]
     signs = {
         -1 if sum(1 for name, _ in m.factors if name == "eps") % 2 else 1
         for m in poly.monomials

@@ -45,25 +45,21 @@ def test_scalar_catalogs_parity(name, samples):
     """Orientation reversal leaves eps-free scalar entries unchanged and
     flips the sign of single-eps entries."""
     for entry in catalog.catalog(name):
-        reps = entry.representations()
-        kind = next(iter(reps))
-        p = reps[kind]
-        if (expr.parse(p) if isinstance(p, str) else p).free_labels:
+        if entry.free_labels():
             continue  # only scalar entries are compared across orientations
         sign = parity_sign(entry)
         for fb in samples[:3]:
-            a = evaluate_entry(entry, contexts_for(fb), kind)
-            b = evaluate_entry(entry, contexts_for(fb.parity()), kind)
+            a = evaluate_entry(entry, contexts_for(fb))
+            b = evaluate_entry(entry, contexts_for(fb.parity()))
             assert a == sign * b, entry.label
 
 
 @pytest.mark.parametrize("name", ODD_CATALOGS)
 def test_pseudo_catalogs_parity_odd(name, samples):
     for entry in catalog.catalog(name):
-        kind = next(iter(entry.representations()))
         for fb in samples[:3]:
-            a = evaluate_entry(entry, contexts_for(fb), kind)
-            b = evaluate_entry(entry, contexts_for(fb.parity()), kind)
+            a = evaluate_entry(entry, contexts_for(fb))
+            b = evaluate_entry(entry, contexts_for(fb.parity()))
             assert a == -b, entry.label
             # orientation-odd scalars vanish on parity-symmetric input
     # and each pseudo entry is the odd variant of an even word: spot check
@@ -74,9 +70,7 @@ def test_pseudo_catalogs_parity_odd(name, samples):
             catalog.catalog(name), catalog.PSEUDO_Q4_SOURCES
         ):
             src = sources[src_label]
-            odd = expr.pseudo_variant(expr.parse(src.matrix)
-                                      if isinstance(src.matrix, str)
-                                      else src.matrix)
+            odd = expr.pseudo_variant(src.form("matrix")[1])
             for fb in samples[:2]:
                 ctx = contexts_for(fb)
                 assert (

@@ -273,6 +273,18 @@ def test_rank_zero_samples_exit_2(capsys):
     assert "at least 2 samples" in err
 
 
+def test_rank_missing_representation_exit_2(capsys):
+    # no quintic entry has a tensor form: the rank of its matrix forms
+    # must not be reported in its place
+    code, out, err = run(
+        ["rank", "--catalog", "quintic", "--representation", "tensor",
+         "--seed", "1"],
+        capsys,
+    )
+    assert code == 2 and not out
+    assert "'S5_1'" in err and "'tensor'" in err
+
+
 def test_invariants_tensor_catalog_exit_2(capsys):
     code, out, err = run(
         ["invariants", "--catalog", "cubic_rank2", "--seed", "1"], capsys

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riemann_syzygy import curvature, decomp
 from riemann_syzygy.curvature import (
     constant_curvature,
     exact,
@@ -111,6 +112,21 @@ def test_fblocks_rejects_float_and_string_entries():
 def test_decompose_rejects_non_curvature():
     with pytest.raises(ValueError, match="First Bianchi"):
         decompose(relaxed_tensor(3))
+
+
+def test_decompose_scales_its_input_once(samples, monkeypatch):
+    t = reconstruct(samples[0])
+    calls = []
+    scaled = curvature.scaled
+
+    def counted(value):
+        calls.append(value)
+        return scaled(value)
+
+    monkeypatch.setattr(curvature, "scaled", counted)
+    monkeypatch.setattr(decomp, "scaled", counted)
+    assert decompose(t) == samples[0]
+    assert len(calls) == 1 and calls[0] is t
 
 
 def test_raw_blocks_of_valid_tensor(samples):

@@ -187,17 +187,17 @@ def _same(a, b):
 
 # every relation side and every catalog representation, with its language
 _EXPRESSIONS = [
-    (f"{rel.name} {side}", lang, parse(text))
+    (f"{rel.name} {side}", lang, poly)
     for rel in relations.load_relations()
-    for side, lang, text in (("lhs", rel.lhs_language, rel.lhs),
-                             ("rhs", rel.rhs_language, rel.rhs))
-    if text is not None
+    for side, lang, poly in zip(("lhs", "rhs"),
+                                (rel.lhs_language, rel.rhs_language),
+                                rel.sides())
+    if poly is not None
 ] + [
-    (f"{name}/{entry.label} {kind}", kind,
-     parse(rep) if isinstance(rep, str) else rep)
+    (f"{name}/{entry.label} {kind}", *entry.form(kind))
     for name, entries in catalog.CATALOGS.items()
     for entry in entries
-    for kind, rep in entry.representations().items()
+    for kind in entry.representations()
 ]
 
 def _blocks(values):
@@ -300,9 +300,10 @@ def test_mutant_compiles_no_new_plan(samples, monkeypatch):
     ctx = catalog.contexts_for(samples[0])
 
     def evaluate_sides(r):
-        evaluate(r.lhs_poly(), ctx[r.lhs_language])
-        if r.rhs is not None:
-            evaluate(r.rhs_poly(), ctx[r.rhs_language])
+        lhs, rhs = r.sides()
+        evaluate(lhs, ctx[r.lhs_language])
+        if rhs is not None:
+            evaluate(rhs, ctx[r.rhs_language])
 
     evaluate_sides(rel)
     plans = dict(expr._PLANS)

@@ -102,9 +102,22 @@ def test_mismatched_sides_rejected(lhs, rhs, rhs_delta, samples, monkeypatch):
         residual(rel, samples[0])
 
 
+@pytest.mark.parametrize("fields, reason", [
+    ({"lhs_language": "foo"}, "bad lhs language 'foo'"),
+    ({"rhs_language": "foo", "rhs": "Sc"}, "bad rhs language 'foo'"),
+    ({"rhs": "Sc"}, "rhs and rhs_language"),  # an rhs with no language
+    ({"rhs_language": "tensor"}, "rhs and rhs_language"),  # and the reverse
+], ids=["lhs-language", "rhs-language", "rhs-without-language",
+        "language-without-rhs"])
+def test_malformed_relation_rejected(fields, reason):
+    with pytest.raises(ValueError, match=f"^bad_rel: {reason}"):
+        relations.Relation(**{"name": "bad_rel", "domain": "general",
+                              "lhs_language": "tensor", "lhs": "Sc", **fields})
+
+
 def test_registry_sides_accepted():
     for rel in load_relations():
-        relations._check_sides(rel, rel.lhs_poly(), rel.rhs_poly())
+        rel.sides()
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +215,15 @@ def test_mutations_change_the_expression():
     for desc, mutant in mutations(rel):
         assert mutant.lhs != rel.lhs or (mutant.rhs or "") != (rel.rhs or "")
         assert rel.name in desc
+
+
+def test_mutations_parse_the_relation_once(monkeypatch):
+    parsed = []
+    parse = expr.parse
+    monkeypatch.setattr(expr, "parse", lambda text: parsed.append(text) or parse(text))
+    rel = get_relation("quartic_a")
+    assert len(list(mutations(rel))) == 7
+    assert parsed == [rel.lhs]
 
 
 def test_mutated_relation_detected(samples):
