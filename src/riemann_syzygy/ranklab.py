@@ -16,6 +16,10 @@ of their null vectors is checked against every row in exact arithmetic.  When
 all vanish, the chosen rows span the row space of the whole matrix, so rank,
 pivots and null vectors are exactly those of all rows; otherwise (p divided a
 minor) the whole matrix is eliminated exactly.
+
+Exact elimination (``rref``) is fraction-free: each row is scaled to integers
+and reduced with exact integer divisions (Bareiss), and the reduced form
+becomes Fractions only at the end, one division per entry.
 """
 
 from __future__ import annotations
@@ -49,33 +53,65 @@ CONFIRM_SEED_XOR = 0x9E3779B9
 _PRIME = (1 << 61) - 1
 
 
+def _check_width(rows, ncols):
+    """ValueError naming the first of ``rows`` that is not ``ncols`` long."""
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
+
+
+def _integer_row(row):
+    """The rational ``row`` times the lcm of its denominators: a list of ints
+    spanning the same line."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    q = [Fraction(x) for x in row]
+    mult = math.lcm(*(x.denominator for x in q))
+    return [x.numerator * (mult // x.denominator) for x in q]
+
+
 def rref(rows):
     """Reduced row echelon form over the rationals.
 
-    Returns (rref_rows, pivot_columns); the input is not modified.
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on the rows scaled
+    to integers: each update ``(p * row - row[c] * pivot_row) // prev``, with
+    ``p`` the new pivot and ``prev`` the one before it, divides exactly (by
+    Sylvester's identity every entry is a minor of the scaled matrix).  At
+    the end every pivot equals the last one, ``d``, and an entry ``a`` of the
+    form is ``Fraction(a, d)``.
+
+    Returns (rref_rows, pivot_columns) with Fraction entries; the input is not
+    modified.  ValueError when the rows differ in length.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [_integer_row(row) for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
+    _check_width(m, ncols)
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [[Fraction(a, prev) for a in row] for row in m[:r]], pivots
 
 
 def rank(rows):
@@ -103,6 +139,7 @@ def nullspace(rows, ncols=None):
         if not rows:
             raise ValueError("ncols is required for an empty matrix")
         ncols = len(rows[0])
+    _check_width(rows, ncols)
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]

@@ -139,18 +139,41 @@ class VerifyReport:
         }
 
 
-def _relation_from_dict(d):
-    rhs = d.get("rhs")
+def _relation_from_dict(d, position):
+    """The Relation of registry entry number ``position``.  ValueError naming
+    the relation (or, without a name, the position) for a missing name, a
+    side without its ``language`` or ``expr``, or ``tags`` that are not a
+    list of strings."""
+    if "name" not in d:
+        raise ValueError(f"registry entry {position} has no name")
+    name = d["name"]
+
+    def side(key):
+        obj = d.get(key)
+        if obj is None:
+            return None, None
+        for part in ("language", "expr"):
+            if part not in obj:
+                raise ValueError(f"{name}: {key} has no {part!r}")
+        return obj["language"], obj["expr"]
+
+    if "lhs" not in d:
+        raise ValueError(f"{name}: no lhs")
+    tags = d.get("tags", [])
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        raise ValueError(f"{name}: tags must be a list of strings, got {tags!r}")
+    lhs_language, lhs = side("lhs")
+    rhs_language, rhs = side("rhs")
     return Relation(
-        name=d["name"],
+        name=name,
         domain=d.get("domain", "general"),
-        lhs_language=d["lhs"]["language"],
-        lhs=d["lhs"]["expr"],
-        rhs_language=rhs["language"] if rhs else None,
-        rhs=rhs["expr"] if rhs else None,
+        lhs_language=lhs_language,
+        lhs=lhs,
+        rhs_language=rhs_language,
+        rhs=rhs,
         rhs_delta=bool(d.get("rhs_delta", False)),
         expect=d.get("expect", "zero"),
-        tags=tuple(d.get("tags", ())),
+        tags=tuple(tags),
         notes=d.get("notes", ""),
     )
 
@@ -164,7 +187,8 @@ def load_relations():
     if _CACHE is None:
         text = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text()
         data = json.loads(text)
-        _CACHE = tuple(_relation_from_dict(d) for d in data["relations"])
+        _CACHE = tuple(_relation_from_dict(d, i)
+                       for i, d in enumerate(data["relations"]))
         names = [r.name for r in _CACHE]
         if len(set(names)) != len(names):
             raise ValueError("duplicate relation names in the registry")

@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from riemann_syzygy import catalog, ranklab
@@ -55,6 +55,44 @@ def test_nullspace_full_rank_empty():
     assert nullspace([[1, 0], [0, 1]]) == []
     with pytest.raises(ValueError):
         nullspace([])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rref([[1, 2], [3, 4, 5]]), "row 1 has 3 entries, expected 2"),
+    (lambda: rref([[1, 2], [3]]), "row 1 has 1 entries, expected 2"),
+    (lambda: nullspace([[1, 2], [3, 4, 5]]), "row 1 has 3 entries, expected 2"),
+    (lambda: nullspace([[1, 2, 3], [3, 4]], 3), "row 1 has 2 entries, expected 3"),
+    (lambda: nullspace([[1, 2], [3, 4]], 3), "row 0 has 2 entries, expected 3"),
+], ids=["rref-long", "rref-short", "nullspace-long", "nullspace-short",
+        "nullspace-ncols"])
+def test_ragged_rows_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def _reference_rref(rows):
+    """Gauss-Jordan elimination on Fraction entries, row by row."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
 
 
 def test_sample_matrix_shapes(samples):
@@ -186,6 +224,37 @@ def test_certified_basis_matches_full_elimination(prime, rows):
     assert rref(basis)[1] == rref(rows)[1]
     for k, prefix_null in enumerate(prefix_nulls, 1):
         assert ncols - len(prefix_null) == rank(rows[:k])
+
+
+_BIG = 2**80 + 7
+
+
+# no shrinking: a failure reports its example at once
+@settings(max_examples=100, deadline=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(rows=_planted_matrix(), scale=st.sampled_from([1, -1, _BIG]))
+@example(rows=[], scale=1)
+@example(rows=[[0, 0, 0], [0, 0, 0]], scale=1)
+@example(rows=[[3], [-2], [0]], scale=1)
+@example(rows=[[-2, 1, 0], [0, -3, 1], [-1, 0, -5]], scale=-1)
+@example(rows=[[Fraction(1, 3), Fraction(2, 7), 1], [Fraction(2, 7), 0, Fraction(1, 3)]],
+         scale=1)
+@example(rows=[[_BIG, -(_BIG**2), 3], [_BIG + 1, 5, -(_BIG**3)],
+               [1, _BIG, Fraction(1, _BIG)]], scale=1)
+@example(rows=[[1, 2], [3, 4], [5, 6], [7, 9], [0, 0]], scale=1)
+@example(rows=[[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 1], [1, 2, 4, 5]], scale=_BIG)
+def test_rref_equals_fraction_reference(rows, scale):
+    # the first column times ``scale``: entries and minors beyond 2**80
+    rows = [[row[0] * scale, *row[1:]] for row in rows]
+    ncols = len(rows[0]) if rows else 3
+    before = [list(row) for row in rows]
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == _reference_rref(rows)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    with mock.patch.object(ranklab, "rref", _reference_rref):
+        want = nullspace(rows, ncols)
+    assert nullspace(rows, ncols) == want
+    assert rows == before
 
 
 def test_forced_fallback_gives_same_reports(monkeypatch):

@@ -115,6 +115,34 @@ def test_malformed_relation_rejected(fields, reason):
                               "lhs_language": "tensor", "lhs": "Sc", **fields})
 
 
+_SIDE = {"language": "tensor", "expr": "Sc"}
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ({"lhs": _SIDE}, "registry entry 4 has no name"),
+    ({"name": "bad_rel"}, "bad_rel: no lhs"),
+    ({"name": "bad_rel", "lhs": {"expr": "Sc"}}, "bad_rel: lhs has no 'language'"),
+    ({"name": "bad_rel", "lhs": _SIDE, "rhs": {"language": "tensor"}},
+     "bad_rel: rhs has no 'expr'"),
+    ({"name": "bad_rel", "lhs": _SIDE, "rhs": {"expr": "Sc"}},
+     "bad_rel: rhs has no 'language'"),
+    ({"name": "bad_rel", "lhs": _SIDE, "tags": "abc"},
+     "bad_rel: tags must be a list of strings"),
+    ({"name": "bad_rel", "lhs": _SIDE, "tags": ["a", 1]},
+     "bad_rel: tags must be a list of strings"),
+], ids=["no-name", "no-lhs", "lhs-no-language", "rhs-no-expr",
+        "rhs-no-language", "string-tags", "non-string-tag"])
+def test_malformed_registry_entry_rejected(entry, reason):
+    with pytest.raises(ValueError, match=f"^{reason}"):
+        relations._relation_from_dict(entry, 4)
+
+
+def test_registry_entry_tags_kept():
+    rel = relations._relation_from_dict(
+        {"name": "ok_rel", "lhs": _SIDE, "tags": ["a", "bc"]}, 0)
+    assert rel.tags == ("a", "bc") and rel.rhs is None
+
+
 def test_registry_sides_accepted():
     for rel in load_relations():
         rel.sides()
