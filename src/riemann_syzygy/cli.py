@@ -14,6 +14,7 @@ identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -264,7 +265,12 @@ def _cmd_rank(args):
 # Argument parsing
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of this process, built on first use.  Sharing it is
+    safe: ``parse_args`` returns a fresh namespace and leaves the parser as
+    it was, and help and usage errors go to the ``sys.stdout`` and
+    ``sys.stderr`` of the moment they are printed."""
     p = argparse.ArgumentParser(
         prog="riemann-syzygy",
         description="Exact block decomposition, invariant catalogs, and "

@@ -120,17 +120,25 @@ def scaled(value) -> Scaled:
     return Scaled(num, den, bound)
 
 
+def widened(s: Scaled, growth):
+    """``s.num`` in a dtype in which integer arithmetic that multiplies
+    magnitudes by at most ``growth`` cannot wrap: as it is (int64 or Python
+    ints) when ``growth * s.bound`` is below INT64_BOUND, as Python ints
+    otherwise."""
+    if growth * s.bound >= INT64_BOUND and np.ndim(s.num):
+        return s.num.astype(object)
+    return s.num
+
+
 def derived(fn, growth, s: Scaled, den_factor=1) -> Scaled:
     """Scaled form of ``fn(s.num) / (s.den * den_factor)``.
 
     ``fn`` is integer arithmetic that multiplies magnitudes by at most
-    ``growth``, in every intermediate as in its result; it runs on int64 only
-    when ``growth * s.bound`` is below INT64_BOUND, on Python ints otherwise.
+    ``growth``, in every intermediate as in its result; it runs on
+    ``widened(s, growth)``.  The result's bound is found by a scan of it;
+    a caller that needs no bound calls ``fn(widened(s, growth))`` itself.
     """
-    num = s.num
-    if growth * s.bound >= INT64_BOUND and np.ndim(num):
-        num = num.astype(object)
-    return _from_ints(fn(num), s.den * den_factor)
+    return _from_ints(fn(widened(s, growth)), s.den * den_factor)
 
 
 def _divide(n, den):
@@ -216,9 +224,8 @@ def validate_riemann(t: Rank4Tensor) -> ValidationReport:
 
 def symmetry_report(s: Scaled) -> ValidationReport:
     """``validate_riemann`` of the tensor whose scaled form is ``s``."""
-    residuals = derived(
-        lambda n: np.stack([check(n) for _, check in _SYMMETRIES]), 3, s
-    ).num
+    n = widened(s, 3)
+    residuals = [check(n) for _, check in _SYMMETRIES]
     report = ValidationReport()
     for (name, _), residual in zip(_SYMMETRIES, residuals):
         ce = _first_failure(residual)
@@ -290,6 +297,10 @@ def constant_curvature(scalar) -> Rank4Tensor:
 
 
 def rational_to_str(x):
+    # type(), not isinstance(): a bool or numpy integer still goes through
+    # Fraction, which makes it a plain int
+    if type(x) is int:
+        return x
     x = Fraction(x)
     if x.denominator == 1:
         return int(x)
@@ -365,8 +376,11 @@ def riemann_from_dict(data) -> Rank4Tensor:
     if fmt == "sparse":
         t = zeros()
         seen = set()
-        for entry in data.get("entries", []):
-            if len(entry) != 5:
+        entries = data.get("entries")
+        if not isinstance(entries, list):
+            raise ValueError(f"sparse entries must be a list, got {entries!r}")
+        for entry in entries:
+            if not isinstance(entry, list) or len(entry) != 5:
                 raise ValueError(f"sparse entry must be [a,b,c,d,value]: {entry!r}")
             a, b, c, d, v = entry
             for name, i in zip("abcd", (a, b, c, d)):

@@ -32,6 +32,7 @@ from .curvature import (
     scaled,
     symmetry_report,
     unscaled,
+    widened,
 )
 from .thooft import DELTA3, int64
 
@@ -125,9 +126,8 @@ def raw_blocks(t: Rank4Tensor):
 def _project(s: Scaled):
     """``raw_blocks`` of the tensor whose scaled form is ``s``."""
     etas = _etas()
-    pairs = derived(lambda n: np.einsum("abcd,iab,jcd->ij", n, etas, etas),
-                    16, s, 16)
-    m = unscaled(pairs.num, pairs.den)
+    m = unscaled(np.einsum("abcd,iab,jcd->ij", widened(s, 16), etas, etas),
+                 s.den * 16)
     return m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]
 
 
@@ -151,22 +151,28 @@ def decompose(t: Rank4Tensor) -> FBlocks:
 
 def reconstruct(fb: FBlocks) -> Rank4Tensor:
     """Rebuild the rank-4 tensor from its blocks (exact inverse of decompose)."""
-    s = reconstruct_scaled(fb)
-    return unscaled(s.num, s.den)
+    m = _block_matrix(fb)
+    return unscaled(_spread(widened(m, 36)), m.den)
 
 
 def reconstruct_scaled(fb: FBlocks) -> Scaled:
-    """The scaled form of the tensor of ``fb``.
+    """The scaled form of the tensor of ``fb``."""
+    return derived(_spread, 36, _block_matrix(fb))
 
-    R_abcd = M_ij S^i_ab S^j_cd with M = [[Ap, B], [B^T, Am]] and S the
-    stacked (eta, etabar), on M's integer numerators: each entry is a sum of
-    36 terms of magnitude at most max |M|.
-    """
+
+def _block_matrix(fb: FBlocks) -> Scaled:
+    """The scaled form of M = [[Ap, B], [B^T, Am]]."""
     m = np.empty((6, 6), dtype=object)
     m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:] = fb.Ap, fb.B, fb.B.T, fb.Am
+    return scaled(m)
+
+
+def _spread(n):
+    """R_abcd = M_ij S^i_ab S^j_cd on M's integer numerators ``n``, with S the
+    stacked (eta, etabar): each entry is a sum of 36 terms of magnitude at
+    most max |n|."""
     etas = _etas()
-    return derived(lambda n: np.einsum("ij,iab,jcd->abcd", n, etas, etas),
-                   36, scaled(m))
+    return np.einsum("ij,iab,jcd->abcd", n, etas, etas)
 
 
 @functools.cache

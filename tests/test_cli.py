@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from riemann_syzygy import catalog, cli
+from riemann_syzygy import catalog, cli, relations
 from riemann_syzygy.curvature import dumps, riemann_to_json, zeros
 from riemann_syzygy.decomp import reconstruct
 from riemann_syzygy.gen import GenConfig, random_fblocks, random_fblocks_stream
@@ -116,6 +116,10 @@ _PLANE_12 = [[1, 2, 1, 2, 5], [2, 1, 2, 1, 5], [1, 2, 2, 1, -5], [2, 1, 1, 2, -5
       "entries": [[True, 2, 1, 2, 5]] + _PLANE_12[1:]}, "out of range 1..4"),
     ({"schema": "riemann-syzygy/1", "format": "sparse",
       "entries": [[1, 2, 1, 2, "1_0"]] + _PLANE_12[1:]}, "'1_0'"),
+    ({"schema": "riemann-syzygy/1", "format": "sparse"},
+     "sparse entries must be a list, got None"),
+    ({"schema": "riemann-syzygy/1", "format": "sparse", "entries": [7]},
+     "sparse entry must be [a,b,c,d,value]: 7"),
 ])
 def test_decompose_malformed_tensor_exit_2(tmp_path, capsys, data, reason):
     path = tmp_path / "bad.json"
@@ -334,6 +338,55 @@ def test_rank_import_confirms_null_vectors(tmp_path, capsys):
         # Einstein-only relations are not identities of the general domain,
         # but on the Einstein domain they are confirmed and reported
         assert bool(null) == einstein
+
+
+def test_one_parser_serves_many_calls(tmp_path, capsys):
+    """Calls in one process share one parser, and no call leaves a trace in
+    it for the next: options left out take their defaults again."""
+    cli._build_parser.cache_clear()
+    rank = ["rank", "--catalog", "quadratic", "--samples", "20", "--seed", "3"]
+    assert run(rank + ["--expect", "99"], capsys)[0] == 1
+    code, rank_out, _ = run(rank, capsys)
+    assert code == 0 and json.loads(rank_out)["rank"] == 4
+
+    verify = ["verify", "--samples", "2", "--seed", "7"]
+    code, out, _ = run(verify + ["--names", "gauss_bonnet"], capsys)
+    assert code == 0
+    assert [r["name"] for r in json.loads(out)["results"]] == ["gauss_bonnet"]
+    code, out, _ = run(verify + ["--set", "einstein"], capsys)
+    einstein = [r.name for r in relations.load_relations()
+                if r.domain == "einstein"]
+    assert code == 0 and len(einstein) == 26
+    assert [r["name"] for r in json.loads(out)["results"]] == einstein
+
+    table = tmp_path / "table.txt"
+    invariants = ["invariants", "--catalog", "quadratic", "--seed", "5"]
+    code, out, _ = run(invariants + ["--format", "table", "--out", str(table)],
+                       capsys)
+    assert code == 0 and out == ""
+    code, out, _ = run(invariants, capsys)
+    values = json.loads(out)["values"]
+    assert code == 0
+    rows = [line.split(" = ") for line in table.read_text().splitlines()]
+    assert dict(rows) == {k: str(v) for k, v in values.items()}
+
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["rank", "--catalog", "quadratic", "--expect", "many"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'many'" in capsys.readouterr().err
+    assert run(rank, capsys) == (0, rank_out, "")
+
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = cli._build_parser.__wrapped__()
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 0
+        shared_help = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        assert shared_help == capsys.readouterr().out != ""
+    assert cli._build_parser.cache_info().misses == 1
 
 
 # sha256 of the stdout of each command, recorded before the symbol-table

@@ -202,6 +202,35 @@ def test_rational_string_forms():
         rational_from_str("x")
 
 
+def _rational_to_str_reference(x):
+    """``rational_to_str`` as it was before integers skipped the Fraction."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return int(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+_BEYOND_INT64 = st.one_of(st.integers(2**63, 2**200), st.integers(-2**200, -2**63 - 1))
+
+
+@given(st.one_of(
+    _BEYOND_INT64,
+    st.integers(),
+    st.just(0),
+    st.booleans(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.fractions(),
+    st.one_of(_BEYOND_INT64, st.integers()).map(Fraction),
+))
+def test_rational_to_str_equals_reference(x):
+    got, want = rational_to_str(x), _rational_to_str_reference(x)
+    assert got == want
+    # an integral value leaves as exactly int: no numpy scalar or bool
+    # reaches json.dumps
+    assert type(got) is (str if isinstance(want, str) else int)
+    assert json.dumps(got) == json.dumps(want)
+
+
 @pytest.mark.parametrize("text, value", [
     ("1_0", None),
     (" 7 ", None),
@@ -233,6 +262,27 @@ def test_tensor_json_round_trip(samples, fmt):
 def test_tensor_json_rejects_garbage():
     with pytest.raises((ValueError, KeyError, TypeError)):
         riemann_from_json(json.dumps({"schema": "riemann-syzygy/1"}))
+
+
+@pytest.mark.parametrize("data, reason", [
+    ({"format": "sparse"}, "sparse entries must be a list, got None"),
+    ({"format": "sparse", "entries": 5}, "sparse entries must be a list, got 5"),
+    ({"format": "sparse", "entries": {"1": 5}}, "must be a list, got {'1': 5}"),
+    ({"format": "sparse", "entries": [7]},
+     "sparse entry must be [a,b,c,d,value]: 7"),
+    # a string of five characters is not five fields
+    ({"format": "sparse", "entries": ["12125"]},
+     "sparse entry must be [a,b,c,d,value]: '12125'"),
+])
+def test_sparse_entries_must_be_lists(data, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        curvature.riemann_from_dict(data)
+
+
+def test_zero_tensor_json_round_trip():
+    data = curvature.riemann_to_dict(zeros())
+    assert data["entries"] == []
+    assert np.array_equal(curvature.riemann_from_dict(data), zeros())
 
 
 def test_tensor_json_rejects_duplicate_entry_and_bad_schema():

@@ -129,6 +129,35 @@ def test_decompose_scales_its_input_once(samples, monkeypatch):
     assert len(calls) == 1 and calls[0] is t
 
 
+@pytest.mark.parametrize("scale", _SCALES + [2**61], ids=str)
+def test_reconstruct_equals_its_scaled_form(samples, scale):
+    # at scale 2**61 the identity triple's numerators fit int64, but its
+    # R_1212 is 4 * 2**61 = 2**63, which does not
+    one = np.eye(3, dtype=object)
+    for fb in [FBlocks(Ap=one, B=one, Am=one), *samples[:3]]:
+        fb = _scaled_blocks(fb, scale)
+        s = decomp.reconstruct_scaled(fb)
+        want = curvature.unscaled(s.num, s.den)
+        got = reconstruct(fb)
+        assert got.dtype == object
+        assert [(type(x), x) for x in got.flat] == [(type(x), x) for x in want.flat]
+        assert decompose(got) == fb
+
+
+def test_no_bound_scan_where_the_bound_is_unused(samples, monkeypatch):
+    """reconstruct, decompose and validate_riemann discard the bound of what
+    they compute, so none of them scans a result for it."""
+    t = reconstruct(samples[0])
+    scans = []
+    from_ints = curvature._from_ints
+    monkeypatch.setattr(curvature, "_from_ints",
+                        lambda *a: scans.append(a) or from_ints(*a))
+    assert np.array_equal(reconstruct(samples[0]), t)
+    assert decompose(t) == samples[0]
+    assert curvature.validate_riemann(t).is_riemann
+    assert scans == []
+
+
 def test_raw_blocks_of_valid_tensor(samples):
     fb = samples[0]
     fpp, fpm, fmp, fmm = raw_blocks(reconstruct(fb))
