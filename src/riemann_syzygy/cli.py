@@ -74,7 +74,11 @@ def _read_samples(path):
     try:
         data = json.loads(_read_input(path))
         if isinstance(data, dict) and "samples" in data:
-            return [fblocks_from_dict(d) for d in data["samples"]]
+            samples = data["samples"]
+            if not isinstance(samples, list):
+                raise ValueError(
+                    f"samples must be a list, got {type(samples).__name__}")
+            return [fblocks_from_dict(d) for d in samples]
         return [fblocks_from_dict(data)]
     except (ValueError, KeyError, TypeError) as e:
         raise _UsageError(f"malformed blocks input {path!r}: {e}") from e

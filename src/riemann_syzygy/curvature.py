@@ -236,13 +236,15 @@ def symmetry_report(s: Scaled) -> ValidationReport:
 
 
 def ricci(t: Rank4Tensor):
-    """Ricci tensor R_ab = R_acbc as a (4,4) object array."""
-    return np.einsum("acbc->ab", t)
+    """Ricci tensor R_ab = R_acbc, in the dtype of ``t``; on a stack of
+    tensors, one per leading index."""
+    return np.einsum("...acbc->...ab", t)
 
 
 def ricci_scalar(t: Rank4Tensor):
-    """Scalar curvature R = R_abab."""
-    return np.einsum("abab->", t)
+    """Scalar curvature R = R_abab; on a stack of tensors, one per leading
+    index."""
+    return np.einsum("...abab->...", t)
 
 
 def traceless_ricci(t: Rank4Tensor):
@@ -256,18 +258,20 @@ def weyl6(t):
     delta (.) Rc is the Kulkarni-Nomizu product
     d_ac Rc_bd + d_bd Rc_ac - d_ad Rc_bc - d_bc Rc_ad.  On integers of
     magnitude at most M every entry and intermediate is below 128 M
-    (|Rc| <= 4 M, |Sc| <= 16 M).
+    (|Rc| <= 4 M, |Sc| <= 16 M).  On a stack of tensors, one per leading
+    index.
     """
     delta = np.eye(4, dtype=t.dtype)
-    x = np.einsum("ac,bd->abcd", delta, 3 * ricci(t))
+    x = np.einsum("ac,...bd->...abcd", delta, 3 * ricci(t))
     kn3 = (
         x
-        + np.einsum("badc->abcd", x)
-        - np.einsum("abdc->abcd", x)
-        - np.einsum("bacd->abcd", x)
+        + np.einsum("...badc->...abcd", x)
+        - np.einsum("...abdc->...abcd", x)
+        - np.einsum("...bacd->...abcd", x)
     )
     wedge = np.einsum("ac,bd->abcd", delta, delta)
-    return 6 * t - kn3 + ricci_scalar(t) * (wedge - wedge.transpose(0, 1, 3, 2))
+    return 6 * t - kn3 + np.multiply.outer(ricci_scalar(t),
+                                           wedge - wedge.transpose(0, 1, 3, 2))
 
 
 def weyl(t: Rank4Tensor) -> Rank4Tensor:
@@ -277,8 +281,10 @@ def weyl(t: Rank4Tensor) -> Rank4Tensor:
 
 def dual2(t):
     """2 Rt_abcd = eps_cdef R_abef, in the dtype of ``t``; on integers of
-    magnitude at most M every entry and intermediate is below 16 M."""
-    return np.einsum("cdef,abef->abcd", EPS4 if t.dtype == object else int64("EPS4"), t)
+    magnitude at most M every entry and intermediate is below 16 M.  On a
+    stack of tensors, one per leading index."""
+    eps = EPS4 if t.dtype == object else int64("EPS4")
+    return np.einsum("cdef,...abef->...abcd", eps, t)
 
 
 def pseudo_riemann(t: Rank4Tensor) -> Rank4Tensor:

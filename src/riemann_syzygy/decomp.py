@@ -51,7 +51,10 @@ _BLOCKS = ("Ap", "B", "Am")
 
 
 def _trace(m):
-    return m[0, 0] + m[1, 1] + m[2, 2]
+    """The trace of a 3x3 matrix, or of each of a stack of them: ``m.T[j, i]``
+    is ``m[..., i, j]``, an entry or that entry of every matrix."""
+    t = m.T
+    return t[0, 0] + t[1, 1] + t[2, 2]
 
 
 @dataclass(frozen=True)
@@ -155,24 +158,37 @@ def reconstruct(fb: FBlocks) -> Rank4Tensor:
     return unscaled(_spread(widened(m, 36)), m.den)
 
 
-def reconstruct_scaled(fb: FBlocks) -> Scaled:
-    """The scaled form of the tensor of ``fb``."""
+def reconstruct_scaled(fb) -> Scaled:
+    """The scaled form of the tensor of ``fb``; for a list of FBlocks, of the
+    tensors stacked along a leading sample axis, over one denominator."""
     return derived(_spread, 36, _block_matrix(fb))
 
 
-def _block_matrix(fb: FBlocks) -> Scaled:
-    """The scaled form of M = [[Ap, B], [B^T, Am]]."""
-    m = np.empty((6, 6), dtype=object)
-    m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:] = fb.Ap, fb.B, fb.B.T, fb.Am
+def stacked(fbs):
+    """The blocks of a non-empty list of FBlocks as (N, 3, 3) object arrays,
+    keyed by name; the blocks themselves for one FBlocks."""
+    if isinstance(fbs, FBlocks):
+        return {"Ap": fbs.Ap, "B": fbs.B, "Am": fbs.Am}
+    return {name: np.stack([getattr(fb, name) for fb in fbs]) for name in _BLOCKS}
+
+
+def _block_matrix(fb) -> Scaled:
+    """The scaled form of M = [[Ap, B], [B^T, Am]], per sample of a list."""
+    b = stacked(fb)
+    m = np.empty((*b["B"].shape[:-2], 6, 6), dtype=object)
+    m[..., :3, :3], m[..., :3, 3:] = b["Ap"], b["B"]
+    m[..., 3:, :3], m[..., 3:, 3:] = b["B"].swapaxes(-1, -2), b["Am"]
     return scaled(m)
 
 
 def _spread(n):
     """R_abcd = M_ij S^i_ab S^j_cd on M's integer numerators ``n``, with S the
-    stacked (eta, etabar): each entry is a sum of 36 terms of magnitude at
-    most max |n|."""
-    etas = _etas()
-    return np.einsum("ij,iab,jcd->abcd", n, etas, etas)
+    stacked (eta, etabar), as the matrix product S^T M S over pairs ab and
+    cd: each entry of S^T M is a sum of 6 terms of magnitude at most max |n|,
+    and each entry of R of 36.  On a stack of M, one tensor per leading
+    index."""
+    s = _etas().reshape(6, 16)
+    return (s.T @ n @ s).reshape(n.shape[:-2] + (4, 4, 4, 4))
 
 
 @functools.cache

@@ -27,12 +27,24 @@ division makes ``fractions.Fraction`` entries.
 What a monomial's contraction needs apart from the sample (index letters,
 einsum spec, rank and range checks, the product of the summed ranges and,
 for a large contraction, numpy's greedy pairwise path) is compiled once per
-process into a plan, keyed by the monomial's factors, the free labels and
-the shapes of the factors; the coefficient is not part of the key.  Each
-sample then only fetches its symbols, bounds the monomial and contracts.
+process into a plan, keyed by the monomial's factors, the free labels, the
+shapes of the factors on one sample and whether the context is batched;
+the coefficient is not part of the key.  Each sample (or batch) then only
+fetches its symbols, bounds the monomial and contracts.
 
 Two evaluation contexts are provided: the tensor language of a rank-4
 curvature tensor and the matrix language of its blocks.
+
+A context may also hold a batch of N samples.  Every symbol then carries a
+leading sample axis (``R`` of the tensor language has shape
+(N, 4, 4, 4, 4), the scalars ``Sc``, ``R`` and ``detB`` shape (N,)) over
+one denominator, the least common multiple over the batch, and a monomial
+runs along a batched plan: the same contraction with one more letter, the
+sample's, on every factor and on the output, and the pairwise steps found
+from the shapes of one sample, so one plan serves every N.  The bound, and
+so the choice between int64 and Python ints, is the largest over the batch.
+``evaluate`` then returns an (N, *free) object array, sample by sample, in
+the same exact normal form as one sample's value.
 """
 
 from __future__ import annotations
@@ -58,7 +70,7 @@ from .curvature import (
     unscaled,
     weyl6,
 )
-from .decomp import FBlocks, reconstruct_scaled
+from .decomp import FBlocks, _trace, reconstruct_scaled, stacked
 from .thooft import int64
 
 __all__ = [
@@ -254,6 +266,13 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # end, a cut at 2**12 rather than 2**14 took verify_all(1, 10) from 0.31 to
 # 0.27 s at the median of 12 interleaved runs.
 _ONE_PASS_POINTS = 2**12
+# A batched contraction shares each step's call overhead among its samples,
+# so it goes pairwise from fewer points per sample.  Over the samples of one
+# rank-catalogs pass (34-56 per catalog; 2-CPU Xeon), sample_matrix in a
+# fresh process took about 105 ms with the cut at 2**12 or at 0 (every path
+# found costs about 0.2 ms) and 86-93 ms with it at 2**7-2**9 (medians of
+# 8-10 runs).
+_BATCH_ONE_PASS_POINTS = 2**8
 
 
 def _contract(spec, steps, arrays):
@@ -296,7 +315,9 @@ class _Plan(NamedTuple):
     the positions of its ``scalars`` and of its ``arrays`` factors, the
     product ``summed`` of the ranges of its summed indices, the einsum
     ``spec`` of its arrays (None when it has none) with its pairwise
-    ``steps`` (empty for one pass), and the output ``shape``."""
+    ``steps`` (empty for one pass), and the output ``shape`` of one sample.
+    A batched plan contracts every factor, scalars too, along the sample
+    axis, so its ``scalars`` are empty."""
 
     scalars: tuple
     arrays: tuple
@@ -309,12 +330,21 @@ class _Plan(NamedTuple):
 _PLANS = {}
 
 
-def _compile(factors, free, shapes) -> _Plan:
+def _batch_spec(spec, b):
+    """``spec`` with the sample letter ``b`` leading every term and the
+    output."""
+    inputs, out = spec.split("->")
+    return ",".join(b + t for t in inputs.split(",")) + "->" + b + out
+
+
+def _compile(factors, free, shapes, batched=False) -> _Plan:
     """The plan of a monomial with these factors and free labels whose
-    factors' numerators have these shapes (None for a symbol missing from
-    the context), made on first request and kept for the process.  A
-    monomial that does not fit its shapes raises, and nothing is kept."""
-    key = (factors, free, shapes)
+    factors' numerators have these shapes per sample (None for a symbol
+    missing from the context), made on first request and kept for the
+    process; ``batched`` when every factor has a leading sample axis.  The
+    plan serves batches of every size.  A monomial that does not fit its
+    shapes raises, and nothing is kept."""
+    key = (factors, free, shapes, batched)
     if key in _PLANS:
         return _PLANS[key]
     scalars, arrays, subs = [], [], []
@@ -349,17 +379,26 @@ def _compile(factors, free, shapes) -> _Plan:
                     f"index {lbl!r} ranges over {size_of[lbl]} and {n} values"
                 )
 
+    if not arrays and free:
+        raise ExprError("free indices in a purely scalar monomial")
+    if batched:
+        # scalars join the contraction with no index but the sample's
+        arrays, subs = arrays + scalars, subs + [""] * len(scalars)
+        scalars = []
+    summed = math.prod(size_of[l] for l in set(size_of) - set(free))
+    shape = tuple(size_of[l] for l in free)
     if not arrays:
-        if free:
-            raise ExprError("free indices in a purely scalar monomial")
-        plan = _Plan(tuple(scalars), (), 1, None, (), ())
+        plan = _Plan(tuple(scalars), (), summed, None, (), shape)
     else:
         spec = ",".join(subs) + "->" + "".join(letter(l) for l in free)
         steps = ()
-        if math.prod(size_of.values()) > _ONE_PASS_POINTS:
+        cut = _BATCH_ONE_PASS_POINTS if batched else _ONE_PASS_POINTS
+        if math.prod(size_of.values()) > cut:
             steps = _pairwise_steps(spec, [shapes[i] for i in arrays])
-        summed = math.prod(size_of[l] for l in set(size_of) - set(free))
-        shape = tuple(size_of[l] for l in free)
+        if batched:
+            b = letter(None)  # the sample axis: a letter no label has
+            spec = _batch_spec(spec, b)
+            steps = tuple((picked, _batch_spec(step, b)) for picked, step in steps)
         plan = _Plan(tuple(scalars), tuple(arrays), summed, spec, steps, shape)
     _PLANS[key] = plan
     return plan
@@ -370,7 +409,7 @@ class _Term(NamedTuple):
     numerator ``arrays`` along ``plan``; ``p / q`` holds the coefficient,
     the scalar factors and the arrays' denominators.  ``bound`` is at least
     |p| times every entry of the contraction and of each of its
-    intermediates; 0 when a factor is zero."""
+    intermediates, on every sample; 0 when a factor is zero."""
 
     p: int
     q: int
@@ -382,8 +421,11 @@ class _Term(NamedTuple):
 def _monomial(mono: Monomial, context, free) -> _Term:
     forms = [context.scaled(name) if name in context else None
              for name, _ in mono.factors]
-    shapes = tuple(None if f is None else np.shape(f.num) for f in forms)
-    plan = _compile(mono.factors, free, shapes)
+    batched = context.batch is not None
+    # per sample: without the sample axis of a batched context
+    shapes = tuple(None if f is None else np.shape(f.num)[batched:]
+                   for f in forms)
+    plan = _compile(mono.factors, free, shapes, batched)
     p, q = mono.coeff.numerator, mono.coeff.denominator
     for i in plan.scalars:
         num, den, _ = forms[i]
@@ -404,15 +446,19 @@ def evaluate(poly, context):
     """Evaluate a Poly (or expression string) in the given symbol context.
 
     Scalars come back as int/Fraction; free-index expressions as object
-    arrays indexed by the free labels in sorted order.
+    arrays indexed by the free labels in sorted order.  In a batched context
+    (see ``tensor_context``) the value of every sample comes back at once,
+    as an object array whose leading axis runs over the samples: of shape
+    (N,) for a scalar, (N, *free) otherwise.
     """
     if isinstance(poly, str):
         poly = parse(poly)
+    batch = () if context.batch is None else (context.batch,)
     terms = [_monomial(m, context, poly.free_labels) for m in poly.monomials]
     if not terms:
         if poly.free_labels:
             raise ExprError("cannot evaluate an empty expression with free indices")
-        return 0
+        return np.zeros(batch, dtype=object) if batch else 0
     # over the common denominator each numerator p, and its bound, grow by den/q
     den = math.lcm(*(t.q for t in terms))
     dtype = int_dtype(sum(t.bound * (den // t.q) for t in terms))
@@ -422,8 +468,8 @@ def evaluate(poly, context):
         if t.plan.spec is None:
             total = total + k
         elif not t.bound:
-            if t.plan.shape:
-                total = total + np.zeros(t.plan.shape, dtype=dtype)
+            if batch + t.plan.shape:
+                total = total + np.zeros(batch + t.plan.shape, dtype=dtype)
         else:
             arrays = [a.astype(dtype, copy=False) for a in t.arrays]
             total = total + k * _contract(t.plan.spec, t.plan.steps, arrays)
@@ -431,8 +477,14 @@ def evaluate(poly, context):
 
 
 def _table(name):
-    """The scaled form of a constant symbol table (entries 0, 1 and -1)."""
-    return lambda ctx: Scaled(int64(name), 1, 1)
+    """The scaled form of a constant symbol table (entries 0, 1 and -1),
+    repeated along the sample axis of a batched context."""
+    def rule(ctx):
+        table = int64(name)
+        if ctx.batch is not None:
+            table = np.broadcast_to(table, (ctx.batch, *table.shape))
+        return Scaled(table, 1, 1)
+    return rule
 
 
 class LazyContext(Mapping):
@@ -443,13 +495,15 @@ class LazyContext(Mapping):
 
     ``ctx[name]`` is the exact value of the scaled form, made on first
     request and kept; ``values`` may seed it, so an input keeps the value it
-    was given.
+    was given.  ``batch`` is None for one sample; for a batch of N samples
+    it is N, and every symbol's numerators carry a leading axis of N.
     """
 
-    def __init__(self, rules, **values):
+    def __init__(self, rules, batch=None, **values):
         self._rules = rules
         self._values = values
         self._scaled = {}
+        self.batch = batch
 
     def __getitem__(self, name):
         if name not in self._values:
@@ -484,26 +538,37 @@ _TENSOR_RULES = {
 }
 
 _MATRIX_RULES = {
-    "BT": lambda ctx: derived(np.transpose, 1, ctx.scaled("B")),
+    # B^T, or the transpose of each B of a batch
+    "BT": lambda ctx: derived(lambda n: n.swapaxes(-1, -2), 1, ctx.scaled("B")),
     "eps3": _table("EPS3"),
     "delta3": _table("DELTA3"),
 }
 
 
-def tensor_context(t: Rank4Tensor | FBlocks):
+def tensor_context(t: Rank4Tensor | FBlocks | list):
     """Symbols of the rank-4 tensor language.
 
     R (rank 4), Rc (Ricci, rank 2), Sc (scalar), W (Weyl, rank 4),
     Rt (dual tensor, rank 4), eps (rank 4), delta (rank 2).  ``t`` is a
     curvature tensor, or the FBlocks of one, whose tensor is then
     reconstructed on first use.  Every symbol is computed on first use only.
+
+    ``t`` may also be a non-empty list of FBlocks: the context is then
+    batched, every symbol holds all samples along a leading sample axis
+    over one denominator (``R`` has shape (N, 4, 4, 4, 4), ``Sc`` (N,)), and
+    ``evaluate`` gives every sample's value at once.
     """
-    if isinstance(t, FBlocks):
-        return LazyContext({"R": lambda ctx: reconstruct_scaled(t), **_TENSOR_RULES})
-    return LazyContext({"R": lambda ctx: scaled(t), **_TENSOR_RULES}, R=t)
+    if isinstance(t, np.ndarray):
+        return LazyContext({"R": lambda ctx: scaled(t), **_TENSOR_RULES}, R=t)
+    batch = None if isinstance(t, FBlocks) else len(t)
+    return LazyContext({"R": lambda ctx: reconstruct_scaled(t), **_TENSOR_RULES},
+                       batch=batch)
 
 
 def _det3(m):
+    """det m of a 3x3 matrix, or of each of a stack of them, as det m^T (see
+    ``decomp._trace``)."""
+    m = m.T
     return (
         m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
         - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
@@ -511,22 +576,26 @@ def _det3(m):
     )
 
 
-def matrix_context(fb: FBlocks):
+def matrix_context(fb: FBlocks | list):
     """Symbols of the block (matrix) language.
 
     Ap, Am, B, BT (rank 2 over 3-dim indices), eps3 (rank 3), delta3
     (rank 2), R (scalar curvature), detB (determinant of the mixed block).
-    Every symbol is computed on first use only.
+    Every symbol is computed on first use only.  ``fb`` may also be a
+    non-empty list of FBlocks, for a batched context (see
+    ``tensor_context``): ``Ap`` has shape (N, 3, 3), ``R`` and ``detB`` (N,).
     """
+    b = stacked(fb)
     rules = {
-        "Ap": lambda ctx: scaled(fb.Ap),
-        "Am": lambda ctx: scaled(fb.Am),
-        "B": lambda ctx: scaled(fb.B),
-        "R": lambda ctx: scaled(fb.scalar_curvature()),
-        "detB": lambda ctx: scaled(_det3(fb.B)),
+        "Ap": lambda ctx: scaled(b["Ap"]),
+        "Am": lambda ctx: scaled(b["Am"]),
+        "B": lambda ctx: scaled(b["B"]),
+        "R": lambda ctx: scaled(4 * (_trace(b["Ap"]) + _trace(b["Am"]))),
+        "detB": lambda ctx: scaled(_det3(b["B"])),
         **_MATRIX_RULES,
     }
-    return LazyContext(rules, Ap=fb.Ap, Am=fb.Am, B=fb.B)
+    batch = None if isinstance(fb, FBlocks) else len(fb)
+    return LazyContext(rules, batch=batch, **b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Exact-rational rank analysis of invariant catalogs on random samples.
 
 A catalog of n invariants is probed by evaluating every entry on randomly
-generated curvature blocks, stacking the values into a rows-by-n rational
-matrix, and finding its exact rank.  The rank of that matrix lower-bounds
-(and, with enough samples, equals with overwhelming probability) the
-dimension of the span of the invariants as polynomial functions; its
-nullspace vectors are candidate linear identities, which are confirmed on an
-independently seeded batch of samples before being reported.
+generated curvature blocks, once over all of them (see ``sample_matrix``),
+stacking the values into a rows-by-n rational matrix, and finding its exact
+rank.  The rank of that matrix lower-bounds (and, with enough samples,
+equals with overwhelming probability) the dimension of the span of the
+invariants as polynomial functions; its nullspace vectors are candidate
+linear identities, which are confirmed on an independently seeded batch of
+samples before being reported.
 
 The rank is found without eliminating every row exactly.  Rows are chosen
 greedily modulo the prime p = 2^61 - 1, keeping each row independent of those
@@ -31,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr
-from .catalog import CatalogEntry, contexts_for
+from .catalog import CatalogEntry
 from .curvature import SCHEMA
 from .gen import GenConfig, random_fblocks, random_fblocks_stream
 
@@ -233,20 +234,21 @@ class RankReport:
 
 def sample_matrix(entries, fbs, representation=None):
     """Rows of exact values: one row per sample for scalar entries, or one
-    row per sample and free-index assignment for tensor-valued entries.
+    row per sample and free-index assignment for tensor-valued entries,
+    sample by sample and then assignment by assignment in C order.
 
-    Each entry contributes ``entry.form(representation)``."""
+    Each entry contributes ``entry.form(representation)``, evaluated once on
+    all samples: the samples form one batched context per language (see
+    ``expr.tensor_context``)."""
     forms = [e.form(representation) for e in entries]
     if len({p.free_labels for _, p in forms}) != 1:
         raise ValueError("all catalog entries must share the same free labels")
-    rows = []
-    for fb in fbs:
-        ctx = contexts_for(fb)
-        vals = np.array([expr.evaluate(p, ctx[language]) for language, p in forms],
-                        dtype=object)
-        # column per entry, row per free-index assignment in C order
-        rows.extend(vals.reshape(len(forms), -1).T.tolist())
-    return rows
+    if not fbs:
+        return []
+    contexts = {"matrix": expr.matrix_context(fbs), "tensor": expr.tensor_context(fbs)}
+    columns = [expr.evaluate(p, contexts[language]) for language, p in forms]
+    # column per entry, row per sample and free-index assignment in C order
+    return np.stack(columns, axis=-1).reshape(-1, len(forms)).tolist()
 
 
 def rank_report(

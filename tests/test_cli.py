@@ -138,6 +138,10 @@ _ZERO3 = [[0] * 3] * 3
      "nonsense"),
     (["invariants", "--catalog", "quadratic", "--import-samples"],
      {"schema": "riemann-syzygy/1", "samples": []}, "holds 0 samples"),
+    (["reconstruct"], {"samples": 5}, "samples must be a list, got int"),
+    (["rank", "--catalog", "quadratic", "--import-samples"],
+     {"samples": {"Ap": 1}}, "samples must be a list, got dict"),
+    (["reconstruct"], {"samples": "Ap"}, "samples must be a list, got str"),
 ])
 def test_malformed_blocks_exit_2(tmp_path, capsys, argv, data, reason):
     path = tmp_path / "bad.json"

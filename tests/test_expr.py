@@ -11,6 +11,7 @@ from riemann_syzygy import catalog, curvature, expr, relations
 from riemann_syzygy.decomp import FBlocks, reconstruct
 from riemann_syzygy.expr import (
     ExprError,
+    Poly,
     combine,
     evaluate,
     matrix_context,
@@ -343,3 +344,81 @@ def test_one_poly_over_symbol_shapes():
     assert evaluate(poly, _symbols(X=ones[3], Y=ones[3])) == 9
     with pytest.raises(ExprError, match="index 'b' ranges over 3 and 4 values"):
         evaluate(poly, _symbols(X=ones[3], Y=ones[4]))
+
+
+# ---------------------------------------------------------------------------
+# The batch axis: one evaluation over a batch equals one per sample
+
+
+def _einstein(fb):
+    return FBlocks(Ap=fb.Ap, B=np.zeros((3, 3), dtype=object), Am=fb.Am)
+
+
+def _batched_contexts(fbs):
+    return {"matrix": matrix_context(fbs), "tensor": tensor_context(fbs)}
+
+
+_FIXED = {kind: fixed for kind, (_, _, fixed) in _ENTRIES.items()}
+# a batch of samples, each of a kind drawn from _ENTRIES
+_BATCH = st.lists(
+    st.sampled_from(sorted(_ENTRIES)).flatmap(
+        lambda kind: st.lists(_ENTRIES[kind][0], min_size=20, max_size=20)),
+    min_size=1, max_size=4,
+).map(lambda batch: [_blocks(values) for values in batch])
+_EMPTY = Poly(monomials=(), free_labels=())
+
+
+# no shrinking: a failure reports its example at once
+@settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.generate])
+# small ints next to one sample near 2**40: the whole batch runs on Python ints
+@example([_FIXED["small"], _FIXED["near 2**40"], _FIXED["small"].parity()])
+# Fractions over different denominators, next to ints
+@example([_FIXED["fractions"],
+          _blocks([Fraction(x, d) for x, d in zip(_SMALL, [7, 1, 9, 2] * 5)]),
+          _FIXED["small"]])
+# an Einstein batch: every term with a B factor is zero on every sample
+@example([_einstein(_FIXED["small"]), _einstein(_FIXED["fractions"])])
+@example([_FIXED["fractions"]])
+@given(fbs=_BATCH)
+def test_batched_evaluate_equals_per_sample(fbs):
+    batched = _batched_contexts(fbs)
+    singles = [catalog.contexts_for(fb) for fb in fbs]
+    expressions = _EXPRESSIONS + [("empty", lang, _EMPTY) for lang in batched]
+    for what, language, poly in expressions:
+        got = evaluate(poly, batched[language])
+        assert type(got) is np.ndarray and got.dtype == object, what
+        assert len(got) == len(fbs), what
+        for k, ctx in enumerate(singles):
+            assert _same(got[k], evaluate(poly, ctx[language])), (what, k)
+    # the per-sample oracle itself, on the last sample
+    for what, language, poly in _EXPRESSIONS[::25]:
+        ctx = singles[-1][language]
+        assert _same(evaluate(poly, ctx), _reference(poly, ctx)), what
+
+
+def test_batched_path_found_once_per_contraction(monkeypatch):
+    monkeypatch.setattr(expr, "_PLANS", {})
+    calls = []
+    einsum_path = np.einsum_path
+    monkeypatch.setattr(np, "einsum_path",
+                        lambda *a, **k: calls.append(a[0]) or einsum_path(*a, **k))
+    quartic = "R[a,b,c,d]*R[c,d,e,f]*R[e,f,g,h]*R[g,h,a,b]"
+    poly = parse(f"{quartic} - 2*{quartic} + {quartic.replace('R', 'W')}")
+    forms = [entry.form() for entry in catalog.catalog("quartic")]
+    fbs = [random_fblocks(seed, GenConfig()) for seed in range(60)]
+    values = []
+    for n in (36, 60):
+        contexts = _batched_contexts(fbs[:n])
+        values.append(evaluate(poly, contexts["tensor"]))
+        for language, p in forms:
+            evaluate(p, contexts[language])
+        if n == 36:
+            # on per-sample shapes, once per plan that contracts pairwise
+            assert calls[:2] == ["abcd,cdef,efgh,ghab->"] * 2
+            assert len(calls) == sum(1 for plan in expr._PLANS.values() if plan.steps)
+            found = list(calls)
+    assert calls == found
+    for n, value in zip((36, 60), values):
+        assert value.shape == (n,)
+        for fb, v in zip(fbs, value):
+            assert _same(v, evaluate(poly, tensor_context(fb)))

@@ -4,12 +4,14 @@ import hashlib
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from riemann_syzygy import catalog, ranklab
+from riemann_syzygy import catalog, expr, ranklab
 from riemann_syzygy.curvature import dumps
+from riemann_syzygy.decomp import FBlocks, fblocks_from_json, fblocks_to_json
 from riemann_syzygy.gen import GenConfig, random_fblocks_stream
 from riemann_syzygy.ranklab import (
     express_over,
@@ -102,6 +104,46 @@ def test_sample_matrix_shapes(samples):
     rank2 = catalog.catalog("cubic_rank2")
     rows2 = sample_matrix(rank2, samples[:2])
     assert len(rows2) == 2 * 16  # one row per free-index assignment
+
+
+def _looped_sample_matrix(entries, fbs):
+    """The rows of ``sample_matrix`` made one sample and one entry at a time:
+    the reference for its evaluation over a batch."""
+    forms = [e.form() for e in entries]
+    rows = []
+    for fb in fbs:
+        ctx = catalog.contexts_for(fb)
+        vals = np.array([expr.evaluate(p, ctx[language]) for language, p in forms],
+                        dtype=object)
+        # column per entry, row per free-index assignment in C order
+        rows.extend(vals.reshape(len(forms), -1).T.tolist())
+    return rows
+
+
+def _rational(fb, k):
+    """``fb`` over denominators that differ per block and per sample, read
+    back from JSON as an imported sample is."""
+    return fblocks_from_json(fblocks_to_json(FBlocks(
+        Ap=fb.Ap * Fraction(3, k + 4), B=fb.B * Fraction(1, 5),
+        Am=fb.Am * Fraction(3, k + 4))))
+
+
+def test_sample_matrix_equals_per_sample_loop():
+    general = random_fblocks_stream(8, 5)
+    batches = {
+        "general": general,
+        "einstein": random_fblocks_stream(8, 5, GenConfig(einstein=True)),
+        "rational": [_rational(fb, k) for k, fb in enumerate(general)],
+    }
+    assert any(type(x) is Fraction for x in batches["rational"][1].Ap.flat)
+    for name in catalog.catalog_names():
+        entries = catalog.catalog(name)
+        for kind, fbs in batches.items():
+            got = sample_matrix(entries, fbs)
+            want = _looped_sample_matrix(entries, fbs)
+            assert [[(type(x), x) for x in row] for row in got] == \
+                [[(type(x), x) for x in row] for row in want], (name, kind)
+    assert sample_matrix(catalog.catalog("cubic"), []) == []
 
 
 def test_quadratic_rank_and_null():
