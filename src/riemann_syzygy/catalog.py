@@ -19,7 +19,7 @@ that ``evaluate_entry``, ``ranklab.sample_matrix`` and the CLI evaluate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import expr
 from .decomp import FBlocks
@@ -54,15 +54,24 @@ class CatalogEntry:
             if getattr(self, name) is not None
         }
 
-    def form(self, representation=None):
-        """(language, Poly) of the named representation, or of the first one
-        when none is named; a string form is parsed on every call."""
+    def _name(self, representation):
         reps = self.representations()
         name = representation or next(iter(reps))
         if name not in reps:
             raise ValueError(f"catalog entry {self.label!r} has no {name!r} form")
-        rep = reps[name]
-        return _LANGUAGE[name], expr.parse(rep) if isinstance(rep, str) else rep
+        return name
+
+    def form(self, representation=None):
+        """(language, Poly) of the named representation, or of the first one
+        when none is named; a string form is parsed on every call."""
+        name = self._name(representation)
+        return _LANGUAGE[name], expr.as_poly(getattr(self, name))
+
+    def parsed(self, representation=None):
+        """This entry with the representation that ``form(representation)``
+        picks held as a Poly, so that its later ``form`` calls parse nothing."""
+        name = self._name(representation)
+        return replace(self, **{name: expr.as_poly(getattr(self, name))})
 
     def free_labels(self):
         """Free index labels of the entry (empty for a scalar invariant)."""

@@ -189,10 +189,19 @@ def parse(text) -> Poly:
     return Poly(monomials=tuple(terms), free_labels=free)
 
 
+def as_poly(x) -> Poly:
+    """The Poly of an expression given as a string (parsed) or as a Poly
+    (returned unchanged); ExprError naming the type for anything else."""
+    if isinstance(x, Poly):
+        return x
+    if isinstance(x, str):
+        return parse(x)
+    raise ExprError(f"expected an expression string or a Poly, got {type(x).__name__}")
+
+
 def scale(poly, c):
     """Multiply a Poly (or expression string) by an exact rational."""
-    if isinstance(poly, str):
-        poly = parse(poly)
+    poly = as_poly(poly)
     c = Fraction(c)
     if c == 0:
         return Poly(monomials=(), free_labels=poly.free_labels)
@@ -451,8 +460,7 @@ def evaluate(poly, context):
     as an object array whose leading axis runs over the samples: of shape
     (N,) for a scalar, (N, *free) otherwise.
     """
-    if isinstance(poly, str):
-        poly = parse(poly)
+    poly = as_poly(poly)
     batch = () if context.batch is None else (context.batch,)
     terms = [_monomial(m, context, poly.free_labels) for m in poly.monomials]
     if not terms:

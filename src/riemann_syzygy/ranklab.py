@@ -280,6 +280,8 @@ def rank_report(
     if n_samples < 2:
         # with one sample the half set is the full set: stability is vacuous
         raise ValueError(f"rank analysis needs at least 2 samples, got {n_samples}")
+    # the sampled and the confirmation rows evaluate the same forms: parse once
+    entries = [e.parsed(representation) for e in entries]
     rows = sample_matrix(entries, samples, representation)
     n = len(entries)
     basis, null = _certified_basis(rows, n)
@@ -322,8 +324,7 @@ def express_over(target, entries, seed, n_samples=None, config=GenConfig()):
     solution with every other free variable set to zero).  Returns the
     Fraction coefficient list, or None if the target is not in the span.
     """
-    if isinstance(target, str):
-        target = expr.parse(target)
+    target = expr.as_poly(target)
     # the two languages share no symbol of equal rank, so a target that
     # evaluates in the matrix language is a matrix-language expression
     try:

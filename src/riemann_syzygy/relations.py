@@ -7,6 +7,11 @@ an expectation ("zero" for identities, "nonzero" for recorded non-identities
 kept as negative controls).  Verification evaluates the residual lhs - rhs
 exactly, component by component, on seeded random samples.
 
+A side of a ``Relation`` is an expression string (as loaded from the
+registry, parsed when checked) or an ``expr.Poly`` (used as it is).  The
+mutants that ``mutations`` makes carry both sides as Polys, so checking one
+parses nothing.
+
 Relations whose two sides live in different languages (one contracted from
 the rank-4 tensor, the other from the 3x3 blocks) double as consistency
 checks between the two evaluation routes.  A relation with ``rhs_delta``
@@ -47,14 +52,15 @@ _LANGUAGES = ("tensor", "matrix")
 
 @dataclass(frozen=True)
 class Relation:
-    """One cataloged identity (or recorded non-identity)."""
+    """One cataloged identity (or recorded non-identity).  Each side is an
+    expression string or an ``expr.Poly``."""
 
     name: str
     domain: str  # "general" or "einstein"
     lhs_language: str  # "tensor" or "matrix"
-    lhs: str
+    lhs: str | expr.Poly
     rhs_language: str | None = None
-    rhs: str | None = None
+    rhs: str | expr.Poly | None = None
     rhs_delta: bool = False
     expect: str = "zero"  # "zero" or "nonzero"
     tags: tuple = ()
@@ -73,15 +79,22 @@ class Relation:
             raise ValueError(f"{self.name}: bad rhs language {self.rhs_language!r}")
         if self.rhs_delta and self.rhs is None:
             raise ValueError(f"{self.name}: rhs_delta requires an rhs")
+        for key in ("lhs", "rhs") if self.rhs is not None else ("lhs",):
+            side = getattr(self, key)
+            if not (isinstance(side, expr.Poly) or isinstance(side, str) and side.strip()):
+                got = "a blank string" if isinstance(side, str) else type(side).__name__
+                raise ValueError(f"{self.name}: {key} must be an expression string "
+                                 f"or a Poly, got {got}")
 
     def sides(self):
-        """The parsed (lhs, rhs), rhs None when there is none.  ValueError
-        when they cannot be compared entry by entry: different free labels,
-        or, with ``rhs_delta``, anything but a two-index lhs and scalar rhs."""
-        lhs = expr.parse(self.lhs)
+        """The (lhs, rhs) as Polys, rhs None when there is none; a string side
+        is parsed, a Poly side used as it is.  ValueError when they cannot be
+        compared entry by entry: different free labels, or, with
+        ``rhs_delta``, anything but a two-index lhs and scalar rhs."""
+        lhs = expr.as_poly(self.lhs)
         if self.rhs is None:
             return lhs, None
-        rhs = expr.parse(self.rhs)
+        rhs = expr.as_poly(self.rhs)
         if self.rhs_delta:
             ok = len(lhs.free_labels) == 2 and rhs.is_scalar
             want = "a two-index lhs and a scalar rhs"
@@ -288,22 +301,23 @@ def _mutate_expr(poly, index):
     monos = list(poly.monomials)
     m = monos[index]
     monos[index] = replace(m, coeff=m.coeff + 1)
-    return expr.render(expr.Poly(monomials=tuple(monos),
-                                 free_labels=poly.free_labels))
+    return expr.Poly(monomials=tuple(monos), free_labels=poly.free_labels)
 
 
 def mutations(rel: Relation):
     """Yield (description, relation) pairs, each with one coefficient of the
-    original relation shifted by +1."""
+    original relation shifted by +1.  The original's string sides are parsed
+    once; every mutant carries both its sides as Polys, the mutated one and
+    the other unchanged, so checking a mutant parses nothing."""
     lhs, rhs = rel.sides()
     for i in range(len(lhs.monomials)):
         yield (
             f"{rel.name}: lhs monomial {i} coefficient +1",
-            replace(rel, lhs=_mutate_expr(lhs, i)),
+            replace(rel, lhs=_mutate_expr(lhs, i), rhs=rhs),
         )
     if rhs is not None:
         for i in range(len(rhs.monomials)):
             yield (
                 f"{rel.name}: rhs monomial {i} coefficient +1",
-                replace(rel, rhs=_mutate_expr(rhs, i)),
+                replace(rel, lhs=lhs, rhs=_mutate_expr(rhs, i)),
             )

@@ -12,6 +12,7 @@ from riemann_syzygy.decomp import FBlocks, reconstruct
 from riemann_syzygy.expr import (
     ExprError,
     Poly,
+    as_poly,
     combine,
     evaluate,
     matrix_context,
@@ -59,6 +60,19 @@ def test_render_parse_round_trip():
     ):
         p = parse(text)
         assert parse(render(p)) == p
+
+
+def test_as_poly(samples):
+    p = parse("Sc*Sc - 4*Rc[a,b]*Rc[a,b]")
+    assert as_poly(p) is p
+    assert as_poly("Sc*Sc - 4*Rc[a,b]*Rc[a,b]") == p
+    for bad, name in ((5, "int"), (["Sc"], "list"), (None, "NoneType")):
+        with pytest.raises(ExprError, match=f"expression string or a Poly, got {name}$"):
+            as_poly(bad)
+        with pytest.raises(ExprError, match=name):
+            evaluate(bad, tensor_context(samples[0]))
+        with pytest.raises(ExprError, match=name):
+            scale(bad, 2)
 
 
 def test_evaluate_against_manual_einsum(samples):

@@ -203,6 +203,19 @@ def test_rank_report_given_samples_match_seeded():
     assert given.to_dict() == seeded.to_dict()
 
 
+def test_rank_report_parses_each_entry_once(monkeypatch):
+    parsed = []
+    parse = expr.parse
+    monkeypatch.setattr(expr, "parse", lambda text: parsed.append(text) or parse(text))
+    entries = catalog.catalog("quartic")
+    for seed in (1, 2):  # every report parses its forms, once each
+        parsed.clear()
+        report = rank_report(entries, seed=seed)
+        assert report.rank == 13 and report.nullspace
+        assert parsed == [e.tensor for e in entries]  # the default form
+        assert len(parsed) == 26
+
+
 def test_rank_report_rejects_too_few_samples():
     entries = catalog.catalog("quadratic")
     # one sample makes the half-sample stability check vacuous

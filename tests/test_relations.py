@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -85,12 +86,15 @@ def test_rhs_delta_mechanism(einstein_samples):
         assert np.all(v == 0)
 
 
-@pytest.mark.parametrize("lhs, rhs, rhs_delta", [
+_MISMATCHED = [
     ("R[a,b,c,d]", "Rc[a,b]", False),  # numpy would broadcast to (4,4,4,4)
     ("Rc[a,b]", "Rc[c,d]", False),  # same shape, different labels
     ("R[a,b,c,d]*Sc", "Sc", True),  # rhs_delta needs a two-index lhs
     ("Rc[a,b]", "Rc[a,b]", True),  # and a scalar rhs
-])
+]
+
+
+@pytest.mark.parametrize("lhs, rhs, rhs_delta", _MISMATCHED)
 def test_mismatched_sides_rejected(lhs, rhs, rhs_delta, samples, monkeypatch):
     rel = relations.Relation(name="bad_shape", domain="general",
                              lhs_language="tensor", lhs=lhs,
@@ -135,6 +139,22 @@ _SIDE = {"language": "tensor", "expr": "Sc"}
 def test_malformed_registry_entry_rejected(entry, reason):
     with pytest.raises(ValueError, match=f"^{reason}"):
         relations._relation_from_dict(entry, 4)
+
+
+@pytest.mark.parametrize("value, got", [
+    (5, "int"), (["R"], "list"), ("", "a blank string"), (None, "NoneType"),
+], ids=["int", "list", "blank", "null"])
+def test_registry_side_must_be_an_expression(value, got):
+    entry = {"name": "bad_rel", "lhs": {"language": "tensor", "expr": value}}
+    with pytest.raises(ValueError, match=(
+            f"^bad_rel: lhs must be an expression string or a Poly, got {got}$")):
+        relations._relation_from_dict(entry, 0)
+
+
+def test_load_relations_parses_nothing(monkeypatch):
+    monkeypatch.setattr(relations, "_CACHE", None)
+    monkeypatch.setattr(expr, "parse", None)  # a parse would raise TypeError
+    assert len(load_relations()) == 67
 
 
 def test_registry_entry_tags_kept():
@@ -239,19 +259,49 @@ def test_einstein_pseudo_contractions_give_signature_density():
 
 
 def test_mutations_change_the_expression():
-    rel = get_relation("gauss_bonnet")
-    for desc, mutant in mutations(rel):
-        assert mutant.lhs != rel.lhs or (mutant.rhs or "") != (rel.rhs or "")
-        assert rel.name in desc
+    """Each mutant differs from its relation in one coefficient of one side,
+    by exactly +1, and carries both sides as Polys."""
+    count = 0
+    for rel in load_relations():
+        sides = rel.sides()
+        for desc, mutant in mutations(rel):
+            assert rel.name in desc
+            assert isinstance(mutant.lhs, expr.Poly)
+            assert mutant.rhs is None or isinstance(mutant.rhs, expr.Poly)
+            changed = [(k, i, a, b)
+                       for k, (p, q) in enumerate(zip(sides, mutant.sides()))
+                       if p is not None
+                       for i, (a, b) in enumerate(zip(p.monomials, q.monomials))
+                       if a != b]
+            assert len(changed) == 1, desc
+            [(k, i, a, b)] = changed
+            assert desc == f"{rel.name}: {('lhs', 'rhs')[k]} monomial {i} coefficient +1"
+            assert b.factors == a.factors and b.coeff == a.coeff + 1
+            # nothing else moved: same monomial count and free labels
+            for p, q in zip(sides, mutant.sides()):
+                assert (p is None) == (q is None)
+                if p is not None:
+                    assert len(q.monomials) == len(p.monomials)
+                    assert q.free_labels == p.free_labels
+            count += 1
+    assert count == sum(len(p.monomials) for r in load_relations()
+                        for p in r.sides() if p is not None)
 
 
-def test_mutations_parse_the_relation_once(monkeypatch):
+def test_mutations_parse_the_relation_once(monkeypatch, samples):
     parsed = []
     parse = expr.parse
     monkeypatch.setattr(expr, "parse", lambda text: parsed.append(text) or parse(text))
     rel = get_relation("quartic_a")
     assert len(list(mutations(rel))) == 7
     assert parsed == [rel.lhs]
+    # a relation with an rhs: generating and checking every mutant parses
+    # only the original's two sides, once each
+    parsed.clear()
+    rel = get_relation("hirzebruch_dual_route")
+    results = [check_relation(mutant, samples[:3]) for _, mutant in mutations(rel)]
+    assert len(results) == 3 and not any(r.ok for r in results)
+    assert parsed == [rel.lhs, rel.rhs]
 
 
 def test_mutated_relation_detected(samples):
@@ -284,3 +334,45 @@ def test_verify_and_mutation_verdicts_byte_identical():
     assert len(rows) == 398 and sum(not ok for _, ok, _ in rows) == 395
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == _GOLDEN_MUTANTS
+
+
+# ---------------------------------------------------------------------------
+# A side given as a Poly checks as its expression string does
+
+
+def _poly_twin(rel):
+    lhs, rhs = (expr.parse(side) if side is not None else None
+                for side in (rel.lhs, rel.rhs))
+    return replace(rel, lhs=lhs, rhs=rhs)
+
+
+def test_poly_sides_check_like_strings():
+    samples = {domain: random_fblocks_stream(7, 3, GenConfig(einstein=domain == "einstein"))
+               for domain in ("general", "einstein")}
+    rels = load_relations()
+    assert len(rels) == 67
+    for rel in rels:
+        twin = _poly_twin(rel)
+        assert isinstance(twin.lhs, expr.Poly)
+        assert twin.sides() == rel.sides()
+        want = check_relation(rel, samples[rel.domain])
+        assert check_relation(twin, samples[rel.domain]) == want, rel.name
+
+
+@pytest.mark.parametrize("lhs, rhs, rhs_delta", _MISMATCHED)
+def test_poly_sides_mismatch_like_strings(lhs, rhs, rhs_delta):
+    rel = relations.Relation(name="bad_shape", domain="general",
+                             lhs_language="tensor", lhs=lhs,
+                             rhs_language="tensor", rhs=rhs, rhs_delta=rhs_delta)
+    with pytest.raises(ValueError) as want:
+        rel.sides()
+    with pytest.raises(ValueError) as got:
+        _poly_twin(rel).sides()
+    assert str(got.value) == str(want.value)
+
+
+def test_registry_sides_render_round_trip():
+    for rel in load_relations():
+        for side in rel.sides():
+            if side is not None:
+                assert expr.parse(expr.render(side)) == side, rel.name
