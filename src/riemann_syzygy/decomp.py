@@ -119,18 +119,19 @@ def raw_blocks(t: Rank4Tensor):
     symmetries these are (Ap, B, B^T, Am); for other antisymmetric-pair
     tensors (e.g. the dual tensor) the four blocks are independent.
 
-    The mirror of ``reconstruct``: one contraction of T's integer numerators
-    with S the stacked (eta, etabar) gives the four blocks as one 6x6 array;
-    each entry is a sum of 16 terms of magnitude at most max |T|.
+    The mirror of ``reconstruct``: the matrix product S T S^T of T's integer
+    numerators, read as a 16x16 matrix over pairs ab and cd, with S the
+    stacked (eta, etabar), gives the four blocks as one 6x6 array.  Each row
+    of S has 4 nonzero entries, each +-1, so an entry of S T is a sum of 4
+    terms of magnitude at most max |T|, and one of S T S^T of 16.
     """
     return _project(scaled(t))
 
 
 def _project(s: Scaled):
     """``raw_blocks`` of the tensor whose scaled form is ``s``."""
-    etas = _etas()
-    m = unscaled(np.einsum("abcd,iab,jcd->ij", widened(s, 16), etas, etas),
-                 s.den * 16)
+    e = _etas().reshape(6, 16)
+    m = unscaled(e @ widened(s, 16).reshape(16, 16) @ e.T, s.den * 16)
     return m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]
 
 

@@ -9,14 +9,17 @@ invariants as polynomial functions; its nullspace vectors are candidate
 linear identities, which are confirmed on an independently seeded batch of
 samples before being reported.
 
-The rank is found without eliminating every row exactly.  Rows are chosen
-greedily modulo the prime p = 2^61 - 1, keeping each row independent of those
-kept before (at most n of them); rows independent mod p are independent over
-the rationals.  Exact elimination then runs on the chosen rows only, and each
-of their null vectors is checked against every row in exact arithmetic.  When
-all vanish, the chosen rows span the row space of the whole matrix, so rank,
-pivots and null vectors are exactly those of all rows; otherwise (p divided a
-minor) the whole matrix is eliminated exactly.
+The rank is found without eliminating every row exactly.  Each row is
+scaled to integers, which does not change which rows are independent, and
+the rows are reduced modulo the prime p = 2^31 - 1 into one int64 array, on
+which rows are chosen greedily in order, keeping each row independent of
+those kept before (at most n of them); rows independent mod p are
+independent over the rationals.  Exact elimination then runs on the chosen
+rows only, and their null vectors are checked against every row by one
+matrix product on Python ints.  When all vanish, the chosen rows span the
+row space of the whole matrix, so rank, pivots and null vectors are exactly
+those of all rows; otherwise (p divided a minor) the whole matrix is
+eliminated exactly.
 
 Exact elimination (``rref``) is fraction-free: each row is scaled to integers
 and reduced with exact integer divisions (Bareiss), and the reduced form
@@ -50,8 +53,9 @@ __all__ = [
 # xor-mask used to derive an independent confirmation seed from a user seed
 CONFIRM_SEED_XOR = 0x9E3779B9
 
-# the Mersenne prime 2^61 - 1, modulus of the row selection
-_PRIME = (1 << 61) - 1
+# the Mersenne prime 2^31 - 1, modulus of the row selection: residues are
+# below it, so a product of two is at most (p - 1)^2 < 2^62 and fits int64
+_PRIME = (1 << 31) - 1
 
 
 def _check_width(rows, ncols):
@@ -154,49 +158,65 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def _independent_rows(rows):
-    """Rows independent modulo ``_PRIME``, chosen greedily in order.
+def _integer_matrix(rows, ncols):
+    """``rows`` scaled to integers by ``_integer_row``, as a len(rows) x ncols
+    object array of Python ints.  ValueError naming the first row that is not
+    ``ncols`` long."""
+    _check_width(rows, ncols)
+    ints = [_integer_row(row) for row in rows]
+    return np.array(ints, dtype=object).reshape(len(ints), ncols)
 
-    A rational a/b is read as a * b^-1 mod p.  Selection stops once one row
-    per column is kept; all rows are returned when p divides a denominator.
+
+def _independent_rows(ints):
+    """Indices of rows of the integer matrix ``ints`` independent modulo
+    ``_PRIME``, chosen greedily in order; selection stops once one row per
+    column is kept.
+
+    Each kept row is normalised at its first nonzero column, and that column
+    is eliminated from all later rows at once.  Residues lie in [0, p), so
+    ``a - f * b`` lies in (-(p - 1)^2, p): int64 holds it while
+    (p - 1)^2 + p < 2^63.
     """
     p = _PRIME
-    ncols = len(rows[0]) if rows else 0
-    basis = []
-    echelon = []  # (pivot column, reduced row mod p with 1 at the pivot)
-    for row in rows:
-        if len(basis) == ncols:
+    m = (ints % p).astype(np.int64)
+    kept = []
+    i = 0
+    while len(kept) < m.shape[1]:
+        nonzero = np.flatnonzero(m[i:].any(axis=1))
+        if not nonzero.size:
             break
-        v = []
-        for x in row:
-            d = x.denominator
-            if d % p == 0:
-                return list(rows)
-            v.append(x.numerator * pow(d, -1, p) % p)
-        for c, prow in echelon:
-            f = v[c]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, prow)]
-        c = next((i for i, a in enumerate(v) if a), None)
-        if c is None:
-            continue
-        inv = pow(v[c], -1, p)
-        echelon.append((c, [a * inv % p for a in v]))
-        basis.append(row)
-    return basis
+        i += int(nonzero[0])
+        row = m[i]
+        c = np.flatnonzero(row)[0]
+        row = row * pow(int(row[c]), -1, p) % p
+        rest = m[i + 1:]
+        rest -= rest[:, c, None] * row
+        rest %= p
+        kept.append(i)
+        i += 1
+    return kept
+
+
+def _vanishes(null, ints):
+    """For each null vector, whether it is orthogonal to every row of the
+    integer matrix ``ints``: one matrix product on Python ints, exact at any
+    magnitude."""
+    vecs = np.array(null, dtype=object).reshape(len(null), ints.shape[1])
+    return ~(ints @ vecs.T != 0).any(axis=0)
 
 
 def _certified_basis(rows, ncols):
     """Rows spanning the row space of ``rows``, and its nullspace.
 
     The null vectors of the rows chosen by ``_independent_rows`` are checked
-    against every row in exact arithmetic; if one fails to vanish, the
-    nullspace of all rows is computed instead.
+    against every row, scaled to integers, in one exact matrix product; if
+    one fails to vanish, the nullspace of all rows is computed instead.
+    ValueError when a row is not ``ncols`` long.
     """
-    basis = _independent_rows(rows)
+    ints = _integer_matrix(rows, ncols)
+    basis = [rows[i] for i in _independent_rows(ints)]
     null = nullspace(basis, ncols)
-    if all(sum(c * x for c, x in zip(vec, row) if c) == 0
-           for vec in null for row in rows):
+    if _vanishes(null, ints).all():
         return basis, null
     return rows, nullspace(rows, ncols)
 
@@ -294,13 +314,9 @@ def rank_report(
         confirm_fbs = random_fblocks_stream(
             seed ^ CONFIRM_SEED_XOR, max(8, len(entries) // 2), config
         )
-        confirm_rows = sample_matrix(entries, confirm_fbs, representation)
-        for vec in null:
-            if all(
-                sum(c * row[i] for i, c in enumerate(vec)) == 0
-                for row in confirm_rows
-            ):
-                confirmed.append(vec)
+        confirm = _integer_matrix(
+            sample_matrix(entries, confirm_fbs, representation), n)
+        confirmed = [vec for vec, ok in zip(null, _vanishes(null, confirm)) if ok]
     return RankReport(
         catalog=catalog_name,
         labels=labels,

@@ -50,6 +50,13 @@ _DATA_FILE = "relations.json"
 _LANGUAGES = ("tensor", "matrix")
 
 
+def _bad_side(name, key, side):
+    """The ValueError for a side that is neither a non-blank string nor a
+    Poly, naming the relation, the side and what it was."""
+    got = "a blank string" if isinstance(side, str) else type(side).__name__
+    return ValueError(f"{name}: {key} must be an expression string or a Poly, got {got}")
+
+
 @dataclass(frozen=True)
 class Relation:
     """One cataloged identity (or recorded non-identity).  Each side is an
@@ -82,9 +89,7 @@ class Relation:
         for key in ("lhs", "rhs") if self.rhs is not None else ("lhs",):
             side = getattr(self, key)
             if not (isinstance(side, expr.Poly) or isinstance(side, str) and side.strip()):
-                got = "a blank string" if isinstance(side, str) else type(side).__name__
-                raise ValueError(f"{self.name}: {key} must be an expression string "
-                                 f"or a Poly, got {got}")
+                raise _bad_side(self.name, key, side)
 
     def sides(self):
         """The (lhs, rhs) as Polys, rhs None when there is none; a string side
@@ -155,8 +160,8 @@ class VerifyReport:
 def _relation_from_dict(d, position):
     """The Relation of registry entry number ``position``.  ValueError naming
     the relation (or, without a name, the position) for a missing name, a
-    side without its ``language`` or ``expr``, or ``tags`` that are not a
-    list of strings."""
+    side without its ``language`` or ``expr`` or with a null ``expr``, or
+    ``tags`` that are not a list of strings."""
     if "name" not in d:
         raise ValueError(f"registry entry {position} has no name")
     name = d["name"]
@@ -168,6 +173,8 @@ def _relation_from_dict(d, position):
         for part in ("language", "expr"):
             if part not in obj:
                 raise ValueError(f"{name}: {key} has no {part!r}")
+        if obj["expr"] is None:  # a malformed side, not a missing one
+            raise _bad_side(name, key, None)
         return obj["language"], obj["expr"]
 
     if "lhs" not in d:

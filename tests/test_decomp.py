@@ -144,6 +144,27 @@ def test_reconstruct_equals_its_scaled_form(samples, scale):
         assert decompose(got) == fb
 
 
+@pytest.mark.parametrize("scale", _SCALES + [2**61], ids=str)
+def test_project_equals_the_einsum(samples, scale):
+    # the three-operand contraction the matrix product S T S^T replaced
+    etas = decomp._etas()
+    one = np.eye(3, dtype=object)
+    dtypes = set()
+    for fb in [FBlocks(Ap=one, B=one, Am=one), *samples[:3]]:
+        t = reconstruct(_scaled_blocks(fb, scale))
+        for s in (curvature.scaled(t), curvature.scaled(pseudo_riemann(t))):
+            num = curvature.widened(s, 16)
+            dtypes.add(num.dtype)
+            m = curvature.unscaled(np.einsum("abcd,iab,jcd->ij", num, etas, etas),
+                                   s.den * 16)
+            want = [m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]]
+            for got, block in zip(decomp._project(s), want, strict=True):
+                assert [(type(x), x) for x in got.flat] == [(type(x), x) for x in block.flat]
+    # the large scales take the Python-int path, the others int64
+    big = scale in (2**56, 2**61)
+    assert dtypes == {np.dtype(object) if big else np.dtype(np.int64)}
+
+
 def test_no_bound_scan_where_the_bound_is_unused(samples, monkeypatch):
     """reconstruct, decompose and validate_riemann discard the bound of what
     they compute, so none of them scans a result for it."""

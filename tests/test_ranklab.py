@@ -1,6 +1,7 @@
 """Exact linear algebra and randomized rank analysis."""
 
 import hashlib
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -65,8 +66,14 @@ def test_nullspace_full_rank_empty():
     (lambda: nullspace([[1, 2], [3, 4, 5]]), "row 1 has 3 entries, expected 2"),
     (lambda: nullspace([[1, 2, 3], [3, 4]], 3), "row 1 has 2 entries, expected 3"),
     (lambda: nullspace([[1, 2], [3, 4]], 3), "row 0 has 2 entries, expected 3"),
+    (lambda: ranklab._certified_basis([[1, 2, 3], [0, 0, 0], [4, 5, 6, 7]], 3),
+     "row 2 has 4 entries, expected 3"),
+    (lambda: ranklab._certified_basis([[1, Fraction(1, 2), 0], [Fraction(1, 3)]], 3),
+     "row 1 has 1 entries, expected 3"),
+    (lambda: ranklab._certified_basis([[1, 2], [3, 4]], 3),
+     "row 0 has 2 entries, expected 3"),
 ], ids=["rref-long", "rref-short", "nullspace-long", "nullspace-short",
-        "nullspace-ncols"])
+        "nullspace-ncols", "certified-long", "certified-short", "certified-ncols"])
 def test_ragged_rows_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -259,11 +266,20 @@ def _planted_matrix(draw):
     return rows
 
 
+_BIG = 2**80 + 7
+
+
 # the default prime, and 3, which often loses rank and forces the fallback
 @pytest.mark.parametrize("prime", [ranklab._PRIME, 3])
 @settings(max_examples=60, deadline=None)
 @given(rows=_planted_matrix())
 @example(rows=[[0, 0, 0]])
+@example(rows=[[0, 0], [0, 0], [0, 0]])
+@example(rows=[[0, 0, 0], [1, 2, 0], [0, 0, 0], [2, 4, 0]])
+# entries beyond 2**63, the second row -_BIG times the first
+@example(rows=[[_BIG, 1, 0], [-(_BIG**2), -_BIG, 0], [2**64 + 3, 0, _BIG]])
+# denominators that are multiples of the patched prime 3
+@example(rows=[[Fraction(1, 3), 1, 0], [1, 3, 0], [Fraction(2, 9), Fraction(1, 6), 1]])
 @example(rows=[[1, Fraction(1, 2), 0]])
 @example(rows=[[1, 2, 3], [1, 2, 3], [0, 0, 0]])
 @example(rows=[[2, 4], [1, 2], [Fraction(1, 3), Fraction(2, 3)], [0, 1]])
@@ -281,7 +297,59 @@ def test_certified_basis_matches_full_elimination(prime, rows):
         assert ncols - len(prefix_null) == rank(rows[:k])
 
 
-_BIG = 2**80 + 7
+def _reference_independent_rows(rows, p):
+    """Indices of the rows independent mod p, chosen greedily in order, one
+    row at a time on Python ints."""
+    kept, echelon = [], []
+    for i, row in enumerate(rows):
+        if len(kept) == len(row):
+            break
+        v = [x % p for x in row]
+        for c, prow in echelon:
+            f = v[c]
+            v = [(a - f * b) % p for a, b in zip(v, prow)]
+        c = next((j for j, a in enumerate(v) if a), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            echelon.append((c, [a * inv % p for a in v]))
+            kept.append(i)
+    return kept
+
+
+_P = ranklab._PRIME
+# integers of residue 0, 1 and p - 1: a pivot row normalised at a residue
+# p - 1 holds entries p - 1, so eliminating p - 1 multiplies (p - 1)^2
+_RESIDUE = st.sampled_from([0, 1, _P + 1, -1, _P - 1, 2 * _P - 1, -(_P + 1),
+                            2**64 * _P - 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(_RESIDUE, min_size=n, max_size=n), min_size=1, max_size=12)))
+@example(rows=[[_P - 1] * 4, [-1] * 4, [2**64 * _P - 1] * 4])
+@example(rows=[[1 if i == j else -1 for j in range(5)] for i in range(6)])
+@example(rows=[[-1, 1, 0], [1, -1, -1], [0, 0, -1], [-1, -1, _P - 1]])
+def test_independent_rows_match_python_greedy(rows):
+    ints = ranklab._integer_matrix(rows, len(rows[0]))
+    assert ranklab._independent_rows(ints) == _reference_independent_rows(rows, _P)
+
+
+def test_prime_keeps_int64_products_exact():
+    p = ranklab._PRIME
+    # residues lie in [0, p), so a - f * b lies in (-(p - 1)^2, p)
+    assert (p - 1) ** 2 + p < 2**63
+    # trial division, short under that bound: sqrt(p) < 2**16
+    assert p > 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_vanishes_is_exact_per_vector():
+    ints = ranklab._integer_matrix(
+        [[1, 1, 0], [Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)],
+         [2**70, 2**70, 0]], 3)
+    null = [[1, -1, 0], [0, 0, 1], [1, -1, 2**80]]
+    assert ranklab._vanishes(null, ints).tolist() == [True, False, False]
+    assert ranklab._vanishes([], ints).tolist() == []
+    assert ranklab._vanishes(null, ranklab._integer_matrix([], 3)).tolist() == [True] * 3
 
 
 # no shrinking: a failure reports its example at once
@@ -329,7 +397,7 @@ def test_forced_fallback_gives_same_reports(monkeypatch):
 
     monkeypatch.setattr(ranklab, "nullspace", recording_nullspace)
     default = reports()
-    # with p = 2^61 - 1 only chosen rows, at most one per column, are reduced
+    # with p = 2^31 - 1 only chosen rows, at most one per column, are reduced
     assert max(sizes) <= 16
     monkeypatch.setattr(ranklab, "_PRIME", 2)
     sizes.clear()

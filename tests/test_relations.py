@@ -151,6 +151,16 @@ def test_registry_side_must_be_an_expression(value, got):
         relations._relation_from_dict(entry, 0)
 
 
+@pytest.mark.parametrize("key", ["lhs", "rhs"])
+def test_registry_null_expr_names_its_side(key):
+    # a null expr is a malformed side, not a missing one
+    entry = {"name": "bad_rel", "lhs": _SIDE, "rhs": _SIDE,
+             key: {"language": "tensor", "expr": None}}
+    with pytest.raises(ValueError, match=(
+            f"^bad_rel: {key} must be an expression string or a Poly, got NoneType$")):
+        relations._relation_from_dict(entry, 0)
+
+
 def test_load_relations_parses_nothing(monkeypatch):
     monkeypatch.setattr(relations, "_CACHE", None)
     monkeypatch.setattr(expr, "parse", None)  # a parse would raise TypeError
