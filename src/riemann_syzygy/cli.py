@@ -110,7 +110,7 @@ def _cmd_thooft_check(args):
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(dumps(report.to_dict()), args.out)
-    return 0 if report.all_ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_generate(args):
@@ -220,7 +220,7 @@ def _resolve_catalog(name):
         raise _UsageError(str(e)) from e
 
 
-def _rank_common(args):
+def _cmd_rank(args):
     entries = _resolve_catalog(args.catalog)
     config = GenConfig(bound=args.bound, einstein=args.einstein)
     samples = None
@@ -241,11 +241,6 @@ def _rank_common(args):
     if args.export_samples and samples is None:
         fbs = random_fblocks_stream(args.seed, report.n_samples, config)
         _emit(dumps(_samples_to_dict(fbs, config)), args.export_samples)
-    return report
-
-
-def _cmd_rank(args):
-    report = _rank_common(args)
     if args.format == "table":
         lines = [
             f"catalog: {report.catalog}",
@@ -339,24 +334,21 @@ def _build_parser():
                     help="explicit relation names (overrides --set)")
     sp.set_defaults(func=_cmd_verify)
 
-    for name, helptext in (
-        ("rank", "exact rank of a catalog on random samples"),
-        ("discover", "report candidate linear identities of a catalog"),
-    ):
-        sp = sub.add_parser(name, help=helptext)
-        common(sp, seed=True)
-        sp.add_argument("--samples", type=int, default=None,
-                        help="sample count (default: 2*|catalog| + 8)")
-        sp.add_argument("--catalog", required=True)
-        sp.add_argument("--einstein", action="store_true")
-        sp.add_argument("--representation",
-                        choices=("tensor", "matrix", "fform"), default=None)
-        sp.add_argument("--import-samples", dest="import_samples")
-        sp.add_argument("--export-samples", dest="export_samples")
-        if name == "rank":
-            sp.add_argument("--expect", type=int, default=None,
-                            help="exit 1 unless the rank equals this value")
-        sp.set_defaults(func=_cmd_rank, expect=None)
+    sp = sub.add_parser(
+        "rank",
+        help="exact rank and confirmed linear identities of a catalog")
+    common(sp, seed=True)
+    sp.add_argument("--samples", type=int, default=None,
+                    help="sample count (default: 2*|catalog| + 8)")
+    sp.add_argument("--catalog", required=True)
+    sp.add_argument("--einstein", action="store_true")
+    sp.add_argument("--representation",
+                    choices=("tensor", "matrix", "fform"), default=None)
+    sp.add_argument("--import-samples", dest="import_samples")
+    sp.add_argument("--export-samples", dest="export_samples")
+    sp.add_argument("--expect", type=int, default=None,
+                    help="exit 1 unless the rank equals this value")
+    sp.set_defaults(func=_cmd_rank)
 
     return p
 

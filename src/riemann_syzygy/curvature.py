@@ -11,6 +11,9 @@ magnitudes are proven below ``INT64_BOUND`` and an object array of Python
 ints otherwise, so integer arithmetic on them never wraps.  The Ricci,
 scalar, Weyl and dual builders take integer numerators as readily as exact
 entries; Weyl and the dual come as 6 W and 2 Rt there, which stay integral.
+
+``validate_riemann`` checks the algebraic symmetries and returns them as a
+``thooft.CheckReport``, the report class the symbol-table checks use too.
 """
 
 from __future__ import annotations
@@ -18,19 +21,18 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .thooft import DELTA4, DELTA_WEDGE, EPS4, SCHEMA, _first_failure, dumps, int64
+from .thooft import (DELTA4, DELTA_WEDGE, EPS4, SCHEMA, CheckReport,
+                     check_report, dumps, int64)
 
 __all__ = [
     "Rank4Tensor",
     "exact",
     "as_tensor",
-    "ValidationReport",
     "validate_riemann",
     "ricci",
     "ricci_scalar",
@@ -173,33 +175,6 @@ def as_tensor(values, shape=(4, 4, 4, 4), name="curvature tensor"):
     return exact(_shaped(values, shape, name))
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of the algebraic-symmetry checks on a candidate tensor."""
-
-    checks: list = field(default_factory=list)  # (name, ok, counterexample)
-
-    def add(self, name, ok, counterexample=None):
-        self.checks.append((name, bool(ok), counterexample))
-
-    @property
-    def is_riemann(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self):
-        return [name for name, ok, _ in self.checks if not ok]
-
-    def to_dict(self):
-        return {
-            "schema": SCHEMA,
-            "is_riemann": self.is_riemann,
-            "checks": [
-                {"name": name, "ok": ok, "counterexample": ce}
-                for name, ok, ce in self.checks
-            ],
-        }
-
-
 # Each check as a residual of integer numerators that sums at most 3 entries
 _SYMMETRIES = (
     ("Antisymmetry (first pair)", lambda n: n + np.einsum("bacd->abcd", n)),
@@ -212,7 +187,7 @@ _SYMMETRIES = (
 )
 
 
-def validate_riemann(t: Rank4Tensor) -> ValidationReport:
+def validate_riemann(t: Rank4Tensor) -> CheckReport:
     """Check the algebraic curvature symmetries.
 
     Antisymmetry in the first and second index pairs, symmetry under pair
@@ -222,17 +197,11 @@ def validate_riemann(t: Rank4Tensor) -> ValidationReport:
     return symmetry_report(scaled(t))
 
 
-def symmetry_report(s: Scaled) -> ValidationReport:
+def symmetry_report(s: Scaled) -> CheckReport:
     """``validate_riemann`` of the tensor whose scaled form is ``s``."""
     n = widened(s, 3)
-    residuals = [check(n) for _, check in _SYMMETRIES]
-    report = ValidationReport()
-    for (name, _), residual in zip(_SYMMETRIES, residuals):
-        ce = _first_failure(residual)
-        if ce is not None:
-            ce = tuple(i + 1 for i in ce)
-        report.add(name, ce is None, ce)
-    return report
+    residuals = {name: [check(n)] for name, check in _SYMMETRIES}
+    return check_report("is_riemann", "checks", residuals, base=1)
 
 
 def ricci(t: Rank4Tensor):

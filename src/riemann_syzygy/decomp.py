@@ -144,7 +144,7 @@ def decompose(t: Rank4Tensor) -> FBlocks:
     """
     s = scaled(t)
     report = symmetry_report(s)
-    if not report.is_riemann:
+    if not report.ok:
         raise ValueError("not a curvature tensor; failed checks: "
                          + ", ".join(report.failures()))
     fpp, fpm, fmp, fmm = _project(s)

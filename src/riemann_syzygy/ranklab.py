@@ -29,7 +29,7 @@ becomes Fractions only at the end, one division per entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -65,16 +65,6 @@ def _check_width(rows, ncols):
             raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
 
 
-def _integer_row(row):
-    """The rational ``row`` times the lcm of its denominators: a list of ints
-    spanning the same line."""
-    if all(type(x) is int for x in row):
-        return list(row)
-    q = [Fraction(x) for x in row]
-    mult = math.lcm(*(x.denominator for x in q))
-    return [x.numerator * (mult // x.denominator) for x in q]
-
-
 def rref(rows):
     """Reduced row echelon form over the rationals.
 
@@ -88,11 +78,10 @@ def rref(rows):
     Returns (rref_rows, pivot_columns) with Fraction entries; the input is not
     modified.  ValueError when the rows differ in length.
     """
-    m = [_integer_row(row) for row in rows]
-    if not m:
+    if not len(rows):
         return [], []
-    ncols = len(m[0])
-    _check_width(m, ncols)
+    ncols = len(rows[0])
+    m = _integer_matrix(rows, ncols).tolist()
     pivots = []
     prev = 1
     r = 0
@@ -159,12 +148,18 @@ def nullspace(rows, ncols=None):
 
 
 def _integer_matrix(rows, ncols):
-    """``rows`` scaled to integers by ``_integer_row``, as a len(rows) x ncols
-    object array of Python ints.  ValueError naming the first row that is not
-    ``ncols`` long."""
+    """``rows`` as a len(rows) x ncols object array of Python ints, each row
+    times the lcm of its denominators (a row of ints is kept as it is).
+    ValueError naming the first row that is not ``ncols`` long."""
     _check_width(rows, ncols)
-    ints = [_integer_row(row) for row in rows]
-    return np.array(ints, dtype=object).reshape(len(ints), ncols)
+    m = np.array(rows, dtype=object).reshape(len(rows), ncols)
+    if set(map(type, m.flat)) <= {int}:
+        return m
+    for i, row in enumerate(m):
+        q = [Fraction(x) for x in row]
+        mult = math.lcm(*(x.denominator for x in q))
+        m[i] = [x.numerator * (mult // x.denominator) for x in q]
+    return m
 
 
 def _independent_rows(ints):
@@ -205,19 +200,20 @@ def _vanishes(null, ints):
     return ~(ints @ vecs.T != 0).any(axis=0)
 
 
-def _certified_basis(rows, ncols):
-    """Rows spanning the row space of ``rows``, and its nullspace.
+def _certified_basis(ints):
+    """Rows spanning the row space of the integer matrix ``ints``, and its
+    nullspace.
 
     The null vectors of the rows chosen by ``_independent_rows`` are checked
-    against every row, scaled to integers, in one exact matrix product; if
-    one fails to vanish, the nullspace of all rows is computed instead.
-    ValueError when a row is not ``ncols`` long.
+    against every row in one exact matrix product; if one fails to vanish,
+    the nullspace of all rows is computed instead.
     """
-    ints = _integer_matrix(rows, ncols)
-    basis = [rows[i] for i in _independent_rows(ints)]
+    ncols = ints.shape[1]
+    basis = ints[_independent_rows(ints)].tolist()
     null = nullspace(basis, ncols)
     if _vanishes(null, ints).all():
         return basis, null
+    rows = ints.tolist()
     return rows, nullspace(rows, ncols)
 
 
@@ -237,19 +233,7 @@ class RankReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "schema": SCHEMA,
-            "catalog": self.catalog,
-            "labels": list(self.labels),
-            "n_samples": self.n_samples,
-            "n_rows": self.n_rows,
-            "rank": self.rank,
-            "pivots": list(self.pivots),
-            "nullspace": [list(map(int, v)) for v in self.nullspace],
-            "stable": self.stable,
-            "seed": self.seed,
-            "config": dict(self.config),
-        }
+        return {"schema": SCHEMA, **asdict(self)}
 
 
 def sample_matrix(entries, fbs, representation=None):
@@ -304,11 +288,12 @@ def rank_report(
     entries = [e.parsed(representation) for e in entries]
     rows = sample_matrix(entries, samples, representation)
     n = len(entries)
-    basis, null = _certified_basis(rows, n)
+    ints = _integer_matrix(rows, n)
+    basis, null = _certified_basis(ints)
     pivots = rref(basis)[1]
     # sample_matrix emits rows sample by sample, so a prefix is a sample prefix
-    half = rows[: len(rows) // n_samples * (n_samples // 2)]
-    stable = n - len(_certified_basis(half, n)[1]) == len(pivots)
+    half = ints[: len(rows) // n_samples * (n_samples // 2)]
+    stable = n - len(_certified_basis(half)[1]) == len(pivots)
     confirmed = []
     if null:
         confirm_fbs = random_fblocks_stream(

@@ -22,7 +22,7 @@ the identity matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -124,14 +124,7 @@ class RelationResult:
     first_failure: int | None  # 0-based sample index, None if ok
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "expect": self.expect,
-            "domain": self.domain,
-            "n_samples": self.n_samples,
-            "first_failure": self.first_failure,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -148,13 +141,7 @@ class VerifyReport:
         return [r.name for r in self.results if not r.ok]
 
     def to_dict(self):
-        return {
-            "schema": SCHEMA,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "ok": self.ok,
-            "results": [r.to_dict() for r in self.results],
-        }
+        return {"schema": SCHEMA, **asdict(self), "ok": self.ok}
 
 
 def _relation_from_dict(d, position):

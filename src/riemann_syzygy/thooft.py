@@ -6,6 +6,12 @@ so(4) with antisymmetric index pairs.  All arithmetic is exact integer.
 
 Public API uses 1-based indices (i in 1..3, a,b,c,d in 1..4) to match the
 conventional notation; the arrays themselves are 0-based.
+
+This module imports no other package module, so it also holds what the
+others share: the JSON schema tag and writer, and ``CheckReport``, the one
+pass/fail report of named checks, used for the identities of the symbol
+tables (``verify_appendix_a``) and the curvature symmetries
+(``curvature.validate_riemann``).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +30,8 @@ __all__ = [
     "eta",
     "etabar",
     "levi_civita",
-    "IdentityReport",
+    "CheckReport",
+    "check_report",
     "verify_appendix_a",
 ]
 
@@ -121,41 +128,52 @@ def levi_civita(a, b, c, d):
 
 
 @dataclass
-class IdentityReport:
-    """Pass/fail per identity family with the first counterexample if any."""
+class CheckReport:
+    """Pass/fail per named check, with the first counterexample of each.
 
-    results: list = field(default_factory=list)  # (name, ok, counterexample)
+    ``ok_key`` and ``list_key`` name the JSON keys of the overall verdict
+    and of the list of checks: ``is_riemann``/``checks`` for the curvature
+    symmetries, ``all_ok``/``identities`` for the symbol tables.
+    """
 
-    def add(self, name, ok, counterexample=None):
-        self.results.append((name, bool(ok), counterexample))
+    ok_key: str
+    list_key: str
+    results: list  # (name, ok, counterexample)
 
     @property
-    def all_ok(self):
+    def ok(self):
         return all(ok for _, ok, _ in self.results)
+
+    def failures(self):
+        return [name for name, ok, _ in self.results if not ok]
 
     def to_dict(self):
         return {
             "schema": SCHEMA,
-            "all_ok": self.all_ok,
-            "identities": [
+            self.ok_key: self.ok,
+            self.list_key: [
                 {"name": name, "ok": ok, "counterexample": ce}
                 for name, ok, ce in self.results
             ],
         }
 
-    def to_json(self):
-        return dumps(self.to_dict())
 
-
-def _first_failure(*residuals):
-    """First index, in C order, at which any of the same-shaped residual
-    arrays is nonzero (0-based, as a tuple of ints), or None."""
-    bad = residuals[0] != 0
-    for r in residuals[1:]:
-        bad |= r != 0
-    if not bad.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+def check_report(ok_key, list_key, residuals_by_name, base=0):
+    """The CheckReport of named checks, each a list of same-shaped residual
+    arrays.  A check passes when all its residuals are zero; otherwise its
+    counterexample is the first index, in C order, at which any is nonzero,
+    as a tuple of ints counted from ``base``."""
+    results = []
+    for name, residuals in residuals_by_name.items():
+        bad = residuals[0] != 0
+        for r in residuals[1:]:
+            bad |= r != 0
+        ce = None
+        if bad.any():
+            ce = tuple(int(i) + base
+                       for i in np.unravel_index(bad.argmax(), bad.shape))
+        results.append((name, ce is None, ce))
+    return CheckReport(ok_key, list_key, results)
 
 
 def verify_appendix_a():
@@ -227,8 +245,4 @@ def verify_appendix_a():
             - np.einsum("jac,icb->ijab", ETABAR, ETA)
         ],
     }
-    report = IdentityReport()
-    for name, residuals in identities.items():
-        ce = _first_failure(*residuals)
-        report.add(name, ce is None, ce)
-    return report
+    return check_report("all_ok", "identities", identities)

@@ -240,13 +240,21 @@ def test_invariants_table(capsys):
     assert "R2 = " in out
 
 
-def test_discover_reports_nullspace(capsys):
+def test_rank_reports_nullspace(capsys):
     code, out, _ = run(
-        ["discover", "--catalog", "quadratic", "--seed", "12345"], capsys
+        ["rank", "--catalog", "quadratic", "--seed", "12345"], capsys
     )
     assert code == 0
     data = json.loads(out)
     assert data["nullspace"] == [[4, -16, 4, -1, 0]]
+
+
+def test_removed_discover_command_is_a_usage_error(capsys):
+    # `rank` reports the confirmed null vectors; the old alias is gone
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["discover", "--catalog", "quadratic", "--seed", "11"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'discover'" in capsys.readouterr().err
 
 
 def test_verify_zero_samples_exit_2(capsys):
@@ -418,7 +426,7 @@ _GOLDEN = [
      "e5b1e54fd9abf2b9de861ebdb41e705c95253be8f316f0a9403818b574944ae4", None),
     (["rank", "--catalog", "cubic_rank2", "--seed", "2", "--format", "table"],
      "2a2f90d42dd77f4f74c6fc2888d650f98b860d34ad313ec4ed93ce325c2fde0f", None),
-    (["discover", "--catalog", "quadratic", "--seed", "11"],
+    (["rank", "--catalog", "quadratic", "--seed", "11"],
      "6435233e5b83a532b1e4327d4f482bba86c3d87f33b6f99eda041228bef50404", None),
 ]
 

@@ -35,7 +35,7 @@ from conftest import relaxed_tensor
 def test_constant_curvature_is_valid():
     t = constant_curvature(Fraction(12))
     report = validate_riemann(t)
-    assert report.is_riemann
+    assert report.ok
     assert ricci_scalar(t) == 12
     assert np.all(weyl(t) == 0)
     assert np.all(traceless_ricci(t) == 0)
@@ -44,7 +44,7 @@ def test_constant_curvature_is_valid():
 def test_random_samples_validate(samples):
     for fb in samples:
         report = validate_riemann(reconstruct(fb))
-        assert report.is_riemann
+        assert report.ok
 
 
 def test_validation_names_failing_check():
@@ -55,26 +55,54 @@ def test_validation_names_failing_check():
     t[0, 1, 3, 2] = -1
     t[1, 0, 3, 2] = 1
     report = validate_riemann(t)
-    assert not report.is_riemann
+    assert not report.ok
     assert "Pair symmetry" in report.failures()
     # counterexamples reported with 1-based indices
-    for name, ok, ce in report.checks:
+    for name, ok, ce in report.results:
         if not ok:
             assert all(1 <= i <= 4 for i in ce)
     # every check runs, each reporting its first counterexample in C order
-    assert report.checks == [
+    assert report.results == [
         ("Antisymmetry (first pair)", True, None),
         ("Antisymmetry (second pair)", True, None),
         ("Pair symmetry", False, (1, 2, 3, 4)),
         ("First Bianchi identity", False, (1, 2, 3, 4)),
     ]
     # eps_abcd has every pair symmetry; its Bianchi sum is 3 eps_abcd
-    assert validate_riemann(EPS4.copy()).checks == [
+    assert validate_riemann(EPS4.copy()).results == [
         ("Antisymmetry (first pair)", True, None),
         ("Antisymmetry (second pair)", True, None),
         ("Pair symmetry", True, None),
         ("First Bianchi identity", False, (1, 2, 3, 4)),
     ]
+    # the JSON form, recorded before the two check-report classes were merged
+    assert report.to_dict() == {
+        "schema": "riemann-syzygy/1",
+        "is_riemann": False,
+        "checks": [
+            {"name": "Antisymmetry (first pair)", "ok": True,
+             "counterexample": None},
+            {"name": "Antisymmetry (second pair)", "ok": True,
+             "counterexample": None},
+            {"name": "Pair symmetry", "ok": False,
+             "counterexample": (1, 2, 3, 4)},
+            {"name": "First Bianchi identity", "ok": False,
+             "counterexample": (1, 2, 3, 4)},
+        ],
+    }
+    assert validate_riemann(EPS4.copy()).to_dict() == {
+        "schema": "riemann-syzygy/1",
+        "is_riemann": False,
+        "checks": [
+            {"name": "Antisymmetry (first pair)", "ok": True,
+             "counterexample": None},
+            {"name": "Antisymmetry (second pair)", "ok": True,
+             "counterexample": None},
+            {"name": "Pair symmetry", "ok": True, "counterexample": None},
+            {"name": "First Bianchi identity", "ok": False,
+             "counterexample": (1, 2, 3, 4)},
+        ],
+    }
 
 
 def test_validation_on_python_ints():
@@ -83,18 +111,29 @@ def test_validation_on_python_ints():
     fb = random_fblocks(3, GenConfig())
     t = reconstruct(FBlocks(Ap=2**60 * fb.Ap, B=2**60 * fb.B, Am=2**60 * fb.Am))
     assert 3 * curvature.scaled(t).bound >= curvature.INT64_BOUND
-    assert validate_riemann(t).is_riemann
+    assert validate_riemann(t).ok
     # a cyclic sum of 2**64, which int64 would wrap to 0
     parts = [3 * 2**61, 3 * 2**61, 2**62]
     assert int(np.array(parts, dtype=np.int64).sum()) == 0
     t = zeros()
     t[0, 1, 2, 3], t[0, 2, 3, 1], t[0, 3, 1, 2] = parts
-    assert validate_riemann(t).checks == [
+    assert validate_riemann(t).results == [
         ("Antisymmetry (first pair)", False, (1, 2, 3, 4)),
         ("Antisymmetry (second pair)", False, (1, 2, 3, 4)),
         ("Pair symmetry", False, (1, 2, 3, 4)),
         ("First Bianchi identity", False, (1, 2, 3, 4)),
     ]
+    # the JSON form, recorded before the two check-report classes were merged
+    assert validate_riemann(t).to_dict() == {
+        "schema": "riemann-syzygy/1",
+        "is_riemann": False,
+        "checks": [
+            {"name": name, "ok": False, "counterexample": (1, 2, 3, 4)}
+            for name in ("Antisymmetry (first pair)",
+                         "Antisymmetry (second pair)", "Pair symmetry",
+                         "First Bianchi identity")
+        ],
+    }
 
 
 def test_bianchi_violation_detected():

@@ -175,7 +175,7 @@ def test_no_bound_scan_where_the_bound_is_unused(samples, monkeypatch):
                         lambda *a: scans.append(a) or from_ints(*a))
     assert np.array_equal(reconstruct(samples[0]), t)
     assert decompose(t) == samples[0]
-    assert curvature.validate_riemann(t).is_riemann
+    assert curvature.validate_riemann(t).ok
     assert scans == []
 
 

@@ -66,11 +66,11 @@ def test_nullspace_full_rank_empty():
     (lambda: nullspace([[1, 2], [3, 4, 5]]), "row 1 has 3 entries, expected 2"),
     (lambda: nullspace([[1, 2, 3], [3, 4]], 3), "row 1 has 2 entries, expected 3"),
     (lambda: nullspace([[1, 2], [3, 4]], 3), "row 0 has 2 entries, expected 3"),
-    (lambda: ranklab._certified_basis([[1, 2, 3], [0, 0, 0], [4, 5, 6, 7]], 3),
+    (lambda: ranklab._integer_matrix([[1, 2, 3], [0, 0, 0], [4, 5, 6, 7]], 3),
      "row 2 has 4 entries, expected 3"),
-    (lambda: ranklab._certified_basis([[1, Fraction(1, 2), 0], [Fraction(1, 3)]], 3),
+    (lambda: ranklab._integer_matrix([[1, Fraction(1, 2), 0], [Fraction(1, 3)]], 3),
      "row 1 has 1 entries, expected 3"),
-    (lambda: ranklab._certified_basis([[1, 2], [3, 4]], 3),
+    (lambda: ranklab._integer_matrix([[1, 2], [3, 4]], 3),
      "row 0 has 2 entries, expected 3"),
 ], ids=["rref-long", "rref-short", "nullspace-long", "nullspace-short",
         "nullspace-ncols", "certified-long", "certified-short", "certified-ncols"])
@@ -285,11 +285,12 @@ _BIG = 2**80 + 7
 @example(rows=[[2, 4], [1, 2], [Fraction(1, 3), Fraction(2, 3)], [0, 1]])
 def test_certified_basis_matches_full_elimination(prime, rows):
     ncols = len(rows[0])
+    ints = ranklab._integer_matrix(rows, ncols)
     with mock.patch.object(ranklab, "_PRIME", prime):
-        basis, null = ranklab._certified_basis(rows, ncols)
-        prefix_nulls = [ranklab._certified_basis(rows[:k], ncols)[1]
+        basis, null = ranklab._certified_basis(ints)
+        prefix_nulls = [ranklab._certified_basis(ints[:k])[1]
                         for k in range(1, len(rows) + 1)]
-    assert all(row in rows for row in basis)
+    assert all(row in ints.tolist() for row in basis)
     assert null == nullspace(rows, ncols)
     assert ncols - len(null) == rank(rows)
     assert rref(basis)[1] == rref(rows)[1]

@@ -11,7 +11,7 @@ from riemann_syzygy.thooft import EPS4, ETA, ETABAR, eta, etabar, levi_civita
 
 def test_appendix_suite_all_pass():
     report = thooft.verify_appendix_a()
-    assert report.all_ok, report.failures if hasattr(report, "failures") else report.results
+    assert report.ok, report.failures()
 
 
 def test_symbol_shapes_and_values():
@@ -80,7 +80,7 @@ def test_report_json_round_trips():
     import json
 
     report = thooft.verify_appendix_a()
-    data = json.loads(report.to_json())
+    data = json.loads(thooft.dumps(report.to_dict()))
     assert data["schema"] == "riemann-syzygy/1"
     assert data["all_ok"] is True
 
