@@ -20,6 +20,7 @@ that ``evaluate_entry``, ``ranklab.sample_matrix`` and the CLI evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 from . import expr
 from .decomp import FBlocks
@@ -798,10 +799,17 @@ def catalog(name):
 def contexts_for(fb: FBlocks):
     """Evaluation contexts of one sample, keyed by language.
 
+    The pair is made on the first call and kept in ``fb.memo``, so every
+    later call on the same FBlocks returns the same pair, and every symbol
+    and monomial contraction it holds (see ``expr.LazyContext``), for as long
+    as the sample lives; another FBlocks of the same blocks gets its own.
     The tensor is reconstructed only when an expression of the tensor
     language asks for one of its symbols.
     """
-    return {"matrix": expr.matrix_context(fb), "tensor": expr.tensor_context(fb)}
+    if "contexts" not in fb.memo:
+        fb.memo["contexts"] = MappingProxyType(
+            {"matrix": expr.matrix_context(fb), "tensor": expr.tensor_context(fb)})
+    return fb.memo["contexts"]
 
 
 def evaluate_entry(entry: CatalogEntry, contexts, representation=None):

@@ -272,10 +272,14 @@ def constant_curvature(scalar) -> Rank4Tensor:
 
 
 def rational_to_str(x):
-    # type(), not isinstance(): a bool or numpy integer still goes through
-    # Fraction, which makes it a plain int
+    # type(), not isinstance(): a bool still goes through Fraction, which
+    # makes it a plain int
     if type(x) is int:
         return x
+    # not through Fraction, which would keep a numpy integer as its
+    # numerator and negate it in its own dtype, where -(-2**63) wraps
+    if isinstance(x, np.integer):
+        return int(x)
     x = Fraction(x)
     if x.denominator == 1:
         return int(x)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -62,16 +62,21 @@ class FBlocks:
     """The (Ap, B, Am) block triple of a curvature tensor.
 
     ``Ap`` and ``Am`` must be symmetric with equal trace; ``B`` is arbitrary.
-    Entries are exact rationals.
+    Entries are exact rationals.  Each block is a read-only copy of the
+    array it was given, so what is derived from the blocks and kept in
+    ``memo`` (``catalog.contexts_for`` keeps the sample's evaluation contexts
+    there) holds for as long as the sample lives.
     """
 
     Ap: np.ndarray
     B: np.ndarray
     Am: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in _BLOCKS:
             m = as_tensor(getattr(self, name), (3, 3), name)
+            m.flags.writeable = False
             object.__setattr__(self, name, m)
         for name in ("Ap", "Am"):
             m = getattr(self, name)
@@ -94,7 +99,7 @@ class FBlocks:
 
     def parity(self):
         """Orientation reversal: swaps the two su(2) factors."""
-        return FBlocks(Ap=self.Am.copy(), B=self.B.T.copy(), Am=self.Ap.copy())
+        return FBlocks(Ap=self.Am, B=self.B.T, Am=self.Ap)
 
     def weyl_blocks(self):
         """Traceless parts (Ap~, Am~): the two Weyl half-blocks."""
@@ -155,14 +160,15 @@ def decompose(t: Rank4Tensor) -> FBlocks:
 
 def reconstruct(fb: FBlocks) -> Rank4Tensor:
     """Rebuild the rank-4 tensor from its blocks (exact inverse of decompose)."""
-    m = _block_matrix(fb)
+    m = _block_matrix(stacked(fb))
     return unscaled(_spread(widened(m, 36)), m.den)
 
 
-def reconstruct_scaled(fb) -> Scaled:
-    """The scaled form of the tensor of ``fb``; for a list of FBlocks, of the
+def reconstruct_scaled(blocks) -> Scaled:
+    """The scaled form of the tensor of ``blocks``, keyed by name as
+    ``stacked`` gives them; for the blocks of a list of FBlocks, of the
     tensors stacked along a leading sample axis, over one denominator."""
-    return derived(_spread, 36, _block_matrix(fb))
+    return derived(_spread, 36, _block_matrix(blocks))
 
 
 def stacked(fbs):
@@ -173,9 +179,9 @@ def stacked(fbs):
     return {name: np.stack([getattr(fb, name) for fb in fbs]) for name in _BLOCKS}
 
 
-def _block_matrix(fb) -> Scaled:
-    """The scaled form of M = [[Ap, B], [B^T, Am]], per sample of a list."""
-    b = stacked(fb)
+def _block_matrix(b) -> Scaled:
+    """The scaled form of M = [[Ap, B], [B^T, Am]] of blocks keyed by name,
+    per sample of a stack."""
     m = np.empty((*b["B"].shape[:-2], 6, 6), dtype=object)
     m[..., :3, :3], m[..., :3, 3:] = b["Ap"], b["B"]
     m[..., 3:, :3], m[..., 3:, 3:] = b["B"].swapaxes(-1, -2), b["Am"]

@@ -29,8 +29,16 @@ einsum spec, rank and range checks, the product of the summed ranges and,
 for a large contraction, numpy's greedy pairwise path) is compiled once per
 process into a plan, keyed by the monomial's factors, the free labels, the
 shapes of the factors on one sample and whether the context is batched;
-the coefficient is not part of the key.  Each sample (or batch) then only
-fetches its symbols, bounds the monomial and contracts.
+the coefficient is not part of the key.  A context keeps what a monomial
+takes from it apart from its coefficient (``LazyContext.part``): the
+scalar factors times the denominators, the bound without the coefficient,
+the plan, and the exact contraction of the numerators, on int64 when that
+bound allows.  It is made on the monomial's first evaluation in the context
+and kept for the context's life, keyed by the factors and the free labels.
+Every later expression holding the monomial, another relation's side or a
+mutant that differs in a coefficient, only multiplies its coefficient in;
+when the sum's bound needs Python ints, a kept int64 contraction is widened
+first.
 
 Two evaluation contexts are provided: the tensor language of a rank-4
 curvature tensor and the matrix language of its blocks.
@@ -413,29 +421,33 @@ def _compile(factors, free, shapes, batched=False) -> _Plan:
     return plan
 
 
-class _Term(NamedTuple):
-    """One monomial over integers: ``p / q`` times the contraction of the
-    numerator ``arrays`` along ``plan``; ``p / q`` holds the coefficient,
-    the scalar factors and the arrays' denominators.  ``bound`` is at least
-    |p| times every entry of the contraction and of each of its
-    intermediates, on every sample; 0 when a factor is zero."""
+class _Part(NamedTuple):
+    """What a monomial takes from one context, apart from its coefficient:
+    ``p / q`` is the product of its scalar factors over its arrays'
+    denominators;
+    ``bound``, the product of the summed ranges and of the arrays' largest
+    numerators, is at least every entry of the contraction of the numerator
+    arrays along ``plan`` and of each of its intermediates, on every sample
+    (0 when a factor is zero); ``value`` is that contraction, exact in
+    ``int_dtype(bound)``, or None when ``p`` or ``bound`` is 0 or there is no
+    array to contract."""
 
     p: int
     q: int
     bound: int
     plan: _Plan
-    arrays: list
+    value: object
 
 
-def _monomial(mono: Monomial, context, free) -> _Term:
+def _part(factors, free, context) -> _Part:
     forms = [context.scaled(name) if name in context else None
-             for name, _ in mono.factors]
+             for name, _ in factors]
     batched = context.batch is not None
     # per sample: without the sample axis of a batched context
     shapes = tuple(None if f is None else np.shape(f.num)[batched:]
                    for f in forms)
-    plan = _compile(mono.factors, free, shapes, batched)
-    p, q = mono.coeff.numerator, mono.coeff.denominator
+    plan = _compile(factors, free, shapes, batched)
+    p, q = 1, 1
     for i in plan.scalars:
         num, den, _ = forms[i]
         p, q = p * num, q * den
@@ -446,9 +458,31 @@ def _monomial(mono: Monomial, context, free) -> _Term:
         arrays.append(num)
         q *= den
         bound *= top
+    value = None
+    if plan.spec is not None and p and bound:
+        dtype = int_dtype(bound)
+        value = _contract(plan.spec, plan.steps,
+                          [a.astype(dtype, copy=False) for a in arrays])
+    return _Part(p, q, bound, plan, value)
+
+
+class _Term(NamedTuple):
+    """One monomial over integers: ``p / q`` times the contraction
+    ``part.value``; ``p / q`` is the coefficient times ``part.p / part.q``
+    in lowest terms, and ``bound`` is ``|p| * part.bound``."""
+
+    p: int
+    q: int
+    bound: int
+    part: _Part
+
+
+def _monomial(mono: Monomial, context, free) -> _Term:
+    part = context.part(mono.factors, free)
+    p, q = mono.coeff.numerator * part.p, mono.coeff.denominator * part.q
     g = math.gcd(p, q)
     p, q = p // g, q // g
-    return _Term(p, q, abs(p) * bound, plan, arrays)
+    return _Term(p, q, abs(p) * part.bound, part)
 
 
 def evaluate(poly, context):
@@ -473,14 +507,19 @@ def evaluate(poly, context):
     total = 0
     for t in terms:
         k = t.p * (den // t.q)
-        if t.plan.spec is None:
+        if t.part.plan.spec is None:
             total = total + k
         elif not t.bound:
-            if batch + t.plan.shape:
-                total = total + np.zeros(batch + t.plan.shape, dtype=dtype)
+            if batch + t.part.plan.shape:
+                total = total + np.zeros(batch + t.part.plan.shape, dtype=dtype)
         else:
-            arrays = [a.astype(dtype, copy=False) for a in t.arrays]
-            total = total + k * _contract(t.plan.spec, t.plan.steps, arrays)
+            value = t.part.value
+            if dtype is object:
+                # a contraction kept on int64 (a 0-d one is an np.int64) is
+                # widened before k, which may pass int64, multiplies it
+                value = (value.astype(object, copy=False)
+                         if isinstance(value, np.ndarray) else int(value))
+            total = total + k * value
     return unscaled(total, den)
 
 
@@ -505,12 +544,21 @@ class LazyContext(Mapping):
     request and kept; ``values`` may seed it, so an input keeps the value it
     was given.  ``batch`` is None for one sample; for a batch of N samples
     it is N, and every symbol's numerators carry a leading axis of N.
+
+    ``part(factors, free)`` is a monomial's share of ``evaluate`` that does
+    not depend on its coefficient (see ``_Part``): its scalar factors and
+    denominators, its bound, its plan and the exact contraction of its
+    numerators.  It too is made on first request and kept, so every
+    expression evaluated in the context, every relation side or mutant of
+    one, contracts a monomial once and then only multiplies in its own
+    coefficient.  Everything is kept for as long as the context lives.
     """
 
     def __init__(self, rules, batch=None, **values):
         self._rules = rules
         self._values = values
         self._scaled = {}
+        self._parts = {}
         self.batch = batch
 
     def __getitem__(self, name):
@@ -532,6 +580,12 @@ class LazyContext(Mapping):
         if name not in self._scaled:
             self._scaled[name] = self._rules[name](self)
         return self._scaled[name]
+
+    def part(self, factors, free):
+        key = (factors, free)
+        if key not in self._parts:
+            self._parts[key] = _part(factors, free, self)
+        return self._parts[key]
 
 
 # Rc, Sc, 6 W and 2 Rt from R's numerators, with the growth of each builder
@@ -568,9 +622,14 @@ def tensor_context(t: Rank4Tensor | FBlocks | list):
     """
     if isinstance(t, np.ndarray):
         return LazyContext({"R": lambda ctx: scaled(t), **_TENSOR_RULES}, R=t)
-    batch = None if isinstance(t, FBlocks) else len(t)
-    return LazyContext({"R": lambda ctx: reconstruct_scaled(t), **_TENSOR_RULES},
-                       batch=batch)
+    if isinstance(t, FBlocks):
+        # the rule keeps the blocks, not the sample: the context that
+        # catalog.contexts_for keeps on the sample then does not refer back
+        # to it, and is freed with it
+        b = stacked(t)
+        return LazyContext({"R": lambda ctx: reconstruct_scaled(b), **_TENSOR_RULES})
+    return LazyContext({"R": lambda ctx: reconstruct_scaled(stacked(t)), **_TENSOR_RULES},
+                       batch=len(t))
 
 
 def _det3(m):

@@ -12,6 +12,13 @@ registry, parsed when checked) or an ``expr.Poly`` (used as it is).  The
 mutants that ``mutations`` makes carry both sides as Polys, so checking one
 parses nothing.
 
+Samples are checked one by one, each through ``catalog.contexts_for``,
+which keeps the sample's two contexts on the sample.  Every relation and
+every mutant checked on the same FBlocks therefore shares its symbols and
+its monomial contractions (see ``expr.LazyContext``), for as long as the
+sample lives: ``verify_all`` builds each of its samples' symbols once, and
+a mutant checked after its relation contracts nothing anew.
+
 Relations whose two sides live in different languages (one contracted from
 the rank-4 tensor, the other from the 3x3 blocks) double as consistency
 checks between the two evaluation routes.  A relation with ``rhs_delta``

@@ -1,9 +1,13 @@
 """Invariant catalogs: dual representations, parity behavior, alias lookup."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from riemann_syzygy import catalog, expr
+from riemann_syzygy.decomp import FBlocks
 from riemann_syzygy.catalog import (
     CATALOGS,
     catalog_names,
@@ -125,7 +129,10 @@ def test_contexts_build_only_the_symbols_used(monkeypatch, samples):
     weyl = _count_calls(monkeypatch, expr, "weyl6")
     dual = _count_calls(monkeypatch, expr, "dual2")
     recon = _count_calls(monkeypatch, expr, "reconstruct_scaled")
-    ctx = contexts_for(samples[0])
+    # a sample of its own: the session's samples keep the contexts and
+    # symbols that earlier tests built on them
+    fb = samples[0]
+    ctx = contexts_for(FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am))
     # a matrix-language expression needs no rank-4 tensor at all
     expr.evaluate("Ap[i,j]*B[j,k]*BT[k,i]", ctx["matrix"])
     assert "tensor" in ctx and len(recon) == 0
@@ -141,3 +148,34 @@ def test_contexts_build_only_the_symbols_used(monkeypatch, samples):
     expr.evaluate("W[a,b,c,d]*W[a,b,c,d]", tctx)
     assert tctx["W"] is w and len(weyl) == 1
     assert ctx["tensor"] is tctx and len(recon) == 1
+
+
+def test_contexts_kept_on_the_sample(samples):
+    fb = samples[0]
+    ctx = contexts_for(fb)
+    assert contexts_for(fb) is ctx
+    assert ctx["tensor"] is contexts_for(fb)["tensor"]
+    twin = FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am)
+    other = contexts_for(twin)
+    assert other is not ctx and contexts_for(twin) is other
+    assert other["tensor"] is not ctx["tensor"]
+    assert other["matrix"] is not ctx["matrix"]
+
+
+def test_contexts_go_with_their_sample(samples):
+    s = samples[0]
+    fb = FBlocks(Ap=s.Ap, B=s.B, Am=s.Am)
+    ctx = contexts_for(fb)
+    expr.evaluate("R[a,b,c,d]*W[a,b,c,d]", ctx["tensor"])
+    expr.evaluate("Ap[i,j]*B[j,k]*BT[k,i]", ctx["matrix"])
+    sample, tensor = weakref.ref(fb), weakref.ref(ctx["tensor"])
+    # freed by reference counting alone: the contexts kept on the sample
+    # hold no reference back to it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del fb, ctx
+        assert sample() is None and tensor() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -268,6 +269,15 @@ def test_rational_to_str_equals_reference(x):
     # reaches json.dumps
     assert type(got) is (str if isinstance(want, str) else int)
     assert json.dumps(got) == json.dumps(want)
+
+
+def test_rational_to_str_int64_extremes_do_not_wrap():
+    # Fraction(np.int64(-2**63)) would negate its numerator in int64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (np.int64(-2**63), np.int64(2**63 - 1)):
+            got = rational_to_str(x)
+            assert type(got) is int and got == int(x)
 
 
 @pytest.mark.parametrize("text, value", [

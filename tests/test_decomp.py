@@ -136,7 +136,7 @@ def test_reconstruct_equals_its_scaled_form(samples, scale):
     one = np.eye(3, dtype=object)
     for fb in [FBlocks(Ap=one, B=one, Am=one), *samples[:3]]:
         fb = _scaled_blocks(fb, scale)
-        s = decomp.reconstruct_scaled(fb)
+        s = decomp.reconstruct_scaled(decomp.stacked(fb))
         want = curvature.unscaled(s.num, s.den)
         got = reconstruct(fb)
         assert got.dtype == object
@@ -229,3 +229,21 @@ def test_fblocks_json_bad_schema_and_shape():
         ))
     with pytest.raises(ValueError, match=r"B must have shape \(3, 3\), got \(2, 3\)"):
         fblocks_from_json(json.dumps({"Ap": zero, "B": zero[:2], "Am": zero}))
+
+
+def test_blocks_are_read_only():
+    ap = np.array([[1, 2, 0], [2, 3, 1], [0, 1, 5]], dtype=object)
+    b = np.arange(9, dtype=object).reshape(3, 3)
+    am = np.array([[4, 0, 1], [0, 2, 0], [1, 0, 3]], dtype=object)
+    fb = FBlocks(Ap=ap, B=b, Am=am)
+    made = [fb, random_fblocks(5, GenConfig()), decompose(reconstruct(fb)),
+            fb.parity()]
+    for sample in made:
+        for name in ("Ap", "B", "Am"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sample, name)[0, 0] = 1
+    # the arrays given to FBlocks are copied, not frozen
+    for m in (ap, b, am):
+        assert m.flags.writeable
+    ap[0, 0] = 7
+    assert fb.Ap[0, 0] == 1

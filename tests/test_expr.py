@@ -281,6 +281,35 @@ def test_quartic_bound_counts_summed_ranges():
     assert value == 1536 * 2**56  # tr M**4 for M = 2**15 (1 - P) on pairs
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["one", "batch"])
+@pytest.mark.parametrize("coeff", [2**70, 2**61 + 1], ids=["2**70", "2**61+1"])
+@pytest.mark.parametrize("text", ["Rc[a,b]*Rc[a,b]", "R[a,c,d,e]*W[b,c,d,e]"],
+                         ids=["scalar", "two-free"])
+def test_kept_int64_contraction_widens_for_a_large_coefficient(text, coeff, batched):
+    fbs = [random_fblocks(seed, GenConfig()) for seed in (3, 4)]
+
+    def fresh():
+        return tensor_context(fbs if batched else fbs[0])
+
+    poly = parse(text)
+    ctx = fresh()
+    evaluate(poly, ctx)  # coefficient 1: the contraction is kept on int64
+    mono = poly.monomials[0]
+    kept = ctx.part(mono.factors, poly.free_labels).value
+    assert np.asarray(kept).dtype == np.int64
+    if not batched and not poly.free_labels:
+        assert type(kept) is np.int64
+    big = scale(poly, coeff)  # past int64: the sum runs on Python ints
+    got = evaluate(big, ctx)
+    assert _same(got, evaluate(big, fresh()))
+    if batched:
+        for k, fb in enumerate(fbs):
+            assert _same(got[k], _reference(big, tensor_context(fb)))
+    else:
+        assert _same(got, _reference(big, ctx))
+    assert ctx.part(mono.factors, poly.free_labels).value is kept
+
+
 # ---------------------------------------------------------------------------
 # Contraction plans: compiled once per factors, free labels and shapes
 
@@ -312,7 +341,10 @@ def test_pairwise_path_found_once_per_contraction(monkeypatch):
 def test_mutant_compiles_no_new_plan(samples, monkeypatch):
     monkeypatch.setattr(expr, "_PLANS", {})
     rel = relations.get_relation("gauss_bonnet")
-    ctx = catalog.contexts_for(samples[0])
+    # a sample of its own: the session's samples keep the contractions that
+    # earlier tests made on them
+    fb = samples[0]
+    ctx = catalog.contexts_for(FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am))
 
     def evaluate_sides(r):
         lhs, rhs = r.sides()

@@ -386,3 +386,32 @@ def test_registry_sides_render_round_trip():
         for side in rel.sides():
             if side is not None:
                 assert expr.parse(expr.render(side)) == side, rel.name
+
+
+def test_verify_all_builds_each_sample_once(monkeypatch):
+    recon, weyl = [], []
+    for name, calls in (("reconstruct_scaled", recon), ("weyl6", weyl)):
+        fn = getattr(expr, name)
+        monkeypatch.setattr(expr, name,
+                            lambda x, fn=fn, calls=calls: calls.append(x) or fn(x))
+    report = verify_all(5, 3)
+    assert report.ok
+    # 3 general and 3 Einstein samples, each reconstructed at most once (a
+    # sample's blocks are its own arrays)
+    assert 0 < len(recon) == len({id(b["Ap"]) for b in recon}) <= 6
+    assert 0 < len(weyl) <= 6
+
+
+def test_mutants_reuse_the_relations_contractions(monkeypatch):
+    samples = {d: random_fblocks_stream(13, 3, GenConfig(einstein=(d == "einstein")))
+               for d in ("general", "einstein")}
+    rels = load_relations()
+    for rel in rels:
+        check_relation(rel, samples[rel.domain])
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+    results = [check_relation(mutant, samples[rel.domain])
+               for rel in rels for _, mutant in mutations(rel)]
+    assert len(results) > 398 and not all(r.ok for r in results)
+    assert calls == []
