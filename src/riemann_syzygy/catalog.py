@@ -13,13 +13,17 @@ Each entry carries one or more exact representations:
 
 All representations of an entry evaluate to the same exact rational on every
 curvature tensor; the test suite verifies this on random samples.
-``CatalogEntry.form`` is the one rule that picks the expression and language
-that ``evaluate_entry``, ``ranklab.sample_matrix`` and the CLI evaluate.
+An entry holds every form as a Poly, parsed once when the entry is made, so
+a malformed form fails at import.  The quartic pseudo-scalars are derived
+from their even sources by ``expr.pseudo_variant``.  ``CatalogEntry.form`` is
+the one rule that picks the expression and language that ``evaluate_entry``,
+``ranklab.sample_matrix`` and the CLI evaluate.  Each catalog has one name,
+its key in ``CATALOGS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import expr
@@ -41,12 +45,19 @@ _LANGUAGE = dict(tensor="tensor", matrix="matrix", fform="matrix")
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named invariant with its available exact representations."""
+    """A named invariant with its available exact representations, each
+    given as an expression string or a Poly and held as a Poly."""
 
     label: str
-    tensor: object = None  # Poly | str | None
+    tensor: object = None  # Poly | None
     matrix: object = None
     fform: object = None
+
+    def __post_init__(self):
+        for name in _LANGUAGE:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, expr.as_poly(value))
 
     def representations(self):
         return {
@@ -55,24 +66,14 @@ class CatalogEntry:
             if getattr(self, name) is not None
         }
 
-    def _name(self, representation):
+    def form(self, representation=None):
+        """(language, Poly) of the named representation, or of the first one
+        when none is named."""
         reps = self.representations()
         name = representation or next(iter(reps))
         if name not in reps:
             raise ValueError(f"catalog entry {self.label!r} has no {name!r} form")
-        return name
-
-    def form(self, representation=None):
-        """(language, Poly) of the named representation, or of the first one
-        when none is named; a string form is parsed on every call."""
-        name = self._name(representation)
-        return _LANGUAGE[name], expr.as_poly(getattr(self, name))
-
-    def parsed(self, representation=None):
-        """This entry with the representation that ``form(representation)``
-        picks held as a Poly, so that its later ``form`` calls parse nothing."""
-        name = self._name(representation)
-        return replace(self, **{name: expr.as_poly(getattr(self, name))})
+        return _LANGUAGE[name], reps[name]
 
     def free_labels(self):
         """Free index labels of the entry (empty for a scalar invariant)."""
@@ -615,7 +616,7 @@ QUARTIC_BASIS = [
 # Quintic order: 24 basis candidates
 
 def _times_r(entry):
-    poly = entry.form("matrix")[1]
+    poly = entry.matrix
     monos = tuple(
         expr.Monomial(coeff=m.coeff, factors=(("R", ()),) + m.factors)
         for m in poly.monomials
@@ -715,47 +716,15 @@ PSEUDO_Q3 = [
     ),
 ]
 
-PSEUDO_Q4 = [
-    CatalogEntry(
-        "IIIt", matrix="R*R*Ap[i,j]*Ap[j,i] - R*R*Am[i,j]*Am[j,i]"
-    ),
-    CatalogEntry(
-        "IVt",
-        matrix="R*Ap[i,j]*Ap[j,k]*Ap[k,i] - R*Am[i,j]*Am[j,k]*Am[k,i]",
-    ),
-    CatalogEntry(
-        "Vt",
-        matrix="R*BT[i,j]*Ap[j,k]*B[k,i] - R*B[i,j]*Am[j,k]*BT[k,i]",
-    ),
-    CatalogEntry(
-        "IXt",
-        matrix=(
-            "B[i,j]*BT[j,i]*Ap[k,l]*Ap[l,k] - B[i,j]*BT[j,i]*Am[k,l]*Am[l,k]"
-        ),
-    ),
-    CatalogEntry(
-        "Xt",
-        matrix=(
-            "Ap[i,j]*Ap[j,i]*Ap[k,l]*Ap[l,k] - Am[i,j]*Am[j,i]*Am[k,l]*Am[l,k]"
-        ),
-    ),
-    CatalogEntry(
-        "XIIIt",
-        matrix=(
-            "BT[i,j]*Ap[j,k]*Ap[k,l]*B[l,i] - B[i,j]*Am[j,k]*Am[k,l]*BT[l,i]"
-        ),
-    ),
-    CatalogEntry(
-        "XIVt",
-        matrix=(
-            "Ap[i,j]*Ap[j,k]*Ap[k,l]*Ap[l,i] - Am[i,j]*Am[j,k]*Am[k,l]*Am[l,i]"
-        ),
-    ),
-]
-
 # Labels in QUARTIC_BASIS whose orientation-odd variants form the quartic
-# pseudo-scalar set above.
+# pseudo-scalar set.
 PSEUDO_Q4_SOURCES = ["III", "IV", "V", "IX", "X", "XIII", "XIV"]
+
+PSEUDO_Q4 = [
+    CatalogEntry(f"{e.label}t", matrix=expr.pseudo_variant(e.matrix))
+    for e in QUARTIC_BASIS
+    if e.label in PSEUDO_Q4_SOURCES
+]
 
 
 CATALOGS = {
@@ -773,21 +742,11 @@ CATALOGS = {
 }
 
 
-# accepted long-form spellings of catalog names
-_ALIASES = {
-    "quadratic_scalars": "quadratic",
-    "cubic_scalars": "cubic",
-    "quartic_scalars": "quartic",
-    "quintic_basis": "quintic",
-}
-
-
 def catalog_names():
     return sorted(CATALOGS)
 
 
 def catalog(name):
-    name = _ALIASES.get(name, name)
     try:
         return CATALOGS[name]
     except KeyError:

@@ -9,6 +9,12 @@ deterministic exit codes:
 
 All randomized subcommands require an explicit --seed so that two runs with
 identical inputs produce byte-identical reports.
+
+Samples travel one way each: ``generate`` writes them (``generate --seed S
+--samples N`` writes the samples that ``rank --seed S --samples N`` ranks),
+and ``reconstruct``, ``invariants INPUT`` and ``rank --import-samples`` read
+them.  ``rank`` refuses an envelope whose ``config`` differs from its
+``--bound`` and ``--einstein``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 from . import catalog as catalog_mod
 from . import expr, ranklab, relations, thooft
@@ -63,25 +70,34 @@ def _read_input(path):
 def _samples_to_dict(fbs, config):
     return {
         "schema": SCHEMA,
-        "config": {"bound": config.bound, "einstein": config.einstein},
+        "config": asdict(config),
         "samples": [fblocks_to_dict(fb) for fb in fbs],
     }
 
 
-def _read_samples(path):
+def _read_samples(path, config=None):
     """The block triples of a samples envelope (as written by ``generate``),
-    or the one triple of a bare blocks object."""
+    or the one triple of a bare blocks object.  Given a ``GenConfig``, an
+    envelope whose ``config`` differs from it is refused."""
     try:
         data = json.loads(_read_input(path))
-        if isinstance(data, dict) and "samples" in data:
-            samples = data["samples"]
-            if not isinstance(samples, list):
-                raise ValueError(
-                    f"samples must be a list, got {type(samples).__name__}")
-            return [fblocks_from_dict(d) for d in samples]
-        return [fblocks_from_dict(data)]
+        if not (isinstance(data, dict) and "samples" in data):
+            return [fblocks_from_dict(data)]
+        samples = data["samples"]
+        if not isinstance(samples, list):
+            raise ValueError(
+                f"samples must be a list, got {type(samples).__name__}")
+        fbs = [fblocks_from_dict(d) for d in samples]
     except (ValueError, KeyError, TypeError) as e:
         raise _UsageError(f"malformed blocks input {path!r}: {e}") from e
+    given = data.get("config")
+    if config is not None and given is not None and given != asdict(config):
+        raise _UsageError(
+            f"{path!r} holds samples of config {json.dumps(given)}, but the "
+            f"options give {json.dumps(asdict(config))}; pass the --bound "
+            "and --einstein it was generated with"
+        )
+    return fbs
 
 
 def _read_blocks(path):
@@ -153,20 +169,11 @@ def _cmd_invariants(args):
         )
     if args.input:
         fb = _read_blocks(args.input)
-    elif args.import_samples:
-        fbs = _read_samples(args.import_samples)
-        if not fbs:
-            raise _UsageError(
-                f"{args.import_samples!r} holds 0 samples; one is needed"
-            )
-        fb = fbs[0]
     elif args.seed is None:
-        raise _UsageError("--seed is required (or use --import-samples)")
+        raise _UsageError("--seed is required (or give a blocks file)")
     else:
         config = GenConfig(bound=args.bound, einstein=args.einstein)
         fb = random_fblocks_stream(args.seed, 1, config)[0]
-        if args.export_samples:
-            _emit(dumps(_samples_to_dict([fb], config)), args.export_samples)
     row = ranklab.sample_matrix(entries, [fb])[0]
     values = {e.label: rational_to_str(v) for e, v in zip(entries, row)}
     report = {"schema": SCHEMA, "catalog": args.catalog, "values": values}
@@ -225,7 +232,7 @@ def _cmd_rank(args):
     config = GenConfig(bound=args.bound, einstein=args.einstein)
     samples = None
     if args.import_samples:
-        samples = _read_samples(args.import_samples)
+        samples = _read_samples(args.import_samples, config)
     elif args.seed is None:
         raise _UsageError("--seed is required (or use --import-samples)")
     report = ranklab.rank_report(
@@ -238,9 +245,6 @@ def _cmd_rank(args):
     if report.n_rows < ncols:
         print(f"warning: {report.n_rows} sample rows for {ncols} columns; "
               "the rank cannot reach full column rank", file=sys.stderr)
-    if args.export_samples and samples is None:
-        fbs = random_fblocks_stream(args.seed, report.n_samples, config)
-        _emit(dumps(_samples_to_dict(fbs, config)), args.export_samples)
     if args.format == "table":
         lines = [
             f"catalog: {report.catalog}",
@@ -320,8 +324,6 @@ def _build_parser():
     common(sp, seed=True)
     sp.add_argument("--catalog", required=True)
     sp.add_argument("--einstein", action="store_true")
-    sp.add_argument("--import-samples", dest="import_samples")
-    sp.add_argument("--export-samples", dest="export_samples")
     sp.add_argument("input", nargs="?", default=None,
                     help="block triple JSON file (alternative to --seed)")
     sp.set_defaults(func=_cmd_invariants)
@@ -345,7 +347,6 @@ def _build_parser():
     sp.add_argument("--representation",
                     choices=("tensor", "matrix", "fform"), default=None)
     sp.add_argument("--import-samples", dest="import_samples")
-    sp.add_argument("--export-samples", dest="export_samples")
     sp.add_argument("--expect", type=int, default=None,
                     help="exit 1 unless the rank equals this value")
     sp.set_defaults(func=_cmd_rank)

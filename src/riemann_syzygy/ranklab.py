@@ -241,9 +241,9 @@ def sample_matrix(entries, fbs, representation=None):
     row per sample and free-index assignment for tensor-valued entries,
     sample by sample and then assignment by assignment in C order.
 
-    Each entry contributes ``entry.form(representation)``, evaluated once on
-    all samples: the samples form one batched context per language (see
-    ``expr.tensor_context``)."""
+    Each entry contributes ``entry.form(representation)``, the Poly the entry
+    holds, evaluated once on all samples: the samples form one batched
+    context per language (see ``expr.tensor_context``).  Nothing is parsed."""
     forms = [e.form(representation) for e in entries]
     if len({p.free_labels for _, p in forms}) != 1:
         raise ValueError("all catalog entries must share the same free labels")
@@ -284,8 +284,6 @@ def rank_report(
     if n_samples < 2:
         # with one sample the half set is the full set: stability is vacuous
         raise ValueError(f"rank analysis needs at least 2 samples, got {n_samples}")
-    # the sampled and the confirmation rows evaluate the same forms: parse once
-    entries = [e.parsed(representation) for e in entries]
     rows = sample_matrix(entries, samples, representation)
     n = len(entries)
     ints = _integer_matrix(rows, n)
@@ -312,7 +310,7 @@ def rank_report(
         nullspace=confirmed,
         stable=stable,
         seed=seed,
-        config={"bound": config.bound, "einstein": config.einstein},
+        config=asdict(config),
     )
 
 

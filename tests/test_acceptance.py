@@ -142,7 +142,7 @@ def test_criterion_06_second_rank_syzygies():
     rank_ok = rep.rank == want_rank and rep.stable
 
     # each syzygy as a coefficient vector over the entries A..P
-    column = {expr.parse(e.tensor).monomials[0].factors: i
+    column = {e.tensor.monomials[0].factors: i
               for i, e in enumerate(entries)}
     rels = [get_relation(n) for n in syzygies]
     polys = [r.sides()[0] for r in rels]

@@ -1,7 +1,9 @@
-"""Invariant catalogs: dual representations, parity behavior, alias lookup."""
+"""Invariant catalogs: dual representations, parity behavior, name lookup."""
 
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,9 +97,41 @@ def test_catalog_sizes():
     assert len(catalog.catalog("pseudo_q4")) == 7
 
 
-def test_catalog_aliases():
-    assert catalog.catalog("quartic_scalars") is catalog.catalog("quartic")
-    assert catalog.catalog("cubic_scalars") is catalog.catalog("cubic")
+def test_catalog_aliases_removed():
+    """Each catalog answers to one name: the old long-form spellings are
+    unknown, and the error lists the catalogs there are."""
+    for old in ("quadratic_scalars", "cubic_scalars", "quartic_scalars",
+                "quintic_basis"):
+        with pytest.raises(KeyError, match=f"unknown catalog '{old}'") as exc:
+            catalog.catalog(old)
+        assert "available: " + ", ".join(catalog_names()) in str(exc.value)
+
+
+def test_benchmark_catalogs_exist():
+    """Every catalog the benchmark ranks by name is still a catalog."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    names = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets]
+        in (["SCALAR_CATALOGS"], ["TENSOR_CATALOG"])
+    }
+    used = [*names["SCALAR_CATALOGS"], names["TENSOR_CATALOG"]]
+    assert len(used) == 4
+    assert [n for n in used if n not in CATALOGS] == []
+
+
+def test_entries_hold_polys():
+    """A form is parsed once, when its entry is made: a malformed form fails
+    there, and every entry of every catalog holds only Polys."""
+    with pytest.raises(expr.ExprError, match="malformed factor"):
+        catalog.CatalogEntry("x", tensor="R[a,b")
+    for name in catalog_names():
+        for entry in catalog.catalog(name):
+            forms = entry.representations().values()
+            assert forms and all(isinstance(p, expr.Poly) for p in forms), (
+                name, entry.label)
 
 
 def test_unknown_catalog():
@@ -108,8 +142,7 @@ def test_unknown_catalog():
 
 def test_rank2_entries_have_two_free_indices():
     for entry in catalog.catalog("cubic_rank2"):
-        p = expr.parse(entry.tensor)
-        assert p.free_labels == ("a", "b"), entry.label
+        assert entry.tensor.free_labels == ("a", "b"), entry.label
 
 
 def _count_calls(monkeypatch, module, name):

@@ -136,7 +136,7 @@ _ZERO3 = [[0] * 3] * 3
     (["reconstruct"],
      {"schema": "nonsense", "Ap": _ZERO3, "B": _ZERO3, "Am": _ZERO3},
      "nonsense"),
-    (["invariants", "--catalog", "quadratic", "--import-samples"],
+    (["invariants", "--catalog", "quadratic"],
      {"schema": "riemann-syzygy/1", "samples": []}, "holds 0 samples"),
     (["reconstruct"], {"samples": 5}, "samples must be a list, got int"),
     (["rank", "--catalog", "quadratic", "--import-samples"],
@@ -207,27 +207,48 @@ def test_rank_expect_mismatch_exit_1(capsys):
     assert code == 1
 
 
-def test_rank_alias_catalog(capsys):
-    code, out, _ = run(
-        ["rank", "--catalog", "quartic_scalars", "--samples", "60",
-         "--seed", "3", "--expect", "13"],
-        capsys,
+def test_rank_removed_alias_exit_2(capsys):
+    code, out, err = run(
+        ["rank", "--catalog", "quartic_scalars", "--seed", "3"], capsys
     )
-    assert code == 0
+    assert code == 2 and not out
+    assert "unknown catalog 'quartic_scalars'" in err and "quartic," in err
 
 
 def test_export_import_samples_reproduce(tmp_path, capsys):
+    """``generate`` writes the samples that a seeded ``rank`` ranks."""
     exported = tmp_path / "samples.json"
-    argv = ["rank", "--catalog", "quadratic", "--samples", "20",
-            "--seed", "3", "--export-samples", str(exported)]
-    _, out1, _ = run(argv, capsys)
-    code, out2, _ = run(
-        ["rank", "--catalog", "quadratic",
-         "--import-samples", str(exported)],
+    assert run(["generate", "--seed", "3", "--samples", "20",
+                "--out", str(exported)], capsys)[0] == 0
+    rank = ["rank", "--catalog", "quadratic", "--seed", "3"]
+    code, out, _ = run(rank + ["--samples", "20"], capsys)
+    assert code == 0
+    seeded = json.loads(out)
+    code, imported, _ = run(
+        ["rank", "--catalog", "quadratic", "--import-samples", str(exported)],
         capsys,
     )
-    assert code == 0
-    assert json.loads(out1)["rank"] == json.loads(out2)["rank"]
+    assert code == 0 and seeded["nullspace"]
+    for key in ("rank", "pivots", "nullspace", "n_samples", "stable"):
+        assert json.loads(imported)[key] == seeded[key], key
+    # with the same seed, confirmation too draws the same batch
+    assert run(rank + ["--import-samples", str(exported)], capsys) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--catalog", "quadratic", "--seed", "3", "--export-samples"],
+    ["invariants", "--catalog", "quadratic", "--seed", "3",
+     "--export-samples"],
+    ["invariants", "--catalog", "quadratic", "--import-samples"],
+])
+def test_removed_sample_options_are_usage_errors(tmp_path, capsys, argv):
+    # generate writes samples and rank --import-samples or INPUT reads them
+    path = tmp_path / "samples.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + [str(path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-1] in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_invariants_table(capsys):
@@ -331,25 +352,62 @@ def test_generate_reconstruct_decompose_chain(tmp_path, capsys):
     assert "2 samples" in err
 
 
+def _vanish(vec, rows):
+    return all(sum(c * x for c, x in zip(vec, row)) == 0 for row in rows)
+
+
 def test_rank_import_confirms_null_vectors(tmp_path, capsys):
-    """Imported samples get the fresh-batch confirmation of seeded ones."""
-    samples = tmp_path / "einstein.json"
-    run(["generate", "--seed", "4", "--samples", "30", "--einstein",
-         "--out", str(samples)], capsys)
+    """Imported samples get the fresh-batch confirmation of seeded ones, on
+    the domain their file records and the flags repeat."""
     entries = catalog.catalog("cubic")
+    fresh = {
+        einstein: sample_matrix(entries, random_fblocks_stream(
+            2024, 10, GenConfig(einstein=einstein)))
+        for einstein in (False, True)
+    }
+    null = {}
     for flags, einstein in (([], False), (["--einstein"], True)):
+        samples = tmp_path / f"einstein_{einstein}.json"
+        run(["generate", "--seed", "4", "--samples", "30",
+             "--out", str(samples)] + flags, capsys)
         code, out, _ = run(["rank", "--catalog", "cubic",
                             "--import-samples", str(samples)] + flags, capsys)
         assert code == 0
-        null = json.loads(out)["nullspace"]
-        fresh = sample_matrix(entries, random_fblocks_stream(
-            2024, 10, GenConfig(einstein=einstein)))
-        for vec in null:
-            assert all(sum(c * x for c, x in zip(vec, row)) == 0
-                       for row in fresh)
-        # Einstein-only relations are not identities of the general domain,
-        # but on the Einstein domain they are confirmed and reported
-        assert bool(null) == einstein
+        report = json.loads(out)
+        assert report["config"] == {"bound": 9, "einstein": einstein}
+        null[einstein] = report["nullspace"]
+        assert null[einstein]
+        assert all(_vanish(vec, fresh[einstein]) for vec in null[einstein])
+    # the Einstein domain has relations that are not general identities
+    assert len(null[True]) > len(null[False])
+    assert not all(_vanish(vec, fresh[False]) for vec in null[True])
+
+
+def test_rank_import_config_mismatch_exit_2(tmp_path, capsys):
+    """An envelope records the config it was drawn with; ranking it under
+    other flags exits 2 and names both configs."""
+    samples = tmp_path / "einstein.json"
+    run(["generate", "--seed", "4", "--samples", "30", "--einstein",
+         "--out", str(samples)], capsys)
+    rank = ["rank", "--catalog", "cubic", "--import-samples", str(samples)]
+    for flags, wanted in (
+        ([], '{"bound": 9, "einstein": false}'),
+        (["--einstein", "--bound", "4"], '{"bound": 4, "einstein": true}'),
+    ):
+        code, out, err = run(rank + flags, capsys)
+        assert code == 2 and not out
+        assert '{"bound": 9, "einstein": true}' in err and wanted in err
+    assert run(rank + ["--einstein"], capsys)[0] == 0
+    # an envelope without a config, or a bare blocks object, states none
+    data = json.loads(samples.read_text())
+    del data["config"]
+    samples.write_text(json.dumps(data))
+    assert run(rank, capsys)[0] == 0
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(data["samples"][0]))
+    code, out, err = run(["rank", "--catalog", "cubic", "--import-samples",
+                          str(bare)], capsys)
+    assert code == 2 and "at least 2 samples" in err
 
 
 def test_one_parser_serves_many_calls(tmp_path, capsys):

@@ -210,17 +210,16 @@ def test_rank_report_given_samples_match_seeded():
     assert given.to_dict() == seeded.to_dict()
 
 
-def test_rank_report_parses_each_entry_once(monkeypatch):
-    parsed = []
-    parse = expr.parse
-    monkeypatch.setattr(expr, "parse", lambda text: parsed.append(text) or parse(text))
+def test_rank_report_parses_nothing(monkeypatch):
+    """Catalog entries hold their forms as Polys, so a report parses none."""
+    def parse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(expr, "parse", parse)
     entries = catalog.catalog("quartic")
-    for seed in (1, 2):  # every report parses its forms, once each
-        parsed.clear()
-        report = rank_report(entries, seed=seed)
+    for representation in (None, "matrix"):
+        report = rank_report(entries, seed=1, representation=representation)
         assert report.rank == 13 and report.nullspace
-        assert parsed == [e.tensor for e in entries]  # the default form
-        assert len(parsed) == 26
 
 
 def test_rank_report_rejects_too_few_samples():
