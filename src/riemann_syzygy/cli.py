@@ -13,8 +13,8 @@ identical inputs produce byte-identical reports.
 Samples travel one way each: ``generate`` writes them (``generate --seed S
 --samples N`` writes the samples that ``rank --seed S --samples N`` ranks),
 and ``reconstruct``, ``invariants INPUT`` and ``rank --import-samples`` read
-them.  ``rank`` refuses an envelope whose ``config`` differs from its
-``--bound`` and ``--einstein``.
+them.  ``rank`` and ``invariants`` refuse an envelope whose ``config``
+differs from their ``--bound`` and ``--einstein``.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ def _read_samples(path, config=None):
     return fbs
 
 
-def _read_blocks(path):
+def _read_blocks(path, config=None):
     """One block triple: a bare blocks object, or a samples envelope holding
-    exactly one sample."""
-    fbs = _read_samples(path)
+    exactly one sample (of ``config``, when one is given)."""
+    fbs = _read_samples(path, config)
     if len(fbs) != 1:
         raise _UsageError(
             f"{path!r} holds {len(fbs)} samples; "
@@ -167,12 +167,14 @@ def _cmd_invariants(args):
             f"catalog {args.catalog!r} is tensor-valued; invariants evaluates "
             f"scalar catalogs only (use: rank --catalog {args.catalog})"
         )
+    config = GenConfig(bound=args.bound, einstein=args.einstein)
+    if args.input and args.seed is not None:
+        raise _UsageError("give a blocks file or --seed, not both")
     if args.input:
-        fb = _read_blocks(args.input)
+        fb = _read_blocks(args.input, config)
     elif args.seed is None:
         raise _UsageError("--seed is required (or give a blocks file)")
     else:
-        config = GenConfig(bound=args.bound, einstein=args.einstein)
         fb = random_fblocks_stream(args.seed, 1, config)[0]
     row = ranklab.sample_matrix(entries, [fb])[0]
     values = {e.label: rational_to_str(v) for e, v in zip(entries, row)}
@@ -230,13 +232,13 @@ def _resolve_catalog(name):
 def _cmd_rank(args):
     entries = _resolve_catalog(args.catalog)
     config = GenConfig(bound=args.bound, einstein=args.einstein)
-    samples = None
-    if args.import_samples:
-        samples = _read_samples(args.import_samples, config)
-    elif args.seed is None:
-        raise _UsageError("--seed is required (or use --import-samples)")
+    if args.seed is None:
+        raise _UsageError("--seed is required (it also draws the batch that "
+                          "confirms the null vectors)")
+    samples = (_read_samples(args.import_samples, config)
+               if args.import_samples else None)
     report = ranklab.rank_report(
-        entries, seed=-1 if args.seed is None else args.seed,
+        entries, seed=args.seed,
         n_samples=args.samples, config=config,
         representation=args.representation, catalog_name=args.catalog,
         samples=samples,

@@ -7,10 +7,11 @@ an expectation ("zero" for identities, "nonzero" for recorded non-identities
 kept as negative controls).  Verification evaluates the residual lhs - rhs
 exactly, component by component, on seeded random samples.
 
-A side of a ``Relation`` is an expression string (as loaded from the
-registry, parsed when checked) or an ``expr.Poly`` (used as it is).  The
-mutants that ``mutations`` makes carry both sides as Polys, so checking one
-parses nothing.
+A ``Relation`` holds each side as an ``expr.Poly``, parsed once when the
+relation is made (a side may be given as an expression string or a Poly).
+The registry is read, parsed and checked once, when this module is
+imported, so a malformed entry fails at import, naming the relation, and
+no check, residual or mutant parses anything.
 
 Samples are checked one by one, each through ``catalog.contexts_for``,
 which keeps the sample's two contexts on the sample.  Every relation and
@@ -66,21 +67,25 @@ def _bad_side(name, key, side):
 
 @dataclass(frozen=True)
 class Relation:
-    """One cataloged identity (or recorded non-identity).  Each side is an
-    expression string or an ``expr.Poly``."""
+    """One cataloged identity (or recorded non-identity).  Each side is given
+    as an expression string or an ``expr.Poly`` and held as a Poly."""
 
     name: str
     domain: str  # "general" or "einstein"
     lhs_language: str  # "tensor" or "matrix"
-    lhs: str | expr.Poly
+    lhs: expr.Poly
     rhs_language: str | None = None
-    rhs: str | expr.Poly | None = None
+    rhs: expr.Poly | None = None
     rhs_delta: bool = False
     expect: str = "zero"  # "zero" or "nonzero"
     tags: tuple = ()
     notes: str = ""
 
     def __post_init__(self):
+        """ValueError naming the relation for a bad field, a side that does
+        not parse, or sides that cannot be compared entry by entry:
+        different free labels, or, with ``rhs_delta``, anything but a
+        two-index lhs and scalar rhs."""
         if self.domain not in ("general", "einstein"):
             raise ValueError(f"{self.name}: bad domain {self.domain!r}")
         if self.expect not in ("zero", "nonzero"):
@@ -97,16 +102,13 @@ class Relation:
             side = getattr(self, key)
             if not (isinstance(side, expr.Poly) or isinstance(side, str) and side.strip()):
                 raise _bad_side(self.name, key, side)
-
-    def sides(self):
-        """The (lhs, rhs) as Polys, rhs None when there is none; a string side
-        is parsed, a Poly side used as it is.  ValueError when they cannot be
-        compared entry by entry: different free labels, or, with
-        ``rhs_delta``, anything but a two-index lhs and scalar rhs."""
-        lhs = expr.as_poly(self.lhs)
+            try:
+                object.__setattr__(self, key, expr.as_poly(side))
+            except expr.ExprError as e:
+                raise ValueError(f"{self.name}: {key}: {e}") from e
         if self.rhs is None:
-            return lhs, None
-        rhs = expr.as_poly(self.rhs)
+            return
+        lhs, rhs = self.lhs, self.rhs
         if self.rhs_delta:
             ok = len(lhs.free_labels) == 2 and rhs.is_scalar
             want = "a two-index lhs and a scalar rhs"
@@ -118,7 +120,6 @@ class Relation:
                 f"{self.name}: lhs free labels {lhs.free_labels} and rhs free "
                 f"labels {rhs.free_labels} do not fit; expected {want}"
             )
-        return lhs, rhs
 
 
 @dataclass
@@ -154,8 +155,9 @@ class VerifyReport:
 def _relation_from_dict(d, position):
     """The Relation of registry entry number ``position``.  ValueError naming
     the relation (or, without a name, the position) for a missing name, a
-    side without its ``language`` or ``expr`` or with a null ``expr``, or
-    ``tags`` that are not a list of strings."""
+    side without its ``language`` or ``expr`` or with a null ``expr``,
+    ``tags`` that are not a list of strings, and whatever ``Relation``
+    rejects, such as a side that does not parse or sides that do not fit."""
     if "name" not in d:
         raise ValueError(f"registry entry {position} has no name")
     name = d["name"]
@@ -192,21 +194,24 @@ def _relation_from_dict(d, position):
     )
 
 
-_CACHE = None
+def _read_registry():
+    """All relations of the registry file, in file order."""
+    text = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text()
+    rels = tuple(_relation_from_dict(d, i)
+                 for i, d in enumerate(json.loads(text)["relations"]))
+    names = [r.name for r in rels]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate relation names in the registry")
+    return rels
+
+
+_REGISTRY = _read_registry()
 
 
 def load_relations():
-    """All cataloged relations, in file order."""
-    global _CACHE
-    if _CACHE is None:
-        text = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text()
-        data = json.loads(text)
-        _CACHE = tuple(_relation_from_dict(d, i)
-                       for i, d in enumerate(data["relations"]))
-        names = [r.name for r in _CACHE]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate relation names in the registry")
-    return _CACHE
+    """All cataloged relations, in file order, read and parsed once, when
+    this module is imported."""
+    return _REGISTRY
 
 
 def relation_names():
@@ -226,31 +231,24 @@ def _is_zero(value):
     return value == 0
 
 
-def _residual(rel: Relation, lhs, rhs, fb):
-    """lhs - rhs of ``rel`` on one sample, given its two parsed sides."""
+def residual(rel: Relation, fb):
+    """Exact lhs - rhs on one sample (scalar or object ndarray)."""
     ctx = contexts_for(fb)
-    lv = expr.evaluate(lhs, ctx[rel.lhs_language])
-    if rhs is None:
+    lv = expr.evaluate(rel.lhs, ctx[rel.lhs_language])
+    if rel.rhs is None:
         return lv
-    rv = expr.evaluate(rhs, ctx[rel.rhs_language])
+    rv = expr.evaluate(rel.rhs, ctx[rel.rhs_language])
     if rel.rhs_delta:
         rv = rv * DELTA4
     return lv - rv
 
 
-def residual(rel: Relation, fb):
-    """Exact lhs - rhs on one sample (scalar or object ndarray)."""
-    lhs, rhs = rel.sides()
-    return _residual(rel, lhs, rhs, fb)
-
-
 def check_relation(rel: Relation, samples):
     """Verify one relation on a list of FBlocks samples."""
-    lhs, rhs = rel.sides()
     first_failure = None
     saw_nonzero = False
     for i, fb in enumerate(samples):
-        zero = _is_zero(_residual(rel, lhs, rhs, fb))
+        zero = _is_zero(residual(rel, fb))
         if rel.expect == "zero" and not zero:
             first_failure = i
             break
@@ -307,18 +305,15 @@ def _mutate_expr(poly, index):
 
 def mutations(rel: Relation):
     """Yield (description, relation) pairs, each with one coefficient of the
-    original relation shifted by +1.  The original's string sides are parsed
-    once; every mutant carries both its sides as Polys, the mutated one and
-    the other unchanged, so checking a mutant parses nothing."""
-    lhs, rhs = rel.sides()
-    for i in range(len(lhs.monomials)):
+    original relation shifted by +1; the other side is the original's."""
+    for i in range(len(rel.lhs.monomials)):
         yield (
             f"{rel.name}: lhs monomial {i} coefficient +1",
-            replace(rel, lhs=_mutate_expr(lhs, i), rhs=rhs),
+            replace(rel, lhs=_mutate_expr(rel.lhs, i)),
         )
-    if rhs is not None:
-        for i in range(len(rhs.monomials)):
+    if rel.rhs is not None:
+        for i in range(len(rel.rhs.monomials)):
             yield (
                 f"{rel.name}: rhs monomial {i} coefficient +1",
-                replace(rel, lhs=lhs, rhs=_mutate_expr(rhs, i)),
+                replace(rel, rhs=_mutate_expr(rel.rhs, i)),
             )

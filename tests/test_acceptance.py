@@ -114,13 +114,11 @@ def test_criterion_06_second_rank_syzygies():
     # contraction meta-check on Bianchi-violating tensors, where the cubic
     # trace identities are falsifiable
     def trace_of(name, t):
-        m = expr.evaluate(expr.parse(get_relation(name).lhs),
-                          expr.tensor_context(t))
+        m = expr.evaluate(get_relation(name).lhs, expr.tensor_context(t))
         return sum(m[i, i] for i in range(4))
 
     def scalar_of(name, t):
-        return expr.evaluate(expr.parse(get_relation(name).lhs),
-                             expr.tensor_context(t))
+        return expr.evaluate(get_relation(name).lhs, expr.tensor_context(t))
 
     meta_ok, saw_nonzero = True, False
     for seed in range(1, 6):
@@ -145,7 +143,7 @@ def test_criterion_06_second_rank_syzygies():
     column = {e.tensor.monomials[0].factors: i
               for i, e in enumerate(entries)}
     rels = [get_relation(n) for n in syzygies]
-    polys = [r.sides()[0] for r in rels]
+    polys = [r.lhs for r in rels]
     vectors = []
     for poly in polys:
         vec = [Fraction(0)] * len(entries)
@@ -300,10 +298,9 @@ def test_criterion_11_mutation_soundness():
             continue
         for side, lang in (("lhs", rel.lhs_language),
                            ("rhs", rel.rhs_language)):
-            text = getattr(rel, side)
-            if text is None:
+            poly = getattr(rel, side)
+            if poly is None:
                 continue
-            poly = expr.parse(text)
             for mono in poly.monomials:
                 single = expr.Poly(monomials=(mono,),
                                    free_labels=poly.free_labels)

@@ -139,7 +139,7 @@ _ZERO3 = [[0] * 3] * 3
     (["invariants", "--catalog", "quadratic"],
      {"schema": "riemann-syzygy/1", "samples": []}, "holds 0 samples"),
     (["reconstruct"], {"samples": 5}, "samples must be a list, got int"),
-    (["rank", "--catalog", "quadratic", "--import-samples"],
+    (["rank", "--catalog", "quadratic", "--seed", "3", "--import-samples"],
      {"samples": {"Ap": 1}}, "samples must be a list, got dict"),
     (["reconstruct"], {"samples": "Ap"}, "samples must be a list, got str"),
 ])
@@ -225,7 +225,8 @@ def test_export_import_samples_reproduce(tmp_path, capsys):
     assert code == 0
     seeded = json.loads(out)
     code, imported, _ = run(
-        ["rank", "--catalog", "quadratic", "--import-samples", str(exported)],
+        ["rank", "--catalog", "quadratic", "--seed", "4",
+         "--import-samples", str(exported)],
         capsys,
     )
     assert code == 0 and seeded["nullspace"]
@@ -233,6 +234,18 @@ def test_export_import_samples_reproduce(tmp_path, capsys):
         assert json.loads(imported)[key] == seeded[key], key
     # with the same seed, confirmation too draws the same batch
     assert run(rank + ["--import-samples", str(exported)], capsys) == (0, out, "")
+
+
+def test_rank_import_without_seed_exit_2(tmp_path, capsys):
+    # the seed also draws the batch that confirms the null vectors
+    samples = tmp_path / "samples.json"
+    run(["generate", "--seed", "3", "--samples", "20", "--out", str(samples)],
+        capsys)
+    code, out, err = run(["rank", "--catalog", "quadratic",
+                          "--import-samples", str(samples)], capsys)
+    assert code == 2 and not out
+    assert err == ("error: --seed is required (it also draws the batch that "
+                   "confirms the null vectors)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,7 +383,7 @@ def test_rank_import_confirms_null_vectors(tmp_path, capsys):
         samples = tmp_path / f"einstein_{einstein}.json"
         run(["generate", "--seed", "4", "--samples", "30",
              "--out", str(samples)] + flags, capsys)
-        code, out, _ = run(["rank", "--catalog", "cubic",
+        code, out, _ = run(["rank", "--catalog", "cubic", "--seed", "4",
                             "--import-samples", str(samples)] + flags, capsys)
         assert code == 0
         report = json.loads(out)
@@ -389,7 +402,8 @@ def test_rank_import_config_mismatch_exit_2(tmp_path, capsys):
     samples = tmp_path / "einstein.json"
     run(["generate", "--seed", "4", "--samples", "30", "--einstein",
          "--out", str(samples)], capsys)
-    rank = ["rank", "--catalog", "cubic", "--import-samples", str(samples)]
+    rank = ["rank", "--catalog", "cubic", "--seed", "4",
+            "--import-samples", str(samples)]
     for flags, wanted in (
         ([], '{"bound": 9, "einstein": false}'),
         (["--einstein", "--bound", "4"], '{"bound": 4, "einstein": true}'),
@@ -405,9 +419,25 @@ def test_rank_import_config_mismatch_exit_2(tmp_path, capsys):
     assert run(rank, capsys)[0] == 0
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(data["samples"][0]))
-    code, out, err = run(["rank", "--catalog", "cubic", "--import-samples",
-                          str(bare)], capsys)
+    code, out, err = run(["rank", "--catalog", "cubic", "--seed", "4",
+                          "--import-samples", str(bare)], capsys)
     assert code == 2 and "at least 2 samples" in err
+
+
+def test_invariants_input_checks_its_flags(tmp_path, capsys):
+    """``invariants INPUT`` takes no --seed, and refuses an envelope drawn
+    with other --bound or --einstein, as ``rank --import-samples`` does."""
+    blocks = tmp_path / "one.json"
+    run(["generate", "--seed", "7", "--out", str(blocks)], capsys)
+    invariants = ["invariants", "--catalog", "quadratic", str(blocks)]
+    code, out, err = run(invariants + ["--seed", "7"], capsys)
+    assert code == 2 and not out
+    assert err == "error: give a blocks file or --seed, not both\n"
+    code, out, err = run(invariants + ["--einstein", "--bound", "2"], capsys)
+    assert code == 2 and not out
+    assert ('{"bound": 9, "einstein": false}' in err
+            and '{"bound": 2, "einstein": true}' in err)
+    assert run(invariants + ["--bound", "9"], capsys)[0] == 0
 
 
 def test_one_parser_serves_many_calls(tmp_path, capsys):

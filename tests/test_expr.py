@@ -206,7 +206,7 @@ _EXPRESSIONS = [
     for rel in relations.load_relations()
     for side, lang, poly in zip(("lhs", "rhs"),
                                 (rel.lhs_language, rel.rhs_language),
-                                rel.sides())
+                                (rel.lhs, rel.rhs))
     if poly is not None
 ] + [
     (f"{name}/{entry.label} {kind}", *entry.form(kind))
@@ -347,10 +347,9 @@ def test_mutant_compiles_no_new_plan(samples, monkeypatch):
     ctx = catalog.contexts_for(FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am))
 
     def evaluate_sides(r):
-        lhs, rhs = r.sides()
-        evaluate(lhs, ctx[r.lhs_language])
-        if rhs is not None:
-            evaluate(rhs, ctx[r.rhs_language])
+        evaluate(r.lhs, ctx[r.lhs_language])
+        if r.rhs is not None:
+            evaluate(r.rhs, ctx[r.rhs_language])
 
     evaluate_sides(rel)
     plans = dict(expr._PLANS)

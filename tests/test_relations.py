@@ -2,8 +2,8 @@
 
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -94,16 +94,17 @@ _MISMATCHED = [
 ]
 
 
+def _shaped(lhs, rhs, rhs_delta):
+    return relations.Relation(name="bad_shape", domain="general",
+                              lhs_language="tensor", lhs=lhs,
+                              rhs_language="tensor", rhs=rhs, rhs_delta=rhs_delta)
+
+
 @pytest.mark.parametrize("lhs, rhs, rhs_delta", _MISMATCHED)
-def test_mismatched_sides_rejected(lhs, rhs, rhs_delta, samples, monkeypatch):
-    rel = relations.Relation(name="bad_shape", domain="general",
-                             lhs_language="tensor", lhs=lhs,
-                             rhs_language="tensor", rhs=rhs, rhs_delta=rhs_delta)
-    monkeypatch.setattr(relations, "contexts_for", None)  # no sample is evaluated
-    with pytest.raises(ValueError, match="bad_shape"):
-        check_relation(rel, samples)
-    with pytest.raises(ValueError, match="bad_shape"):
-        residual(rel, samples[0])
+def test_mismatched_sides_rejected(lhs, rhs, rhs_delta):
+    # rejected when the relation is made, before any sample exists
+    with pytest.raises(ValueError, match="^bad_shape: lhs free labels .* do not fit"):
+        _shaped(lhs, rhs, rhs_delta)
 
 
 @pytest.mark.parametrize("fields, reason", [
@@ -122,6 +123,11 @@ def test_malformed_relation_rejected(fields, reason):
 _SIDE = {"language": "tensor", "expr": "Sc"}
 
 
+def _sides(lhs, rhs, **fields):
+    return {"name": "bad_rel", "lhs": {"language": "tensor", "expr": lhs},
+            "rhs": {"language": "tensor", "expr": rhs}, **fields}
+
+
 @pytest.mark.parametrize("entry, reason", [
     ({"lhs": _SIDE}, "registry entry 4 has no name"),
     ({"name": "bad_rel"}, "bad_rel: no lhs"),
@@ -134,8 +140,16 @@ _SIDE = {"language": "tensor", "expr": "Sc"}
      "bad_rel: tags must be a list of strings"),
     ({"name": "bad_rel", "lhs": _SIDE, "tags": ["a", 1]},
      "bad_rel: tags must be a list of strings"),
+    ({"name": "bad_rel", "lhs": {"language": "tensor", "expr": "R[a,b"}},
+     r"bad_rel: lhs: malformed factor 'R\[a,b'$"),
+    (_sides("Sc", "Sc*"), "bad_rel: rhs: "),
+    (_sides("Rc[a,b]", "Rc[c,d]"),
+     "bad_rel: lhs free labels .* expected the same free labels on both sides$"),
+    (_sides("Rc[a,b]", "Rc[a,b]", rhs_delta=True),
+     "bad_rel: lhs free labels .* expected a two-index lhs and a scalar rhs$"),
 ], ids=["no-name", "no-lhs", "lhs-no-language", "rhs-no-expr",
-        "rhs-no-language", "string-tags", "non-string-tag"])
+        "rhs-no-language", "string-tags", "non-string-tag", "malformed-lhs",
+        "malformed-rhs", "unfit-labels", "unfit-rhs-delta"])
 def test_malformed_registry_entry_rejected(entry, reason):
     with pytest.raises(ValueError, match=f"^{reason}"):
         relations._relation_from_dict(entry, 4)
@@ -161,10 +175,33 @@ def test_registry_null_expr_names_its_side(key):
         relations._relation_from_dict(entry, 0)
 
 
-def test_load_relations_parses_nothing(monkeypatch):
-    monkeypatch.setattr(relations, "_CACHE", None)
-    monkeypatch.setattr(expr, "parse", None)  # a parse would raise TypeError
-    assert len(load_relations()) == 67
+def test_checking_parses_nothing(monkeypatch):
+    """The registry is parsed when the module is imported: verifying it, and
+    making and checking every mutant, parse nothing."""
+    def parse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(expr, "parse", parse)
+    assert verify_all(1, 2).ok
+    samples = {d: random_fblocks_stream(1, 2, GenConfig(einstein=(d == "einstein")))
+               for d in ("general", "einstein")}
+    results = [check_relation(mutant, samples[rel.domain])
+               for rel in load_relations() for _, mutant in mutations(rel)]
+    assert len(results) > 398
+
+
+def _registry_entries():
+    text = resources.files("riemann_syzygy.data").joinpath("relations.json").read_text()
+    return json.loads(text)["relations"]
+
+
+def test_registry_sides_are_their_parsed_text():
+    entries = _registry_entries()
+    assert [d["name"] for d in entries] == relation_names()
+    for d in entries:
+        rel = get_relation(d["name"])
+        assert rel.lhs == expr.parse(d["lhs"]["expr"]), rel.name
+        assert rel.rhs == (expr.parse(d["rhs"]["expr"]) if d.get("rhs") else None), rel.name
 
 
 def test_registry_entry_tags_kept():
@@ -175,7 +212,8 @@ def test_registry_entry_tags_kept():
 
 def test_registry_sides_accepted():
     for rel in load_relations():
-        rel.sides()
+        assert isinstance(rel.lhs, expr.Poly), rel.name
+        assert rel.rhs is None or isinstance(rel.rhs, expr.Poly), rel.name
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +222,12 @@ def test_registry_sides_accepted():
 
 def _trace_value(rel_name, t):
     """Evaluate a rank-2 relation's lhs on a raw tensor and take its trace."""
-    p = expr.parse(get_relation(rel_name).lhs)
-    m = expr.evaluate(p, expr.tensor_context(t))
+    m = expr.evaluate(get_relation(rel_name).lhs, expr.tensor_context(t))
     return sum(m[i, i] for i in range(4))
 
 
 def _scalar_value(rel_name, t):
-    p = expr.parse(get_relation(rel_name).lhs)
-    return expr.evaluate(p, expr.tensor_context(t))
+    return expr.evaluate(get_relation(rel_name).lhs, expr.tensor_context(t))
 
 
 def test_contracting_rank2_syzygies_gives_cubic_traces():
@@ -212,9 +248,9 @@ def test_contracting_rank2_syzygies_gives_cubic_traces():
 
 
 def test_quartic_x1_is_sixth_of_c_plus_d():
-    c = expr.parse(get_relation("quartic_c").lhs)
-    d = expr.parse(get_relation("quartic_d").lhs)
-    x1 = expr.parse(get_relation("quartic_x1").lhs)
+    c = get_relation("quartic_c").lhs
+    d = get_relation("quartic_d").lhs
+    x1 = get_relation("quartic_x1").lhs
     diff = expr.combine((Fraction(1, 6), c), (Fraction(1, 6), d), (-1, x1))
     # equality must hold term by term for arbitrary tensors, not just
     # curvature tensors: check on Bianchi-violating samples
@@ -225,12 +261,12 @@ def test_quartic_x1_is_sixth_of_c_plus_d():
 
 def test_quartic_x2_combination():
     combo = expr.combine(
-        (Fraction(1, 4), expr.parse(get_relation("quartic_f").lhs)),
-        (Fraction(-3, 4), expr.parse(get_relation("quartic_g").lhs)),
-        (Fraction(1, 2), expr.parse(get_relation("quartic_h").lhs)),
-        (Fraction(1, 2), expr.parse(get_relation("quartic_a").lhs)),
-        (Fraction(3, 2), expr.parse(get_relation("quartic_b").lhs)),
-        (-1, expr.parse(get_relation("quartic_x2").lhs)),
+        (Fraction(1, 4), get_relation("quartic_f").lhs),
+        (Fraction(-3, 4), get_relation("quartic_g").lhs),
+        (Fraction(1, 2), get_relation("quartic_h").lhs),
+        (Fraction(1, 2), get_relation("quartic_a").lhs),
+        (Fraction(3, 2), get_relation("quartic_b").lhs),
+        (-1, get_relation("quartic_x2").lhs),
     )
     for seed in range(1, 4):
         t = relaxed_tensor(seed)
@@ -250,7 +286,7 @@ def test_einstein_pseudo_contractions_give_signature_density():
     }
     for i in range(1, 9):
         rel = get_relation(f"einstein_pseudo_{i}")
-        traced = expr.relabel(expr.parse(rel.lhs), {"c": "a", "d": "b"})
+        traced = expr.relabel(rel.lhs, {"c": "a", "d": "b"})
         vals = []
         for fb in einstein:
             ctx = contexts_for(fb)["tensor"]
@@ -270,16 +306,14 @@ def test_einstein_pseudo_contractions_give_signature_density():
 
 def test_mutations_change_the_expression():
     """Each mutant differs from its relation in one coefficient of one side,
-    by exactly +1, and carries both sides as Polys."""
+    by exactly +1."""
     count = 0
     for rel in load_relations():
-        sides = rel.sides()
+        sides = (rel.lhs, rel.rhs)
         for desc, mutant in mutations(rel):
             assert rel.name in desc
-            assert isinstance(mutant.lhs, expr.Poly)
-            assert mutant.rhs is None or isinstance(mutant.rhs, expr.Poly)
             changed = [(k, i, a, b)
-                       for k, (p, q) in enumerate(zip(sides, mutant.sides()))
+                       for k, (p, q) in enumerate(zip(sides, (mutant.lhs, mutant.rhs)))
                        if p is not None
                        for i, (a, b) in enumerate(zip(p.monomials, q.monomials))
                        if a != b]
@@ -288,30 +322,28 @@ def test_mutations_change_the_expression():
             assert desc == f"{rel.name}: {('lhs', 'rhs')[k]} monomial {i} coefficient +1"
             assert b.factors == a.factors and b.coeff == a.coeff + 1
             # nothing else moved: same monomial count and free labels
-            for p, q in zip(sides, mutant.sides()):
+            for p, q in zip(sides, (mutant.lhs, mutant.rhs)):
                 assert (p is None) == (q is None)
                 if p is not None:
                     assert len(q.monomials) == len(p.monomials)
                     assert q.free_labels == p.free_labels
             count += 1
     assert count == sum(len(p.monomials) for r in load_relations()
-                        for p in r.sides() if p is not None)
+                        for p in (r.lhs, r.rhs) if p is not None)
 
 
 def test_mutations_parse_the_relation_once(monkeypatch, samples):
     parsed = []
     parse = expr.parse
     monkeypatch.setattr(expr, "parse", lambda text: parsed.append(text) or parse(text))
+    # the relation was parsed when the registry loaded: generating its
+    # mutants, and checking every one, parses nothing more
     rel = get_relation("quartic_a")
     assert len(list(mutations(rel))) == 7
-    assert parsed == [rel.lhs]
-    # a relation with an rhs: generating and checking every mutant parses
-    # only the original's two sides, once each
-    parsed.clear()
     rel = get_relation("hirzebruch_dual_route")
     results = [check_relation(mutant, samples[:3]) for _, mutant in mutations(rel)]
     assert len(results) == 3 and not any(r.ok for r in results)
-    assert parsed == [rel.lhs, rel.rhs]
+    assert parsed == []
 
 
 def test_mutated_relation_detected(samples):
@@ -347,43 +379,40 @@ def test_verify_and_mutation_verdicts_byte_identical():
 
 
 # ---------------------------------------------------------------------------
-# A side given as a Poly checks as its expression string does
+# A relation built from its expression strings equals one built from Polys
 
 
-def _poly_twin(rel):
-    lhs, rhs = (expr.parse(side) if side is not None else None
-                for side in (rel.lhs, rel.rhs))
-    return replace(rel, lhs=lhs, rhs=rhs)
+def _poly_twin(d):
+    """Registry entry ``d`` with each side's expression given as its Poly."""
+    return {**d, **{key: {**d[key], "expr": expr.parse(d[key]["expr"])}
+                    for key in ("lhs", "rhs") if d.get(key)}}
 
 
 def test_poly_sides_check_like_strings():
     samples = {domain: random_fblocks_stream(7, 3, GenConfig(einstein=domain == "einstein"))
                for domain in ("general", "einstein")}
-    rels = load_relations()
-    assert len(rels) == 67
-    for rel in rels:
-        twin = _poly_twin(rel)
-        assert isinstance(twin.lhs, expr.Poly)
-        assert twin.sides() == rel.sides()
+    entries = _registry_entries()
+    assert len(entries) == 67
+    for i, d in enumerate(entries):
+        rel = relations._relation_from_dict(d, i)
+        twin = relations._relation_from_dict(_poly_twin(d), i)
+        assert twin == rel == get_relation(rel.name)
         want = check_relation(rel, samples[rel.domain])
         assert check_relation(twin, samples[rel.domain]) == want, rel.name
 
 
 @pytest.mark.parametrize("lhs, rhs, rhs_delta", _MISMATCHED)
 def test_poly_sides_mismatch_like_strings(lhs, rhs, rhs_delta):
-    rel = relations.Relation(name="bad_shape", domain="general",
-                             lhs_language="tensor", lhs=lhs,
-                             rhs_language="tensor", rhs=rhs, rhs_delta=rhs_delta)
     with pytest.raises(ValueError) as want:
-        rel.sides()
+        _shaped(lhs, rhs, rhs_delta)
     with pytest.raises(ValueError) as got:
-        _poly_twin(rel).sides()
+        _shaped(expr.parse(lhs), expr.parse(rhs), rhs_delta)
     assert str(got.value) == str(want.value)
 
 
 def test_registry_sides_render_round_trip():
     for rel in load_relations():
-        for side in rel.sides():
+        for side in (rel.lhs, rel.rhs):
             if side is not None:
                 assert expr.parse(expr.render(side)) == side, rel.name
 
