@@ -14,16 +14,17 @@ Each entry carries one or more exact representations:
 All representations of an entry evaluate to the same exact rational on every
 curvature tensor; the test suite verifies this on random samples.
 An entry holds every form as a Poly, parsed once when the entry is made, so
-a malformed form fails at import.  The quartic pseudo-scalars are derived
-from their even sources by ``expr.pseudo_variant``.  ``CatalogEntry.form`` is
-the one rule that picks the expression and language that ``evaluate_entry``,
-``ranklab.sample_matrix`` and the CLI evaluate.  Each catalog has one name,
-its key in ``CATALOGS``.
+a malformed form, or one whose symbols are not of the language its field
+stands for, fails at import, naming the entry and the field.  The quartic
+pseudo-scalars are derived from their even sources by
+``expr.pseudo_variant``.  ``CatalogEntry.form`` is the one rule that picks
+the Poly that ``ranklab.sample_matrix`` and the CLI evaluate, in the context
+of its ``language``.  Each catalog has one name, its key in ``CATALOGS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 from . import expr
@@ -35,18 +36,18 @@ __all__ = [
     "catalog",
     "catalog_names",
     "contexts_for",
-    "evaluate_entry",
 ]
 
 
-# the language each representation is written in
+# the language each representation must be written in
 _LANGUAGE = dict(tensor="tensor", matrix="matrix", fform="matrix")
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     """A named invariant with its available exact representations, each
-    given as an expression string or a Poly and held as a Poly."""
+    given as an expression string or a Poly and held as a Poly in the field's
+    language (ExprError naming the entry and the field otherwise)."""
 
     label: str
     tensor: object = None  # Poly | None
@@ -54,10 +55,13 @@ class CatalogEntry:
     fform: object = None
 
     def __post_init__(self):
-        for name in _LANGUAGE:
+        for name, language in _LANGUAGE.items():
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, expr.as_poly(value))
+                try:
+                    object.__setattr__(self, name, expr.of_language(value, language))
+                except expr.ExprError as e:
+                    raise expr.ExprError(f"{self.label}: {name}: {e}") from e
 
     def representations(self):
         return {
@@ -67,17 +71,17 @@ class CatalogEntry:
         }
 
     def form(self, representation=None):
-        """(language, Poly) of the named representation, or of the first one
-        when none is named."""
+        """The Poly of the named representation, or of the first one when
+        none is named."""
         reps = self.representations()
         name = representation or next(iter(reps))
         if name not in reps:
             raise ValueError(f"catalog entry {self.label!r} has no {name!r} form")
-        return _LANGUAGE[name], reps[name]
+        return reps[name]
 
     def free_labels(self):
         """Free index labels of the entry (empty for a scalar invariant)."""
-        return self.form()[1].free_labels
+        return self.form().free_labels
 
 
 def _c(*terms):
@@ -616,12 +620,9 @@ QUARTIC_BASIS = [
 # Quintic order: 24 basis candidates
 
 def _times_r(entry):
-    poly = entry.matrix
-    monos = tuple(
+    return replace(entry.matrix, monomials=tuple(
         expr.Monomial(coeff=m.coeff, factors=(("R", ()),) + m.factors)
-        for m in poly.monomials
-    )
-    return expr.Poly(monomials=monos, free_labels=poly.free_labels)
+        for m in entry.matrix.monomials))
 
 
 QUINTIC_BASIS = [
@@ -763,15 +764,9 @@ def contexts_for(fb: FBlocks):
     and monomial contraction it holds (see ``expr.LazyContext``), for as long
     as the sample lives; another FBlocks of the same blocks gets its own.
     The tensor is reconstructed only when an expression of the tensor
-    language asks for one of its symbols.
+    language asks for one of its symbols.  A Poly ``p`` is evaluated in
+    ``contexts_for(fb)[p.language]``.
     """
     if "contexts" not in fb.memo:
-        fb.memo["contexts"] = MappingProxyType(
-            {"matrix": expr.matrix_context(fb), "tensor": expr.tensor_context(fb)})
+        fb.memo["contexts"] = MappingProxyType(expr.contexts(fb))
     return fb.memo["contexts"]
-
-
-def evaluate_entry(entry: CatalogEntry, contexts, representation=None):
-    """Evaluate ``entry.form(representation)`` in its language's context."""
-    language, poly = entry.form(representation)
-    return expr.evaluate(poly, contexts[language])

@@ -189,7 +189,7 @@ def _cmd_invariants(args):
 
 def _select_relations(args):
     rels = relations.load_relations()
-    if args.names:
+    if args.names is not None:
         by_name = {r.name: r for r in rels}
         missing = [n for n in args.names if n not in by_name]
         if missing:
@@ -334,7 +334,7 @@ def _build_parser():
     common(sp, seed=True, samples=50)
     sp.add_argument("--set", default="all",
                     help="relation subset: all, a domain, or a tag")
-    sp.add_argument("--names", nargs="*", default=None,
+    sp.add_argument("--names", nargs="+", default=None,
                     help="explicit relation names (overrides --set)")
     sp.set_defaults(func=_cmd_verify)
 

@@ -41,7 +41,10 @@ when the sum's bound needs Python ints, a kept int64 contraction is widened
 first.
 
 Two evaluation contexts are provided: the tensor language of a rank-4
-curvature tensor and the matrix language of its blocks.
+curvature tensor and the matrix language of its blocks.  No symbol has the
+same name and rank in both, so one table, (symbol, rank) -> language, gives
+an expression's language from its symbols: ``Poly.language``, looked up when
+``parse`` or ``combine`` makes the Poly and kept by ``dataclasses.replace``.
 
 A context may also hold a batch of N samples.  Every symbol then carries a
 leading sample axis (``R`` of the tensor language has shape
@@ -60,7 +63,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -123,12 +126,31 @@ class Monomial:
         return tuple(sorted(l for l, c in counts.items() if c == 1))
 
 
+# The language of each symbol at its rank; see the contexts below.
+_LANGUAGE_OF = {
+    **dict.fromkeys([("R", 4), ("Rc", 2), ("Sc", 0), ("W", 4), ("Rt", 4),
+                     ("eps", 4), ("delta", 2)], "tensor"),
+    **dict.fromkeys([("Ap", 2), ("Am", 2), ("B", 2), ("BT", 2), ("eps3", 3),
+                     ("delta3", 2), ("R", 0), ("detB", 0)], "matrix"),
+}
+
+
 @dataclass(frozen=True)
 class Poly:
-    """A sum of monomials sharing one set of free index labels."""
+    """A sum of monomials sharing one set of free index labels, in one
+    ``language``, "tensor" or "matrix" (looked up when not given), or None
+    when its symbols fit no single language."""
 
     monomials: tuple
     free_labels: tuple
+    language: str | None = None
+
+    def __post_init__(self):
+        if self.language is None:
+            languages = {_LANGUAGE_OF.get((name, len(labels)))
+                         for m in self.monomials for name, labels in m.factors}
+            if len(languages) == 1:
+                object.__setattr__(self, "language", languages.pop())
 
     @property
     def is_scalar(self):
@@ -207,18 +229,25 @@ def as_poly(x) -> Poly:
     raise ExprError(f"expected an expression string or a Poly, got {type(x).__name__}")
 
 
+def of_language(x, language=None) -> Poly:
+    """``as_poly(x)``; an ExprError naming each symbol, its rank and its
+    language when the Poly fits no single language, or not ``language``."""
+    poly = as_poly(x)
+    if poly.language is None or language not in (None, poly.language):
+        symbols = dict.fromkeys((n, len(l)) for m in poly.monomials for n, l in m.factors)
+        got = ", ".join(f"{n} of rank {r} ({_LANGUAGE_OF.get((n, r), 'no language')})"
+                        for n, r in symbols) or "none"
+        want = f"the {language}" if language else "one"
+        raise ExprError(f"expected symbols of {want} language, got {got}")
+    return poly
+
+
 def scale(poly, c):
     """Multiply a Poly (or expression string) by an exact rational."""
     poly = as_poly(poly)
     c = Fraction(c)
-    if c == 0:
-        return Poly(monomials=(), free_labels=poly.free_labels)
-    return Poly(
-        monomials=tuple(
-            Monomial(coeff=m.coeff * c, factors=m.factors) for m in poly.monomials
-        ),
-        free_labels=poly.free_labels,
-    )
+    return replace(poly, monomials=() if c == 0 else tuple(
+        Monomial(coeff=m.coeff * c, factors=m.factors) for m in poly.monomials))
 
 
 def combine(*terms):
@@ -248,7 +277,7 @@ def relabel(poly, mapping):
     for m in monos[1:]:
         if m.free_labels() != free:
             raise ExprError("relabeling produced inconsistent free labels")
-    return Poly(monomials=monos, free_labels=free)
+    return replace(poly, monomials=monos, free_labels=free)
 
 
 def render(poly):
@@ -665,6 +694,12 @@ def matrix_context(fb: FBlocks | list):
     return LazyContext(rules, batch=batch, **b)
 
 
+def contexts(fb: FBlocks | list):
+    """The matrix and tensor contexts of one sample, or of a batch given as a
+    list of FBlocks, keyed by ``Poly.language``."""
+    return {"matrix": matrix_context(fb), "tensor": tensor_context(fb)}
+
+
 # ---------------------------------------------------------------------------
 # Pseudo (orientation-odd) variant of a matrix-language expression
 
@@ -691,4 +726,4 @@ def pseudo_variant(poly):
             continue
         sign = 1 if n_plus > n_minus else -1
         out.append(Monomial(coeff=mono.coeff * sign, factors=mono.factors))
-    return Poly(monomials=tuple(out), free_labels=poly.free_labels)
+    return replace(poly, monomials=tuple(out))

@@ -37,7 +37,7 @@ import numpy as np
 from . import expr
 from .catalog import CatalogEntry
 from .curvature import SCHEMA
-from .gen import GenConfig, random_fblocks, random_fblocks_stream
+from .gen import GenConfig, random_fblocks_stream
 
 __all__ = [
     "RankReport",
@@ -242,15 +242,15 @@ def sample_matrix(entries, fbs, representation=None):
     sample by sample and then assignment by assignment in C order.
 
     Each entry contributes ``entry.form(representation)``, the Poly the entry
-    holds, evaluated once on all samples: the samples form one batched
-    context per language (see ``expr.tensor_context``).  Nothing is parsed."""
+    holds, evaluated once on all samples, in the batched context of its
+    language (see ``expr.contexts``).  Nothing is parsed."""
     forms = [e.form(representation) for e in entries]
-    if len({p.free_labels for _, p in forms}) != 1:
+    if len({p.free_labels for p in forms}) != 1:
         raise ValueError("all catalog entries must share the same free labels")
     if not fbs:
         return []
-    contexts = {"matrix": expr.matrix_context(fbs), "tensor": expr.tensor_context(fbs)}
-    columns = [expr.evaluate(p, contexts[language]) for language, p in forms]
+    contexts = expr.contexts(fbs)
+    columns = [expr.evaluate(p, contexts[p.language]) for p in forms]
     # column per entry, row per sample and free-index assignment in C order
     return np.stack(columns, axis=-1).reshape(-1, len(forms)).tolist()
 
@@ -322,16 +322,11 @@ def express_over(target, entries, seed, n_samples=None, config=GenConfig()):
     last coefficient, and then ``target = sum_i -v[i]/v[-1] * entry_i`` (the
     solution with every other free variable set to zero).  Returns the
     Fraction coefficient list, or None if the target is not in the span.
+    A target whose symbols fit no single language raises ``ExprError`` (a
+    ValueError) before anything is evaluated.
     """
-    target = expr.as_poly(target)
-    # the two languages share no symbol of equal rank, so a target that
-    # evaluates in the matrix language is a matrix-language expression
-    try:
-        expr.evaluate(target, expr.matrix_context(random_fblocks(seed, config)))
-        kind = "matrix"
-    except expr.ExprError:
-        kind = "tensor"
-    column = CatalogEntry(label="target", **{kind: target})
+    target = expr.of_language(target)
+    column = CatalogEntry(label="target", **{target.language: target})
     report = rank_report(list(entries) + [column], seed, n_samples, config)
     vec = next((v for v in report.nullspace if v[-1]), None)
     if vec is None:

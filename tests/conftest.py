@@ -33,7 +33,7 @@ def parity_sign(entry):
     """
     if entry.tensor is None:
         return 1
-    poly = entry.form("tensor")[1]
+    poly = entry.form("tensor")
     signs = {
         -1 if sum(1 for name, _ in m.factors if name == "eps") % 2 else 1
         for m in poly.monomials

@@ -14,7 +14,6 @@ from riemann_syzygy.catalog import (
     CATALOGS,
     catalog_names,
     contexts_for,
-    evaluate_entry,
 )
 
 from conftest import parity_sign
@@ -29,7 +28,12 @@ ODD_CATALOGS = ["pseudo_q2", "pseudo_q3", "pseudo_q4"]
 def _values(entry, fb):
     ctx = contexts_for(fb)
     reps = entry.representations()
-    return {kind: evaluate_entry(entry, ctx, kind) for kind in reps}
+    return {kind: expr.evaluate(p, ctx[p.language]) for kind, p in reps.items()}
+
+
+def _value(entry, fb):
+    p = entry.form()
+    return expr.evaluate(p, contexts_for(fb)[p.language])
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGS))
@@ -55,18 +59,14 @@ def test_scalar_catalogs_parity(name, samples):
             continue  # only scalar entries are compared across orientations
         sign = parity_sign(entry)
         for fb in samples[:3]:
-            a = evaluate_entry(entry, contexts_for(fb))
-            b = evaluate_entry(entry, contexts_for(fb.parity()))
-            assert a == sign * b, entry.label
+            assert _value(entry, fb) == sign * _value(entry, fb.parity()), entry.label
 
 
 @pytest.mark.parametrize("name", ODD_CATALOGS)
 def test_pseudo_catalogs_parity_odd(name, samples):
     for entry in catalog.catalog(name):
         for fb in samples[:3]:
-            a = evaluate_entry(entry, contexts_for(fb))
-            b = evaluate_entry(entry, contexts_for(fb.parity()))
-            assert a == -b, entry.label
+            assert _value(entry, fb) == -_value(entry, fb.parity()), entry.label
             # orientation-odd scalars vanish on parity-symmetric input
     # and each pseudo entry is the odd variant of an even word: spot check
     # the quartic set against its source labels
@@ -76,12 +76,12 @@ def test_pseudo_catalogs_parity_odd(name, samples):
             catalog.catalog(name), catalog.PSEUDO_Q4_SOURCES
         ):
             src = sources[src_label]
-            odd = expr.pseudo_variant(src.form("matrix")[1])
+            odd = expr.pseudo_variant(src.form("matrix"))
             for fb in samples[:2]:
                 ctx = contexts_for(fb)
                 assert (
                     expr.evaluate(odd, ctx["matrix"])
-                    == evaluate_entry(entry, ctx, "matrix")
+                    == expr.evaluate(entry.matrix, ctx["matrix"])
                 ), entry.label
 
 
@@ -120,6 +120,34 @@ def test_benchmark_catalogs_exist():
     used = [*names["SCALAR_CATALOGS"], names["TENSOR_CATALOG"]]
     assert len(used) == 4
     assert [n for n in used if n not in CATALOGS] == []
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"tensor": "R[a,b"}, r"tensor: malformed factor 'R\[a,b'"),
+    ({"matrix": "R*R - Sc*Sc"}, "matrix: expected symbols of the matrix language, "
+     r"got R of rank 0 \(matrix\), Sc of rank 0 \(tensor\)"),
+    ({"tensor": "Rcc[a,b]*Rcc[a,b]"}, "tensor: expected symbols of the tensor "
+     r"language, got Rcc of rank 2 \(no language\)"),
+    ({"tensor": "Rc[a,b,c]*Rc[a,b,c]"}, "tensor: expected symbols of the tensor "
+     r"language, got Rc of rank 3 \(no language\)"),
+    ({"fform": {"expr": "Sc", "language": "tensor"}},
+     "fform: expected an expression string or a Poly, got dict"),
+    ({"tensor": "Ap[i,j]*Ap[i,j]"}, "tensor: expected symbols of the tensor "
+     r"language, got Ap of rank 2 \(matrix\)"),
+    ({"fform": "Rc[a,b]*Rc[a,b]"}, "fform: expected symbols of the matrix "
+     r"language, got Rc of rank 2 \(tensor\)"),
+], ids=["malformed", "mixed", "unknown", "misranked", "dict", "matrix-as-tensor",
+        "tensor-as-fform"])
+def test_malformed_entry_rejected(fields, reason):
+    # rejected when the entry is made, naming the entry and the field
+    with pytest.raises(expr.ExprError, match=f"^z: {reason}$"):
+        catalog.CatalogEntry("z", **fields)
+
+
+def test_form_is_the_poly_of_its_language():
+    entry = catalog.catalog("quadratic")[0]
+    assert entry.form() is entry.tensor and entry.form().language == "tensor"
+    assert entry.form("matrix") is entry.matrix and entry.matrix.language == "matrix"
 
 
 def test_entries_hold_polys():

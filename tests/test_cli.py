@@ -185,6 +185,11 @@ def test_verify_unknown_name_exit_2(capsys):
     )
     assert code == 2
     assert "nope" in err
+    # --names with no name is a usage error, not "every relation"
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--seed", "1", "--names"])
+    assert exc.value.code == 2
+    assert "--names: expected at least one argument" in capsys.readouterr().err
 
 
 def test_rank_expect_match(capsys):

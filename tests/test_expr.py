@@ -200,20 +200,57 @@ def _same(a, b):
     return type(a) is type(b) and a == b
 
 
-# every relation side and every catalog representation, with its language
+# every relation side and every catalog representation
 _EXPRESSIONS = [
-    (f"{rel.name} {side}", lang, poly)
+    (f"{rel.name} {side}", poly)
     for rel in relations.load_relations()
-    for side, lang, poly in zip(("lhs", "rhs"),
-                                (rel.lhs_language, rel.rhs_language),
-                                (rel.lhs, rel.rhs))
+    for side, poly in zip(("lhs", "rhs"), (rel.lhs, rel.rhs))
     if poly is not None
 ] + [
-    (f"{name}/{entry.label} {kind}", *entry.form(kind))
+    (f"{name}/{entry.label} {kind}", poly)
     for name, entries in catalog.CATALOGS.items()
     for entry in entries
-    for kind in entry.representations()
+    for kind, poly in entry.representations().items()
 ]
+
+def test_language_is_that_of_the_parsed_text():
+    """The language a Poly carries, on every registry side, every mutant
+    side and every catalog form, is the one its text gives when parsed anew;
+    and none of them is without one."""
+    polys = _EXPRESSIONS + [
+        (desc, poly)
+        for rel in relations.load_relations()
+        for desc, mutant in relations.mutations(rel)
+        for poly in (mutant.lhs, mutant.rhs) if poly is not None
+    ]
+    assert len(polys) > len(_EXPRESSIONS) + 398
+    for what, poly in polys:
+        assert poly.language in ("tensor", "matrix"), what
+        assert poly.language == parse(expr.render(poly)).language, what
+
+
+def test_language_table_matches_the_contexts(samples):
+    """Each (symbol, rank) of the language table is a symbol of that rank in
+    its language's context, and each context symbol is in the table."""
+    ctx = catalog.contexts_for(samples[0])
+    table = {(name, np.ndim(ctx[lang][name])): lang
+             for lang in ctx for name in ctx[lang]}
+    assert table == expr._LANGUAGE_OF
+
+
+@pytest.mark.parametrize("text, language", [
+    ("Sc*Sc", "tensor"), ("R*R", "matrix"), ("R[a,b,c,d]*R[a,b,c,d]", "tensor"),
+    ("R*Sc", None), ("Rcc[a,b]*Rcc[a,b]", None), ("Rc[a,b,c]*Rc[a,b,c]", None),
+    ("Ap[i,j]*Rc[i,j]", None),
+])
+def test_language_of_symbols(text, language):
+    poly = parse(text)
+    assert poly.language == language
+    # kept by a rescaled or relabelled Poly, found again by combine
+    assert expr.scale(poly, 3).language == language
+    assert expr.relabel(poly, {"i": "k"}).language == language
+    assert expr.combine((1, poly), (2, poly)).language == language
+
 
 def _blocks(values):
     """Blocks from 20 entries: Ap's 6 and Am's first 5 upper-triangle entries
@@ -259,9 +296,9 @@ def test_evaluate_equals_object_reference(kind):
     @given(st.lists(entries, min_size=20, max_size=20).map(_blocks))
     def check(fb):
         ctx = catalog.contexts_for(fb)
-        for what, language, poly in _EXPRESSIONS:
-            got = evaluate(poly, ctx[language])
-            assert _same(got, _reference(poly, ctx[language])), what
+        for what, poly in _EXPRESSIONS:
+            got = evaluate(poly, ctx[poly.language])
+            assert _same(got, _reference(poly, ctx[poly.language])), what
 
     check()
 
@@ -347,9 +384,9 @@ def test_mutant_compiles_no_new_plan(samples, monkeypatch):
     ctx = catalog.contexts_for(FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am))
 
     def evaluate_sides(r):
-        evaluate(r.lhs, ctx[r.lhs_language])
+        evaluate(r.lhs, ctx[r.lhs.language])
         if r.rhs is not None:
-            evaluate(r.rhs, ctx[r.rhs_language])
+            evaluate(r.rhs, ctx[r.rhs.language])
 
     evaluate_sides(rel)
     plans = dict(expr._PLANS)
@@ -399,10 +436,6 @@ def _einstein(fb):
     return FBlocks(Ap=fb.Ap, B=np.zeros((3, 3), dtype=object), Am=fb.Am)
 
 
-def _batched_contexts(fbs):
-    return {"matrix": matrix_context(fbs), "tensor": tensor_context(fbs)}
-
-
 _FIXED = {kind: fixed for kind, (_, _, fixed) in _ENTRIES.items()}
 # a batch of samples, each of a kind drawn from _ENTRIES
 _BATCH = st.lists(
@@ -426,9 +459,10 @@ _EMPTY = Poly(monomials=(), free_labels=())
 @example([_FIXED["fractions"]])
 @given(fbs=_BATCH)
 def test_batched_evaluate_equals_per_sample(fbs):
-    batched = _batched_contexts(fbs)
+    batched = expr.contexts(fbs)
     singles = [catalog.contexts_for(fb) for fb in fbs]
-    expressions = _EXPRESSIONS + [("empty", lang, _EMPTY) for lang in batched]
+    expressions = ([(what, poly.language, poly) for what, poly in _EXPRESSIONS]
+                   + [("empty", lang, _EMPTY) for lang in batched])
     for what, language, poly in expressions:
         got = evaluate(poly, batched[language])
         assert type(got) is np.ndarray and got.dtype == object, what
@@ -436,8 +470,8 @@ def test_batched_evaluate_equals_per_sample(fbs):
         for k, ctx in enumerate(singles):
             assert _same(got[k], evaluate(poly, ctx[language])), (what, k)
     # the per-sample oracle itself, on the last sample
-    for what, language, poly in _EXPRESSIONS[::25]:
-        ctx = singles[-1][language]
+    for what, poly in _EXPRESSIONS[::25]:
+        ctx = singles[-1][poly.language]
         assert _same(evaluate(poly, ctx), _reference(poly, ctx)), what
 
 
@@ -453,10 +487,10 @@ def test_batched_path_found_once_per_contraction(monkeypatch):
     fbs = [random_fblocks(seed, GenConfig()) for seed in range(60)]
     values = []
     for n in (36, 60):
-        contexts = _batched_contexts(fbs[:n])
+        contexts = expr.contexts(fbs[:n])
         values.append(evaluate(poly, contexts["tensor"]))
-        for language, p in forms:
-            evaluate(p, contexts[language])
+        for p in forms:
+            evaluate(p, contexts[p.language])
         if n == 36:
             # on per-sample shapes, once per plan that contracts pairwise
             assert calls[:2] == ["abcd,cdef,efgh,ghab->"] * 2

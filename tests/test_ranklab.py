@@ -120,7 +120,7 @@ def _looped_sample_matrix(entries, fbs):
     rows = []
     for fb in fbs:
         ctx = catalog.contexts_for(fb)
-        vals = np.array([expr.evaluate(p, ctx[language]) for language, p in forms],
+        vals = np.array([expr.evaluate(p, ctx[p.language]) for p in forms],
                         dtype=object)
         # column per entry, row per free-index assignment in C order
         rows.extend(vals.reshape(len(forms), -1).T.tolist())
@@ -194,6 +194,27 @@ def test_express_over_finds_combination():
     assert coeffs == [4, 4, -8, 0, 0, -8, 0, -1, 4, 0, 0, 0, 0, 0, 0]
     for row in sample_matrix(rank2, random_fblocks_stream(7, 2)):
         assert row[0] == sum(c * x for c, x in zip(coeffs, row[1:]))
+
+
+def test_express_over_reads_the_language(monkeypatch):
+    """The target's column is in the language its symbols give, with no
+    evaluation before rank_report; a target of no language is refused."""
+    seen = []
+
+    def fake_report(entries, seed, n_samples, config):
+        seen.append(entries[-1])
+        return mock.Mock(nullspace=[])
+
+    monkeypatch.setattr(ranklab, "rank_report", fake_report)
+    monkeypatch.setattr(expr, "evaluate", mock.Mock(side_effect=AssertionError))
+    entries = catalog.catalog("quadratic")
+    for target, language in (("Sc*Sc", "tensor"), ("R*R", "matrix")):
+        assert express_over(target, entries, seed=99) is None
+        assert seen[-1].representations() == {language: expr.parse(target)}
+    with pytest.raises(ValueError, match="^expected symbols of one language, got "
+                       r"R of rank 0 \(matrix\), Sc of rank 0 \(tensor\)$"):
+        express_over("R*R - Sc*Sc", entries, seed=99)
+    assert len(seen) == 2
 
 
 def test_express_over_rejects_outside_span():

@@ -48,6 +48,16 @@ def test_negative_control_is_nonzero(samples):
     assert any(residual(bad, fb) != 0 for fb in samples)
 
 
+@pytest.mark.parametrize("name", ["gauss_bonnet", "quartic_x1_variant"])
+def test_check_needs_a_sample(name, samples):
+    # on no sample an identity would pass, and a control fail, vacuously
+    rel = get_relation(name)
+    with pytest.raises(ValueError, match=f"^{name}: no samples to check on$"):
+        check_relation(rel, [])
+    result = check_relation(rel, samples[:3])
+    assert result.ok and result.n_samples == 3
+
+
 def test_unknown_relation_name():
     with pytest.raises(KeyError):
         get_relation("nope")
@@ -72,7 +82,7 @@ def test_einstein_relations_fail_off_domain(samples):
 def test_dual_route_relations(samples):
     for name in ("hirzebruch_dual_route",):
         rel = get_relation(name)
-        assert rel.lhs_language != rel.rhs_language
+        assert rel.lhs.language != rel.rhs.language
         for fb in samples[:5]:
             assert np.all(residual(rel, fb) == 0) or residual(rel, fb) == 0
 
@@ -96,8 +106,7 @@ _MISMATCHED = [
 
 def _shaped(lhs, rhs, rhs_delta):
     return relations.Relation(name="bad_shape", domain="general",
-                              lhs_language="tensor", lhs=lhs,
-                              rhs_language="tensor", rhs=rhs, rhs_delta=rhs_delta)
+                              lhs=lhs, rhs=rhs, rhs_delta=rhs_delta)
 
 
 @pytest.mark.parametrize("lhs, rhs, rhs_delta", _MISMATCHED)
@@ -108,48 +117,47 @@ def test_mismatched_sides_rejected(lhs, rhs, rhs_delta):
 
 
 @pytest.mark.parametrize("fields, reason", [
-    ({"lhs_language": "foo"}, "bad lhs language 'foo'"),
-    ({"rhs_language": "foo", "rhs": "Sc"}, "bad rhs language 'foo'"),
-    ({"rhs": "Sc"}, "rhs and rhs_language"),  # an rhs with no language
-    ({"rhs_language": "tensor"}, "rhs and rhs_language"),  # and the reverse
-], ids=["lhs-language", "rhs-language", "rhs-without-language",
-        "language-without-rhs"])
+    ({"domain": "riemannian"}, "bad domain 'riemannian'"),
+    ({"expect": "maybe"}, "bad expect 'maybe'"),
+    ({"rhs_delta": True}, "rhs_delta requires an rhs"),
+], ids=["bad-domain", "bad-expect", "delta-without-rhs"])
 def test_malformed_relation_rejected(fields, reason):
-    with pytest.raises(ValueError, match=f"^bad_rel: {reason}"):
-        relations.Relation(**{"name": "bad_rel", "domain": "general",
-                              "lhs_language": "tensor", "lhs": "Sc", **fields})
+    with pytest.raises(ValueError, match=f"^bad_rel: {reason}$"):
+        relations.Relation(**{"name": "bad_rel", "domain": "general", "lhs": "Sc", **fields})
 
 
-_SIDE = {"language": "tensor", "expr": "Sc"}
+_SIDE = "Sc"
 
 
 def _sides(lhs, rhs, **fields):
-    return {"name": "bad_rel", "lhs": {"language": "tensor", "expr": lhs},
-            "rhs": {"language": "tensor", "expr": rhs}, **fields}
+    return {"name": "bad_rel", "lhs": lhs, "rhs": rhs, **fields}
 
 
 @pytest.mark.parametrize("entry, reason", [
     ({"lhs": _SIDE}, "registry entry 4 has no name"),
     ({"name": "bad_rel"}, "bad_rel: no lhs"),
-    ({"name": "bad_rel", "lhs": {"expr": "Sc"}}, "bad_rel: lhs has no 'language'"),
-    ({"name": "bad_rel", "lhs": _SIDE, "rhs": {"language": "tensor"}},
-     "bad_rel: rhs has no 'expr'"),
-    ({"name": "bad_rel", "lhs": _SIDE, "rhs": {"expr": "Sc"}},
-     "bad_rel: rhs has no 'language'"),
     ({"name": "bad_rel", "lhs": _SIDE, "tags": "abc"},
      "bad_rel: tags must be a list of strings"),
     ({"name": "bad_rel", "lhs": _SIDE, "tags": ["a", 1]},
      "bad_rel: tags must be a list of strings"),
-    ({"name": "bad_rel", "lhs": {"language": "tensor", "expr": "R[a,b"}},
+    ({"name": "bad_rel", "lhs": "R[a,b"},
      r"bad_rel: lhs: malformed factor 'R\[a,b'$"),
     (_sides("Sc", "Sc*"), "bad_rel: rhs: "),
     (_sides("Rc[a,b]", "Rc[c,d]"),
      "bad_rel: lhs free labels .* expected the same free labels on both sides$"),
     (_sides("Rc[a,b]", "Rc[a,b]", rhs_delta=True),
      "bad_rel: lhs free labels .* expected a two-index lhs and a scalar rhs$"),
-], ids=["no-name", "no-lhs", "lhs-no-language", "rhs-no-expr",
-        "rhs-no-language", "string-tags", "non-string-tag", "malformed-lhs",
-        "malformed-rhs", "unfit-labels", "unfit-rhs-delta"])
+    ({"name": "bad_rel", "lhs": "R*R - Sc*Sc"}, "bad_rel: lhs: expected symbols of "
+     r"one language, got R of rank 0 \(matrix\), Sc of rank 0 \(tensor\)$"),
+    (_sides("Sc", "Rcc[a,b]*Rcc[a,b]"), "bad_rel: rhs: expected symbols of one "
+     r"language, got Rcc of rank 2 \(no language\)$"),
+    ({"name": "bad_rel", "lhs": "Rc[a,b,c]*Rc[a,b,c]"}, "bad_rel: lhs: expected "
+     r"symbols of one language, got Rc of rank 3 \(no language\)$"),
+    (_sides("Sc", {"expr": "Sc", "language": "tensor"}),
+     "bad_rel: rhs must be an expression string or a Poly, got dict$"),
+], ids=["no-name", "no-lhs", "string-tags", "non-string-tag", "malformed-lhs",
+        "malformed-rhs", "unfit-labels", "unfit-rhs-delta", "mixed-lhs",
+        "unknown-rhs", "misranked-lhs", "dict-rhs"])
 def test_malformed_registry_entry_rejected(entry, reason):
     with pytest.raises(ValueError, match=f"^{reason}"):
         relations._relation_from_dict(entry, 4)
@@ -159,19 +167,9 @@ def test_malformed_registry_entry_rejected(entry, reason):
     (5, "int"), (["R"], "list"), ("", "a blank string"), (None, "NoneType"),
 ], ids=["int", "list", "blank", "null"])
 def test_registry_side_must_be_an_expression(value, got):
-    entry = {"name": "bad_rel", "lhs": {"language": "tensor", "expr": value}}
+    entry = {"name": "bad_rel", "lhs": value}
     with pytest.raises(ValueError, match=(
             f"^bad_rel: lhs must be an expression string or a Poly, got {got}$")):
-        relations._relation_from_dict(entry, 0)
-
-
-@pytest.mark.parametrize("key", ["lhs", "rhs"])
-def test_registry_null_expr_names_its_side(key):
-    # a null expr is a malformed side, not a missing one
-    entry = {"name": "bad_rel", "lhs": _SIDE, "rhs": _SIDE,
-             key: {"language": "tensor", "expr": None}}
-    with pytest.raises(ValueError, match=(
-            f"^bad_rel: {key} must be an expression string or a Poly, got NoneType$")):
         relations._relation_from_dict(entry, 0)
 
 
@@ -200,8 +198,17 @@ def test_registry_sides_are_their_parsed_text():
     assert [d["name"] for d in entries] == relation_names()
     for d in entries:
         rel = get_relation(d["name"])
-        assert rel.lhs == expr.parse(d["lhs"]["expr"]), rel.name
-        assert rel.rhs == (expr.parse(d["rhs"]["expr"]) if d.get("rhs") else None), rel.name
+        assert rel.lhs == expr.parse(d["lhs"]), rel.name
+        assert rel.rhs == (expr.parse(d["rhs"]) if d.get("rhs") else None), rel.name
+
+
+def test_registry_file_is_its_own_dumps():
+    # every side is a plain string, and the file is written as the package
+    # writes JSON: sorted keys, two-space indent, final newline
+    text = resources.files("riemann_syzygy.data").joinpath("relations.json").read_text()
+    assert dumps(json.loads(text)) == text
+    assert all(isinstance(d["lhs"], str) and isinstance(d.get("rhs") or "", str)
+               for d in json.loads(text)["relations"])
 
 
 def test_registry_entry_tags_kept():
@@ -384,8 +391,7 @@ def test_verify_and_mutation_verdicts_byte_identical():
 
 def _poly_twin(d):
     """Registry entry ``d`` with each side's expression given as its Poly."""
-    return {**d, **{key: {**d[key], "expr": expr.parse(d[key]["expr"])}
-                    for key in ("lhs", "rhs") if d.get(key)}}
+    return {**d, **{key: expr.parse(d[key]) for key in ("lhs", "rhs") if d.get(key)}}
 
 
 def test_poly_sides_check_like_strings():
