@@ -353,24 +353,29 @@ def riemann_from_dict(data) -> Rank4Tensor:
             data.get("components"), (4, 4, 4, 4), "dense components"
         )
     if fmt == "sparse":
-        t = zeros()
-        seen = set()
         entries = data.get("entries")
         if not isinstance(entries, list):
             raise ValueError(f"sparse entries must be a list, got {entries!r}")
+        # the entries in C order, filled in one flat list; None marks an
+        # index no entry has given yet
+        flat = [None] * 256
         for entry in entries:
             if not isinstance(entry, list) or len(entry) != 5:
                 raise ValueError(f"sparse entry must be [a,b,c,d,value]: {entry!r}")
             a, b, c, d, v = entry
-            for name, i in zip("abcd", (a, b, c, d)):
-                # type(), not isinstance(): a JSON true is not the index 1
-                if type(i) is not int or not 1 <= i <= 4:
-                    raise ValueError(f"index {name}={i!r} out of range 1..4")
-            if (a, b, c, d) in seen:
+            # type(), not isinstance(): a JSON true is not the index 1
+            if not (type(a) is type(b) is type(c) is type(d) is int
+                    and 1 <= a <= 4 and 1 <= b <= 4 and 1 <= c <= 4
+                    and 1 <= d <= 4):
+                for name, i in zip("abcd", (a, b, c, d)):
+                    if type(i) is not int or not 1 <= i <= 4:
+                        raise ValueError(f"index {name}={i!r} out of range 1..4")
+            k = 64 * a + 16 * b + 4 * c + d - 85
+            if flat[k] is not None:
                 raise ValueError(f"duplicate sparse entry for index {[a, b, c, d]}")
-            seen.add((a, b, c, d))
-            t[a - 1, b - 1, c - 1, d - 1] = rational_from_str(v)
-        return t
+            flat[k] = rational_from_str(v)
+        return np.array([0 if v is None else v for v in flat],
+                        dtype=object).reshape(4, 4, 4, 4)
     raise ValueError(f"unknown or missing format {fmt!r}")
 
 

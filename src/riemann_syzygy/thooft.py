@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -52,8 +52,52 @@ SCHEMA = "riemann-syzygy/1"
 
 
 def dumps(data):
-    """The package's JSON text: sorted keys, two-space indent, final newline."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """The package's JSON text: sorted keys, two-space indent, final newline.
+
+    The bytes are those of ``json.dumps(data, sort_keys=True, indent=2)``
+    plus a newline, written without the standard library's encoder, which
+    drops to pure Python under any ``indent``.  Only str, int, bool, None,
+    list, tuple and dict with str keys are accepted, by exact type (a key
+    may be a str subclass); anything else, a float, ``Fraction`` or numpy
+    scalar included, raises ``TypeError``.
+    """
+    return _write(data, "\n") + "\n"
+
+
+# the text of each JSON scalar type, by exact type: a bool is not written as
+# an int, and int.__repr__ is what json writes for an int
+_SCALAR = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write(x, nl):
+    """JSON text of ``x`` whose lines after the first start with ``nl``."""
+    t = type(x)
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        try:  # a list of scalars in one comprehension
+            items = [_SCALAR[type(v)](v) for v in x]
+        except KeyError:
+            items = [_write(v, inner) for v in x]
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [f"{encode_basestring_ascii(k)}: {_write(x[k], inner)}"
+                 for k in sorted(x)]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    try:
+        return _SCALAR[t](x)
+    except KeyError:
+        raise TypeError(f"{t.__name__} is not a JSON type") from None
 
 
 EPS3 = _levi_civita(3)

@@ -3,15 +3,17 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from riemann_syzygy import catalog, cli, relations
 from riemann_syzygy.curvature import dumps, riemann_to_json, zeros
-from riemann_syzygy.decomp import reconstruct
+from riemann_syzygy.decomp import FBlocks, fblocks_to_json, reconstruct
 from riemann_syzygy.gen import GenConfig, random_fblocks, random_fblocks_stream
 from riemann_syzygy.ranklab import rank_report, sample_matrix
 
@@ -80,6 +82,25 @@ def test_decompose_reconstruct_round_trip(tmp_path, capsys):
     code, out2, _ = run(["reconstruct", str(blocks_path)], capsys)
     assert code == 0
     assert json.loads(out2) == json.loads(riemann_to_json(t))
+
+
+@pytest.mark.parametrize("fmt", ["sparse", "dense"])
+def test_fraction_blocks_round_trip_byte_identical(tmp_path, capsys, fmt):
+    fb = random_fblocks(11)
+    fb = FBlocks(Ap=fb.Ap * Fraction(1, 3), B=fb.B * Fraction(-2, 7),
+                 Am=fb.Am * Fraction(1, 3))
+    text = fblocks_to_json(fb)
+    blocks, tensor = tmp_path / "blocks.json", tmp_path / "tensor.json"
+    blocks.write_text(text)
+    code, _, _ = run(["reconstruct", str(blocks), "--out", str(tensor),
+                      "--tensor-format", fmt], capsys)
+    assert code == 0
+    # both files hold "p/q" strings
+    assert all(re.search(r'"-?[0-9]+/[0-9]+"', t)
+               for t in (text, tensor.read_text()))
+    code, out, _ = run(["decompose", str(tensor)], capsys)
+    assert code == 0
+    assert out == text
 
 
 def test_decompose_invalid_tensor_exit_2(tmp_path, capsys):

@@ -345,3 +345,50 @@ def test_tensor_json_rejects_duplicate_entry_and_bad_schema():
     # a file without a schema key stays accepted
     t = curvature.riemann_from_dict({"format": "sparse", "entries": entries[:1]})
     assert t[0, 1, 0, 1] == 5
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**9), st.randoms(use_true_random=False),
+       st.sets(st.integers(0, 255), max_size=40))
+def test_sparse_entries_in_any_order_with_zeros_read_as_dense(seed, rnd, zero_at):
+    t = reconstruct(random_fblocks(seed))
+    entries = curvature.riemann_to_dict(t)["entries"]
+    # explicit zeros at indices the writer leaves out, then any order
+    for k in sorted(zero_at):
+        if t.flat[k] == 0:
+            entries.append([int(i) + 1 for i in np.unravel_index(k, t.shape)] + [0])
+    rnd.shuffle(entries)
+    got = curvature.riemann_from_dict({"format": "sparse", "entries": entries})
+    want = curvature.riemann_from_dict(curvature.riemann_to_dict(t, "dense"))
+    assert got.shape == (4, 4, 4, 4) and got.dtype == object
+    assert np.array_equal(got, want)
+    assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
+
+
+@pytest.mark.parametrize("entries, reason", [
+    # the first copy not next to the second
+    ([[1, 2, 1, 2, 5], [2, 1, 2, 1, 5], [1, 2, 2, 1, -5], [1, 2, 1, 2, 5]],
+     "duplicate sparse entry for index [1, 2, 1, 2]"),
+    # an explicit zero is an entry too
+    ([[4, 4, 4, 4, 0], [1, 1, 1, 1, 0], [4, 4, 4, 4, 0]],
+     "duplicate sparse entry for index [4, 4, 4, 4]"),
+    # the duplicate is found before its value is read
+    ([[1, 2, 1, 2, 5], [1, 2, 1, 2, "x"]],
+     "duplicate sparse entry for index [1, 2, 1, 2]"),
+    ([[1, 2, 1, 2, 5], [0, 1, 1, 1, 5]], "index a=0 out of range 1..4"),
+    ([[1, 5, 1, 1, 5]], "index b=5 out of range 1..4"),
+    ([[1, 1, True, 1, 5]], "index c=True out of range 1..4"),
+    ([[1, 1, 1, "4", 5]], "index d='4' out of range 1..4"),
+    ([[1, 1, 1, 1.0, 5]], "index d=1.0 out of range 1..4"),
+    # the first bad index is named
+    ([[9, 1, None, 1, 5]], "index a=9 out of range 1..4"),
+    ([[1, 1, 1, 1, "1_0"]], "invalid rational: '1_0'"),
+    ([[1, 1, 1, 1, 1.5]], "invalid rational: 1.5"),
+    ([[1, 1, 1, 1, "1/0"]], "denominator must be positive in '1/0'"),
+    ([[1, 1, 1, 1, 5, 6]], "sparse entry must be [a,b,c,d,value]: [1, 1, 1, 1, 5, 6]"),
+    ([(1, 1, 1, 1, 5)], "sparse entry must be [a,b,c,d,value]: (1, 1, 1, 1, 5)"),
+])
+def test_sparse_entry_errors(entries, reason):
+    with pytest.raises(ValueError) as info:
+        curvature.riemann_from_dict({"format": "sparse", "entries": entries})
+    assert str(info.value) == reason
