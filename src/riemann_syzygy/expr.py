@@ -19,26 +19,30 @@ over one denominator too: each monomial's coefficient, times its symbols'
 denominators, over their least common multiple.  A monomial is then bounded
 by |coefficient| * the product of its factors' largest numerators * the
 product of the ranges of its summed indices; that bound covers every
-intermediate of its contraction.  When the sum of these bounds over all
-monomials is below 2**62 the numpy einsums run on int64, and otherwise the
-same contractions run on object arrays of Python ints.  Only the final
-division makes ``fractions.Fraction`` entries.
+intermediate of its contraction, in any order of summing.  When the sum of
+these bounds over all monomials is below 2**62 the contractions run on
+int64, and otherwise the same contractions run on object arrays of Python
+ints.  Only the final division makes ``fractions.Fraction`` entries.
 
-What a monomial's contraction needs apart from the sample (index letters,
-einsum spec, rank and range checks, the product of the summed ranges and,
-for a large contraction, numpy's greedy pairwise path) is compiled once per
-process into a plan, keyed by the monomial's factors, the free labels, the
-shapes of the factors on one sample and whether the context is batched;
-the coefficient is not part of the key.  A context keeps what a monomial
-takes from it apart from its coefficient (``LazyContext.part``): the
-scalar factors times the denominators, the bound without the coefficient,
-the plan, and the exact contraction of the numerators, on int64 when that
-bound allows.  It is made on the monomial's first evaluation in the context
-and kept for the context's life, keyed by the factors and the free labels.
-Every later expression holding the monomial, another relation's side or a
-mutant that differs in a coefficient, only multiplies its coefficient in;
-when the sum's bound needs Python ints, a kept int64 contraction is widened
-first.
+A small contraction runs as one ``np.einsum`` pass.  A large one runs two
+operands at a time, each step one ``np.matmul`` of the two reshaped into
+stacks of matrices; the order of the steps is found by a greedy scored as
+numpy's ``einsum_path(optimize="greedy")`` scores it.  What a monomial's
+contraction needs apart from the sample (index letters, einsum spec, rank
+and range checks, the product of the summed ranges and, for a large
+contraction, its steps with each step's permutations and reshapes) is
+compiled once per process into a plan, keyed by the monomial's factors, the
+free labels, the shapes of the factors on one sample and whether the context
+is batched; the coefficient is not part of the key.  A context keeps what a
+monomial takes from it apart from its coefficient (``LazyContext.part``):
+the scalar factors times the denominators, the bound without the
+coefficient, the plan, and the exact contraction of the numerators, on int64
+when that bound allows.  It is made on the monomial's first evaluation in
+the context and kept for the context's life, keyed by the factors and the
+free labels.  Every later expression holding the monomial, another
+relation's side or a mutant that differs in a coefficient, only multiplies
+its coefficient in; when the sum's bound needs Python ints, a kept int64
+contraction is widened first.
 
 Two evaluation contexts are provided: the tensor language of a rank-4
 curvature tensor and the matrix language of its blocks.  No symbol has the
@@ -304,54 +308,170 @@ def render(poly):
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # A contraction over at most this many index points runs in one einsum pass;
-# larger ones run pairwise along numpy's greedy path, found once per plan.
-# Timed on int64 over every distinct contraction the registry and the
-# catalogs make (numpy 2.4, 2-CPU Xeon), pairwise along stored steps: at
-# 2**12 points one pass wins 13 of 23 (-35..+11 us), at 2**14 pairwise wins
-# 7 of 8 (16 against 76 us at the median), and at 2**16 all 29.  End to
-# end, a cut at 2**12 rather than 2**14 took verify_all(1, 10) from 0.31 to
-# 0.27 s at the median of 12 interleaved runs.
+# larger ones run pairwise, one matmul per step, along a path found once per
+# plan.  Timed on int64 over every distinct contraction of two or more arrays
+# that the registry and the catalogs make on one sample (numpy 2.4, 2-CPU
+# Xeon): at 2**10 points one pass wins 5 of 6; at 2**12, which this cut keeps
+# in one pass, the steps win 15 of 24 (18 against 28 us at the median); at
+# 2**14 they win all 8 and at 2**16 all 29.  End to end, verify_all(s, 10)
+# in a fresh process took 84 ms with the cut at 2**10 and 78 ms at 2**12
+# (medians of 20 interleaved runs each, quartiles 71-108 ms).
 _ONE_PASS_POINTS = 2**12
 # A batched contraction shares each step's call overhead among its samples,
-# so it goes pairwise from fewer points per sample.  Over the samples of one
-# rank-catalogs pass (34-56 per catalog; 2-CPU Xeon), sample_matrix in a
-# fresh process took about 105 ms with the cut at 2**12 or at 0 (every path
-# found costs about 0.2 ms) and 86-93 ms with it at 2**7-2**9 (medians of
-# 8-10 runs).
+# so it goes pairwise from fewer points per sample.  Timed as above over
+# batches of 40: one pass wins 9 of 11 at 27 points per sample, and the steps
+# win 3 of 3 at 64, 22 of 22 at 81 and 11 of 13 at 256.  End to end, the four
+# rank reports of the rank-catalogs benchmark (36-60 samples per catalog) in
+# a fresh process took 91 ms with the cut at 2**6 and 85 ms at 2**8 (medians
+# of 16 interleaved runs each, quartiles 80-123 ms); in another set of 10,
+# 120 ms at both and 148 ms at 2**12.
 _BATCH_ONE_PASS_POINTS = 2**8
 
 
 def _contract(spec, steps, arrays):
     """``np.einsum(spec, *arrays)`` on arrays of one dtype, in one pass when
     ``steps`` is empty, otherwise pairwise along the stored ``steps`` (see
-    ``_compile``).  Each pairwise step is a one-pass einsum whose result
-    keeps the dtype: numpy's own pairwise code, like einsum given a bare
-    Python int, multiplies object scalars as int64, which wraps."""
+    ``_Step``), each one ``np.matmul``.  Every step keeps the dtype: int64
+    matmuls stay int64 and object ones multiply and add Python ints, and each
+    of their partial sums is a partial sum of the whole contraction, so the
+    plan's bound covers it."""
     if not steps:
         return np.einsum(spec, *arrays)
-    dtype = arrays[0].dtype
-    for picked, step in steps:
-        args = [arrays.pop(i) for i in picked]
-        arrays.append(np.asarray(np.einsum(step, *args), dtype))
+    for picked, operands, shape, perm in steps:
+        x, y = [_operand(arrays.pop(i), *how) for i, how in zip(picked, operands)]
+        z = np.matmul(x, y).reshape(shape)
+        arrays.append(z if perm is None else z.transpose(perm))
     return arrays[0][()]
 
 
-def _pairwise_steps(spec, shapes):
-    """The greedy pairwise path of ``spec`` over operands of these shapes, as
-    (operand positions to pop, einsum spec of the step) pairs.  numpy's
-    greedy path depends only on the spec and the shapes, so it is taken on
-    zero-stride dummies."""
-    dummies = [np.broadcast_to(np.int64(0), shape) for shape in shapes]
-    path = np.einsum_path(spec, *dummies, optimize="greedy")[0]
-    inputs, out = spec.split("->")
-    terms, steps = inputs.split(","), []
-    for step in path[1:]:
-        picked = tuple(sorted(step, reverse=True))
-        subs = [terms.pop(i) for i in picked]
-        keep = set(out).union(*terms)
-        res = "".join(dict.fromkeys(l for t in subs for l in t if l in keep))
-        res = res if terms else out
-        steps.append((picked, ",".join(subs) + "->" + res))
+def _operand(x, diagonals, summed, perm, shape):
+    """One operand of a step as a stack of matrices (see ``_Step``)."""
+    for axes in diagonals:
+        x = x.diagonal(0, *axes)
+    if summed:
+        x = x.sum(summed, keepdims=True)
+    return x.transpose(perm).reshape(shape)
+
+
+def _greedy_path(inputs, out, size):
+    """The order in which to contract, two at a time, operands with these
+    label strings into the labels ``out``, each label ranging over
+    ``size[label]`` values: position pairs (i, j), i < j, into the operands
+    left, whose result joins them at the end.  Each step takes, among the
+    pairs that share a label (or among all pairs when none do), the one whose
+    result is smallest against the sizes of the two, then the one of fewest
+    operations: the greedy score of opt_einsum (Smith & Gray, JOSS 3:753,
+    2018) that ``np.einsum_path(optimize="greedy")`` uses."""
+    sets = [frozenset(t) for t in inputs]
+    out = frozenset(out)
+
+    def points(labels):
+        return math.prod(map(size.__getitem__, labels))
+
+    path = []
+    while len(sets) > 1:
+        # labels on two or more operands, and on three or more
+        once = twice = more = frozenset()
+        for s in sets:
+            more |= twice & s
+            twice |= once & s
+            once |= s
+        kept = out | more
+        sizes = [points(s) for s in sets]
+        pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
+        best = None
+        for i, j in [(i, j) for i, j in pairs if sets[i] & sets[j]] or pairs:
+            joint = sets[i] | sets[j]
+            res = joint & (kept | (twice - (sets[i] & sets[j])))
+            score = (points(res) - sizes[i] - sizes[j],
+                     points(joint) * (1 if res == joint else 2))
+            if best is None or score < best[0]:
+                best = score, i, j, res
+        _, i, j, res = best
+        del sets[j], sets[i]
+        sets.append(res)
+        path.append((i, j))
+    return path
+
+
+class _Step(NamedTuple):
+    """One pairwise step of a plan, compiled from the labels of one sample:
+    pop the operands at ``picked`` (the later position first); of each, take
+    the ``diagonals`` (axis pairs) of a label it holds twice and sum the
+    ``summed`` axes of labels that neither the other operand nor the result
+    holds, keeping them as axes of length 1; transpose it by its ``perm`` and
+    reshape it by its ``shape`` into a stack of matrices, (batch, kept,
+    contracted) for the first and (batch, contracted, kept) for the second,
+    where the batch labels are held by both and by the result; ``np.matmul``
+    the two, reshape the product by ``shape`` and transpose it by ``perm``
+    (None when its axes are already in order).  In a batched plan the sample
+    axis leads every operand and joins the batch."""
+
+    picked: tuple
+    operands: tuple  # two (diagonals, summed, perm, shape)
+    shape: tuple
+    perm: tuple | None
+
+
+def _step(picked, pair, keep, out, size, batched):
+    """The ``_Step`` that contracts operands with the label strings ``pair``
+    into the labels ``out`` or, when ``out`` is None, into those of ``keep``
+    that the pair holds, in the order the matmul leaves them; and the labels
+    of its result."""
+    lead = (0,) if batched else ()
+    k = len(lead)
+    labels, traces = [], []
+    for t, other in zip(pair, pair[::-1]):
+        t, diagonals = list(t), []
+        for l in dict.fromkeys(t):
+            while t.count(l) > 1:
+                i = t.index(l)
+                j = t.index(l, i + 1)
+                diagonals.append((i + k, j + k))
+                del t[j], t[i]
+                t.append(l)
+        summed = tuple(n + k for n, l in enumerate(t)
+                       if l not in keep and l not in other)
+        labels.append(t)
+        traces.append((tuple(diagonals), summed))
+    a, b = labels
+    batch = [l for l in a if l in b and l in keep]
+    contracted = [l for l in a if l in b and l not in keep]
+    kept_a = [l for l in a if l not in b and l in keep]
+    kept_b = [l for l in b if l not in a and l in keep]
+
+    def points(ls):
+        return math.prod(size[l] for l in ls)
+
+    def operand(t, trace, order, shape):
+        # the summed axes, of length 1 once summed, go last
+        order = order + [l for l in t if l not in order]
+        return trace + (lead + tuple(t.index(l) + k for l in order), shape)
+
+    operands = (
+        operand(a, traces[0], batch + kept_a + contracted,
+                (-1, points(kept_a), points(contracted))),
+        operand(b, traces[1], batch + contracted + kept_b,
+                (-1, points(contracted), points(kept_b))),
+    )
+    res = batch + kept_a + kept_b
+    shape = (-1,) * k + tuple(size[l] for l in res)
+    perm = None
+    if out is not None and list(out) != res:
+        perm = lead + tuple(res.index(l) + k for l in out)
+        res = list(out)
+    return _Step(picked, operands, shape, perm), "".join(res)
+
+
+def _pairwise_steps(terms, out, size, batched):
+    """The ``_Step``s contracting operands with these label strings (of one
+    sample) into ``out`` along ``_greedy_path``."""
+    terms, steps = list(terms), []
+    for i, j in _greedy_path(terms, out, size):
+        pair = (terms.pop(j), terms.pop(i))
+        step, res = _step((j, i), pair, set(out).union(*terms),
+                          None if terms else out, size, batched)
+        steps.append(step)
         terms.append(res)
     return tuple(steps)
 
@@ -360,10 +480,10 @@ class _Plan(NamedTuple):
     """A monomial's contraction, apart from its coefficient and its sample:
     the positions of its ``scalars`` and of its ``arrays`` factors, the
     product ``summed`` of the ranges of its summed indices, the einsum
-    ``spec`` of its arrays (None when it has none) with its pairwise
-    ``steps`` (empty for one pass), and the output ``shape`` of one sample.
-    A batched plan contracts every factor, scalars too, along the sample
-    axis, so its ``scalars`` are empty."""
+    ``spec`` of its arrays (None when it has none), its pairwise ``steps``
+    (``_Step``s; empty for one einsum pass over ``spec``), and the output
+    ``shape`` of one sample.  A batched plan contracts every factor, scalars
+    too, along the sample axis, so its ``scalars`` are empty."""
 
     scalars: tuple
     arrays: tuple
@@ -436,15 +556,15 @@ def _compile(factors, free, shapes, batched=False) -> _Plan:
     if not arrays:
         plan = _Plan(tuple(scalars), (), summed, None, (), shape)
     else:
-        spec = ",".join(subs) + "->" + "".join(letter(l) for l in free)
+        out = "".join(letter(l) for l in free)
+        spec = ",".join(subs) + "->" + out
         steps = ()
         cut = _BATCH_ONE_PASS_POINTS if batched else _ONE_PASS_POINTS
-        if math.prod(size_of.values()) > cut:
-            steps = _pairwise_steps(spec, [shapes[i] for i in arrays])
+        if len(arrays) > 1 and math.prod(size_of.values()) > cut:
+            size = {letter_of[l]: n for l, n in size_of.items()}
+            steps = _pairwise_steps(subs, out, size, batched)
         if batched:
-            b = letter(None)  # the sample axis: a letter no label has
-            spec = _batch_spec(spec, b)
-            steps = tuple((picked, _batch_spec(step, b)) for picked, step in steps)
+            spec = _batch_spec(spec, letter(None))  # a letter no label has
         plan = _Plan(tuple(scalars), tuple(arrays), summed, spec, steps, shape)
     _PLANS[key] = plan
     return plan

@@ -1,5 +1,8 @@
 """Contraction-expression engine: grammar, evaluation, transformations."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -357,12 +360,23 @@ def _symbols(**arrays):
                              for name, a in arrays.items()})
 
 
+def _spy_path(monkeypatch):
+    """The einsum specs (of one sample) of the paths that ``expr`` searches
+    from now on, in order."""
+    calls = []
+    greedy_path = expr._greedy_path
+
+    def spy(inputs, out, size):
+        calls.append(",".join(inputs) + "->" + out)
+        return greedy_path(inputs, out, size)
+
+    monkeypatch.setattr(expr, "_greedy_path", spy)
+    return calls
+
+
 def test_pairwise_path_found_once_per_contraction(monkeypatch):
     monkeypatch.setattr(expr, "_PLANS", {})
-    calls = []
-    einsum_path = np.einsum_path
-    monkeypatch.setattr(np, "einsum_path",
-                        lambda *a, **k: calls.append(a[0]) or einsum_path(*a, **k))
+    calls = _spy_path(monkeypatch)
     # 4**8 index points each, so pairwise; the first two share their factors
     quartic = "R[a,b,c,d]*R[c,d,e,f]*R[e,f,g,h]*R[g,h,a,b]"
     poly = parse(f"{quartic} - 2*{quartic} + {quartic.replace('R', 'W')}")
@@ -477,10 +491,7 @@ def test_batched_evaluate_equals_per_sample(fbs):
 
 def test_batched_path_found_once_per_contraction(monkeypatch):
     monkeypatch.setattr(expr, "_PLANS", {})
-    calls = []
-    einsum_path = np.einsum_path
-    monkeypatch.setattr(np, "einsum_path",
-                        lambda *a, **k: calls.append(a[0]) or einsum_path(*a, **k))
+    calls = _spy_path(monkeypatch)
     quartic = "R[a,b,c,d]*R[c,d,e,f]*R[e,f,g,h]*R[g,h,a,b]"
     poly = parse(f"{quartic} - 2*{quartic} + {quartic.replace('R', 'W')}")
     forms = [entry.form() for entry in catalog.catalog("quartic")]
@@ -501,3 +512,116 @@ def test_batched_path_found_once_per_contraction(monkeypatch):
         assert value.shape == (n,)
         for fb, v in zip(fbs, value):
             assert _same(v, evaluate(poly, tensor_context(fb)))
+
+
+# ---------------------------------------------------------------------------
+# Pairwise steps: the path's cost, and each step's matmul against a loop
+
+
+def _multiply_adds(inputs, out, size, path):
+    """Multiply-adds of contracting operands with these label strings along
+    ``path`` (position tuples in ``np.einsum_path``'s form): per step, the
+    points of its labels' ranges, times the operands less one."""
+    sets, total = [set(t) for t in inputs], 0
+    for step in path:
+        picked = [sets.pop(i) for i in sorted(step, reverse=True)]
+        joint = set().union(*picked)
+        total += math.prod(size[l] for l in joint) * (len(picked) - 1)
+        sets.append(joint & set(out).union(*sets))
+    return total
+
+
+def test_path_costs_no_more_than_numpys_greedy(samples, monkeypatch):
+    monkeypatch.setattr(expr, "_PLANS", {})
+    calls = {}
+    greedy_path = expr._greedy_path
+
+    def spy(inputs, out, size):
+        calls.setdefault(phase, {})[(tuple(inputs), out)] = size
+        return greedy_path(inputs, out, size)
+
+    monkeypatch.setattr(expr, "_greedy_path", spy)
+    polys = [p for name in catalog.catalog_names() for e in catalog.catalog(name)
+             for p in (e.tensor, e.matrix, e.fform) if p is not None]
+    polys += [p for r in relations.load_relations() for p in (r.lhs, r.rhs) if p is not None]
+    fbs = [FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am) for fb in samples[:2]]
+    for phase, contexts in (("one", expr.contexts(fbs[0])), ("batch", expr.contexts(fbs))):
+        for p in polys:
+            evaluate(p, contexts[p.language])
+    # every distinct search, of single-sample plans and of batched ones
+    assert len(calls["one"]) > 30 and len(calls["batch"]) > 30
+    for (inputs, out), size in {**calls["one"], **calls["batch"]}.items():
+        spec = ",".join(inputs) + "->" + out
+        dummies = [np.broadcast_to(np.int64(0), [size[l] for l in t]) for t in inputs]
+        theirs = np.einsum_path(spec, *dummies, optimize="greedy")[0][1:]
+        ours = greedy_path(inputs, out, size)
+        assert (_multiply_adds(inputs, out, size, ours)
+                <= _multiply_adds(inputs, out, size, theirs)), spec
+
+
+def _loop(spec, arrays):
+    """The contraction ``spec`` of object arrays, by one Python loop over
+    every point of its labels' ranges."""
+    inputs, out = spec.split("->")
+    terms = inputs.split(",")
+    size = {l: n for t, a in zip(terms, arrays) for l, n in zip(t, a.shape)}
+    labels = sorted(size)
+    total = np.zeros([size[l] for l in out], dtype=object)
+    for point in itertools.product(*(range(size[l]) for l in labels)):
+        at = dict(zip(labels, point))
+        product = 1
+        for t, a in zip(terms, arrays):
+            product *= a[tuple(at[l] for l in t)]
+        total[tuple(at[l] for l in out)] += product
+    return total
+
+
+@st.composite
+def _pair_spec(draw):
+    """Two label strings, labels repeated within one allowed, and the result
+    labels, some of theirs in any order."""
+    term = st.lists(st.sampled_from("abcd"), max_size=4).map("".join)
+    a, b = draw(term), draw(term)
+    out = draw(st.permutations(sorted(set(a + b))))
+    return a, b, "".join(out[:draw(st.integers(0, len(out)))])
+
+
+# the ranges of a, b, c, d; the batch size (None for one sample); whether the
+# first operand is a stride-0 broadcast along its leading axis; and whether
+# the entries are Python ints past int64 (else int64 at the bound)
+@settings(max_examples=60, deadline=None)
+@example(("aab", "bc", "c"), (2, 3, 2, 1), None, False, False, 0)  # a trace
+@example(("ab", "cd", "dacb"), (2, 3, 2, 2), None, False, True, 1)  # an outer product
+@example(("abc", "cba", ""), (3, 2, 2, 1), 2, False, False, 2)  # a 0-d result
+@example(("abcd", "cdab", ""), (3, 3, 3, 3), 3, True, False, 3)  # a batched table
+@example(("ab", "bc", "ca"), (3, 3, 3, 1), None, True, True, 4)
+@example(("abc", "cba", ""), (3, 2, 2, 1), None, False, True, 5)
+@given(_pair_spec(), st.tuples(*[st.integers(1, 3)] * 4), st.one_of(st.none(), st.integers(1, 3)),
+       st.booleans(), st.booleans(), st.integers(0, 2**32))
+def test_step_equals_a_loop(terms, ranges, batch, broadcast, wide, seed):
+    a, b, out = terms
+    size = dict(zip("abcd", ranges))
+    summed = math.prod(size[l] for l in set(a + b) - set(out))
+    # every entry at most top: the plans' bound summed * top * top holds
+    top = 2**70 if wide else math.isqrt((curvature.INT64_BOUND - 1) // summed)
+    rng = random.Random(seed)
+    lead = () if batch is None else (batch,)
+    arrays = []
+    for k, t in enumerate((a, b)):
+        shape = lead + tuple(size[l] for l in t)
+        stride0 = broadcast and k == 0 and shape
+        n = math.prod(shape[1:] if stride0 else shape)
+        entries = [rng.choice((-top, top, rng.randint(-top, top))) for _ in range(n)]
+        x = np.array(entries, dtype=object).reshape(shape[1:] if stride0 else shape)
+        x = x if wide else x.astype(np.int64)
+        arrays.append(np.broadcast_to(x, shape) if stride0 else x)
+    steps = expr._pairwise_steps([a, b], out, size, batch is not None)
+    got = expr._contract(None, steps, list(arrays))
+    spec = f"{a},{b}->{out}" if batch is None else f"z{a},z{b}->z{out}"
+    want = _loop(spec, [x.astype(object) for x in arrays])
+    # a 0-d result comes back as a scalar: an np.int64 or a Python int
+    if isinstance(got, np.ndarray) or not wide:
+        assert got.dtype == (object if wide else np.int64)
+    else:
+        assert type(got) is int
+    assert np.asarray(got, dtype=object).tolist() == want.tolist()

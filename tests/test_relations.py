@@ -444,8 +444,10 @@ def test_mutants_reuse_the_relations_contractions(monkeypatch):
     for rel in rels:
         check_relation(rel, samples[rel.domain])
     calls = []
-    einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+    # a one-pass contraction is an einsum, each pairwise step a matmul
+    for name in ("einsum", "matmul"):
+        monkeypatch.setattr(np, name, lambda *a, f=getattr(np, name), **k:
+                            calls.append(f.__name__) or f(*a, **k))
     results = [check_relation(mutant, samples[rel.domain])
                for rel in rels for _, mutant in mutations(rel)]
     assert len(results) > 398 and not all(r.ok for r in results)
