@@ -7,8 +7,12 @@ deterministic exit codes:
     1   a verification failed, or a rank did not match --expect
     2   usage error or malformed input
 
-All randomized subcommands require an explicit --seed so that two runs with
-identical inputs produce byte-identical reports.
+The subcommands that draw samples (``generate``, ``verify``, ``rank`` and
+``invariants``, which also takes a blocks file instead) require an explicit
+--seed, so that identical inputs give byte-identical reports.  A report is
+JSON, or a table with --format table, which only ``thooft-check``,
+``invariants``, ``verify`` and ``rank`` take.  It goes to stdout or to
+--out; an --out that cannot be written exits 2.
 
 Samples travel one way each: ``generate`` writes them (``generate --seed S
 --samples N`` writes the samples that ``rank --seed S --samples N`` ranks),
@@ -26,7 +30,7 @@ import sys
 from dataclasses import asdict
 
 from . import catalog as catalog_mod
-from . import expr, ranklab, relations, thooft
+from . import ranklab, relations, thooft
 from .curvature import (
     SCHEMA,
     dumps,
@@ -49,12 +53,21 @@ class _UsageError(Exception):
     pass
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
+def _write(args, report, table=None):
+    """Write ``report`` as JSON, or with ``--format table`` the ``table``
+    lines of a command that has one, to stdout or to ``--out``."""
+    if table is not None and args.format == "table":
+        text = "\n".join(table) + "\n"
     else:
+        text = dumps(report)
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise _UsageError(f"cannot write {args.out!r}: {e}") from e
 
 
 def _read_input(path):
@@ -118,25 +131,18 @@ def _read_blocks(path, config=None):
 
 def _cmd_thooft_check(args):
     report = thooft.verify_appendix_a()
-    if args.format == "table":
-        lines = [
-            f"{'PASS' if ok else 'FAIL'} {name}"
-            for name, ok, _ in report.results
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(dumps(report.to_dict()), args.out)
+    _write(args, report.to_dict(), [
+        f"{'PASS' if ok else 'FAIL'} {name}" for name, ok, _ in report.results
+    ])
     return 0 if report.ok else 1
 
 
 def _cmd_generate(args):
-    if args.seed is None:
-        raise _UsageError("--seed is required (no wall-clock default)")
     if args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     config = GenConfig(bound=args.bound, einstein=args.einstein)
     fbs = random_fblocks_stream(args.seed, args.samples, config)
-    _emit(dumps(_samples_to_dict(fbs, config)), args.out)
+    _write(args, _samples_to_dict(fbs, config))
     return 0
 
 
@@ -150,13 +156,13 @@ def _cmd_decompose(args):
         fb = decompose(tensor)
     except ValueError as e:
         raise _UsageError(str(e)) from e
-    _emit(dumps(fblocks_to_dict(fb)), args.out)
+    _write(args, fblocks_to_dict(fb))
     return 0
 
 
 def _cmd_reconstruct(args):
     tensor = reconstruct(_read_blocks(args.input))
-    _emit(dumps(riemann_to_dict(tensor, format=args.tensor_format)), args.out)
+    _write(args, riemann_to_dict(tensor, format=args.tensor_format))
     return 0
 
 
@@ -168,22 +174,14 @@ def _cmd_invariants(args):
             f"scalar catalogs only (use: rank --catalog {args.catalog})"
         )
     config = GenConfig(bound=args.bound, einstein=args.einstein)
-    if args.input and args.seed is not None:
-        raise _UsageError("give a blocks file or --seed, not both")
     if args.input:
         fb = _read_blocks(args.input, config)
-    elif args.seed is None:
-        raise _UsageError("--seed is required (or give a blocks file)")
     else:
         fb = random_fblocks_stream(args.seed, 1, config)[0]
     row = ranklab.sample_matrix(entries, [fb])[0]
     values = {e.label: rational_to_str(v) for e, v in zip(entries, row)}
     report = {"schema": SCHEMA, "catalog": args.catalog, "values": values}
-    if args.format == "table":
-        lines = [f"{k} = {v}" for k, v in values.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(dumps(report), args.out)
+    _write(args, report, [f"{k} = {v}" for k, v in values.items()])
     return 0
 
 
@@ -211,14 +209,9 @@ def _cmd_verify(args):
         seed=args.seed, n_samples=args.samples, relations=rels,
         bound=args.bound,
     )
-    if args.format == "table":
-        lines = [
-            f"{'PASS' if r.ok else 'FAIL'} {r.name}" for r in report.results
-        ]
-        lines.append(f"{'OK' if report.ok else 'FAILED'}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(dumps(report.to_dict()), args.out)
+    table = [f"{'PASS' if r.ok else 'FAIL'} {r.name}" for r in report.results]
+    table.append(f"{'OK' if report.ok else 'FAILED'}")
+    _write(args, report.to_dict(), table)
     return 0 if report.ok else 1
 
 
@@ -232,9 +225,6 @@ def _resolve_catalog(name):
 def _cmd_rank(args):
     entries = _resolve_catalog(args.catalog)
     config = GenConfig(bound=args.bound, einstein=args.einstein)
-    if args.seed is None:
-        raise _UsageError("--seed is required (it also draws the batch that "
-                          "confirms the null vectors)")
     samples = (_read_samples(args.import_samples, config)
                if args.import_samples else None)
     report = ranklab.rank_report(
@@ -247,20 +237,15 @@ def _cmd_rank(args):
     if report.n_rows < ncols:
         print(f"warning: {report.n_rows} sample rows for {ncols} columns; "
               "the rank cannot reach full column rank", file=sys.stderr)
-    if args.format == "table":
-        lines = [
-            f"catalog: {report.catalog}",
-            f"rank: {report.rank} / {len(report.labels)}",
-            f"stable: {report.stable}",
-        ]
-        for vec in report.nullspace:
-            terms = [
-                f"{c}*{lbl}" for c, lbl in zip(vec, report.labels) if c
-            ]
-            lines.append("null: " + " + ".join(terms))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(dumps(report.to_dict()), args.out)
+    table = [
+        f"catalog: {report.catalog}",
+        f"rank: {report.rank} / {ncols}",
+        f"stable: {report.stable}",
+    ]
+    for vec in report.nullspace:
+        terms = [f"{c}*{lbl}" for c, lbl in zip(vec, report.labels) if c]
+        table.append("null: " + " + ".join(terms))
+    _write(args, report.to_dict(), table)
     if args.expect is not None and report.rank != args.expect:
         return 1
     return 0
@@ -283,13 +268,17 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, seed=False, samples=None, bound=True):
+    def common(sp, table=False, seed=None, samples=None, bound=True):
+        # --format where there is a table; --seed where samples are drawn,
+        # with the reason _check_seed gives when it is missing
         sp.add_argument("--out", help="write the report to a file")
-        sp.add_argument("--format", choices=("json", "table"),
-                        default="json")
+        if table:
+            sp.add_argument("--format", choices=("json", "table"),
+                            default="json")
         if seed:
             sp.add_argument("--seed", type=int, default=None,
                             help="random seed (required; no clock default)")
+            sp.set_defaults(seed_reason=seed)
         if samples is not None:
             sp.add_argument("--samples", type=int, default=samples)
         if bound:
@@ -298,11 +287,11 @@ def _build_parser():
 
     sp = sub.add_parser("thooft-check",
                         help="exhaustively verify the symbol-table identities")
-    common(sp, bound=False)
+    common(sp, table=True, bound=False)
     sp.set_defaults(func=_cmd_thooft_check)
 
     sp = sub.add_parser("generate", help="emit random block samples as JSON")
-    common(sp, seed=True, samples=1)
+    common(sp, seed="no wall-clock default", samples=1)
     sp.add_argument("--einstein", action="store_true")
     sp.set_defaults(func=_cmd_generate)
 
@@ -323,7 +312,7 @@ def _build_parser():
 
     sp = sub.add_parser("invariants",
                         help="evaluate one catalog on a sample")
-    common(sp, seed=True)
+    common(sp, table=True, seed="or give a blocks file")
     sp.add_argument("--catalog", required=True)
     sp.add_argument("--einstein", action="store_true")
     sp.add_argument("input", nargs="?", default=None,
@@ -331,7 +320,7 @@ def _build_parser():
     sp.set_defaults(func=_cmd_invariants)
 
     sp = sub.add_parser("verify", help="verify cataloged relations")
-    common(sp, seed=True, samples=50)
+    common(sp, table=True, seed="no wall-clock default", samples=50)
     sp.add_argument("--set", default="all",
                     help="relation subset: all, a domain, or a tag")
     sp.add_argument("--names", nargs="+", default=None,
@@ -341,7 +330,8 @@ def _build_parser():
     sp = sub.add_parser(
         "rank",
         help="exact rank and confirmed linear identities of a catalog")
-    common(sp, seed=True)
+    common(sp, table=True, seed="it also draws the batch that confirms "
+                                  "the null vectors")
     sp.add_argument("--samples", type=int, default=None,
                     help="sample count (default: 2*|catalog| + 8)")
     sp.add_argument("--catalog", required=True)
@@ -356,15 +346,24 @@ def _build_parser():
     return p
 
 
+def _check_seed(args):
+    """A subcommand that draws samples needs ``--seed``; ``invariants``
+    takes a blocks file instead, and not both."""
+    if "seed" not in args:
+        return
+    if getattr(args, "input", None):
+        if args.seed is not None:
+            raise _UsageError("give a blocks file or --seed, not both")
+    elif args.seed is None:
+        raise _UsageError(f"--seed is required ({args.seed_reason})")
+
+
 def run(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        _check_seed(args)
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (expr.ExprError, ValueError) as e:
+    except (_UsageError, ValueError) as e:  # ExprError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

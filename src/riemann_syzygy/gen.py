@@ -43,15 +43,23 @@ def _random_symmetric(rng, bound):
     return m
 
 
+def _rng(seed):
+    """The random stream of ``seed``.  None is refused: ``random.Random``
+    would seed it from the operating system, and no draw would repeat."""
+    if seed is None:
+        raise ValueError("a seed is required (None would draw unrepeatable "
+                         "samples)")
+    return random.Random(seed)
+
+
 def random_fblocks(seed, config=GenConfig()):
     """Draw one FBlocks sample from the given seed (deterministic)."""
-    rng = random.Random(seed)
-    return _draw(rng, config)
+    return _draw(_rng(seed), config)
 
 
 def random_fblocks_stream(seed, count, config=GenConfig()):
     """Draw ``count`` independent samples from one seeded stream."""
-    rng = random.Random(seed)
+    rng = _rng(seed)
     return [_draw(rng, config) for _ in range(count)]
 
 

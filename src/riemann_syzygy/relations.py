@@ -116,9 +116,6 @@ class RelationResult:
     n_samples: int
     first_failure: int | None  # 0-based sample index, None if ok
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class VerifyReport:

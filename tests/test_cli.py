@@ -290,6 +290,46 @@ def test_removed_sample_options_are_usage_errors(tmp_path, capsys, argv):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate"],
+    ["verify", "--set", "quadratic", "--samples", "1"],
+    ["rank", "--catalog", "quadratic"],
+    ["invariants", "--catalog", "quadratic"],
+])
+def test_sampling_commands_require_seed(capsys, argv):
+    # no command falls back to a seed from the operating system
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out
+    assert err.startswith("error: --seed is required (")
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "{blocks}"],
+    ["verify", "--set", "quadratic", "--samples", "1", "--seed", "1",
+     "--format", "table"],
+])
+def test_unwritable_out_exit_2(tmp_path, capsys, argv):
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(fblocks_to_json(random_fblocks(11)))
+    target = tmp_path / "missing" / "report.json"
+    argv = [a.format(blocks=blocks) for a in argv] + ["--out", str(target)]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "1"], ["decompose"], ["reconstruct"],
+])
+def test_format_only_where_there_is_a_table(capsys, argv):
+    # generate, decompose and reconstruct write JSON only
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + ["--format", "table"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 def test_invariants_table(capsys):
     code, out, _ = run(
         ["invariants", "--catalog", "quadratic", "--seed", "5",

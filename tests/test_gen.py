@@ -58,3 +58,11 @@ def test_bad_bound_rejected():
         GenConfig(bound=0)
     with pytest.raises(ValueError):
         GenConfig(bound=-1)
+
+
+def test_none_seed_refused():
+    # random.Random(None) would seed from the operating system
+    for draw in (lambda: random_fblocks(None),
+                 lambda: random_fblocks_stream(None, 2)):
+        with pytest.raises(ValueError, match="seed is required"):
+            draw()

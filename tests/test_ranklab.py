@@ -255,6 +255,12 @@ def test_rank_report_rejects_too_few_samples():
                     samples=random_fblocks_stream(1, 3))
 
 
+def test_rank_report_needs_a_seed():
+    # a None seed would draw from the operating system: no report repeats
+    with pytest.raises(ValueError, match="seed is required"):
+        rank_report(catalog.catalog("quadratic"), seed=None)
+
+
 def test_confirmation_seed_differs():
     assert ranklab.CONFIRM_SEED_XOR != 0
 

@@ -42,6 +42,12 @@ def test_verify_all_passes():
     assert d["ok"] is True
 
 
+def test_verify_all_needs_a_seed():
+    # a None seed would draw from the operating system: no report repeats
+    with pytest.raises(ValueError, match="seed is required"):
+        verify_all(None, 2)
+
+
 def test_negative_control_is_nonzero(samples):
     bad = get_relation("quartic_x1_variant")
     assert bad.expect == "nonzero"
