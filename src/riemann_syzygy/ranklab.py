@@ -21,9 +21,15 @@ row space of the whole matrix, so rank, pivots and null vectors are exactly
 those of all rows; otherwise (p divided a minor) the whole matrix is
 eliminated exactly.
 
-Exact elimination (``rref``) is fraction-free: each row is scaled to integers
-and reduced with exact integer divisions (Bareiss), and the reduced form
-becomes Fractions only at the end, one division per entry.
+Exact elimination (``rref``) scales each row to integers and finds the
+reduced row echelon form modulo two primes on int64.  When both give the
+same pivots, the entries of the free columns are rebuilt over the rationals
+(Chinese remaindering, then rational reconstruction), and one matrix product
+on Python ints checks that every row is the combination of the reduced rows
+that its entries in the pivot columns dictate; that check proves the
+result (see ``rref``).  When the pivots differ, an entry has no
+reconstruction or the check fails, the rows are reduced by fraction-free
+Gauss-Jordan elimination (Bareiss) instead.
 """
 
 from __future__ import annotations
@@ -53,9 +59,13 @@ __all__ = [
 # xor-mask used to derive an independent confirmation seed from a user seed
 CONFIRM_SEED_XOR = 0x9E3779B9
 
-# the Mersenne prime 2^31 - 1, modulus of the row selection: residues are
-# below it, so a product of two is at most (p - 1)^2 < 2^62 and fits int64
+# the Mersenne prime 2^31 - 1, modulus of the row selection and first modulus
+# of ``rref``: residues are below it, so a product of two is at most
+# (p - 1)^2 < 2^62 and fits int64
 _PRIME = (1 << 31) - 1
+# the largest prime below _PRIME, second modulus of ``rref``: the product of
+# the two is below 2^62, so a residue modulo it also fits int64
+_PRIME2 = (1 << 31) - 19
 
 
 def _check_width(rows, ncols):
@@ -68,20 +78,125 @@ def _check_width(rows, ncols):
 def rref(rows):
     """Reduced row echelon form over the rationals.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on the rows scaled
-    to integers: each update ``(p * row - row[c] * pivot_row) // prev``, with
-    ``p`` the new pivot and ``prev`` the one before it, divides exactly (by
-    Sylvester's identity every entry is a minor of the scaled matrix).  At
-    the end every pivot equals the last one, ``d``, and an entry ``a`` of the
-    form is ``Fraction(a, d)``.
+    The rows are scaled to integers, a matrix M, and reduced modulo
+    ``_PRIME`` and ``_PRIME2`` (``_rref_mod``).  When both give the same r
+    pivots, each entry of the free columns is rebuilt from its two residues
+    (``_rational``) into E, and ``M[:, free] == M[:, pivots] @ E[:, free]``
+    is checked on Python ints, scaled by the lcm of E's denominators.  That
+    check proves E: rank(M) >= r, since a minor nonzero mod p is nonzero,
+    and M = M[:, pivots] E with E of r rows gives rank(M) <= r, so E's rows
+    span the row space of M; E is in reduced row echelon form, which is
+    unique.  A prime that divides a minor, or an entry beyond the
+    reconstruction bound, can only fail the check, not pass it.  Otherwise
+    the rows are reduced by ``_bareiss``.
 
     Returns (rref_rows, pivot_columns) with Fraction entries; the input is not
     modified.  ValueError when the rows differ in length.
     """
     if not len(rows):
         return [], []
-    ncols = len(rows[0])
-    m = _integer_matrix(rows, ncols).tolist()
+    ints = _integer_matrix(rows, len(rows[0]))
+    return _modular_rref(ints) or _bareiss(ints.tolist())
+
+
+def _rref_mod(ints, p):
+    """Reduced row echelon form of the integer matrix ``ints`` modulo the
+    prime ``p``: the nonzero rows as an int64 array, and the pivot columns.
+
+    Each pivot row is normalised and its column eliminated from every row
+    at once (the pivot row itself becomes 0 and is then put back), exact in
+    int64 by the bound of ``_independent_rows``.
+    """
+    m = (ints % p).astype(np.int64)
+    pivots = []
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        if r == len(m):
+            break
+        nonzero = m[r:, c].nonzero()[0]
+        if not nonzero.size:
+            continue
+        i = r + nonzero[0]
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        row = m[r] * pow(int(m[r, c]), -1, p) % p
+        m -= m[:, c, None] * row
+        m[r] = row
+        m %= p
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _rational(x, modulus, bound):
+    """The Fraction n/d with n = d * x (mod ``modulus``), |n| <= ``bound``
+    and 0 < d <= ``bound``, or None when there is none.
+
+    Rational reconstruction: the extended Euclidean algorithm on
+    (modulus, x), stopped at the first remainder not above the bound; each
+    remainder is its cofactor times x modulo ``modulus``.  With
+    2 * bound^2 < modulus the fraction is unique.
+    """
+    r0, r1, t0, t1 = modulus, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _modular_rref(ints):
+    """``rref`` of the integer matrix ``ints`` from its forms modulo
+    ``_PRIME`` and ``_PRIME2``, proved by one exact check; None when the
+    pivots differ, an entry has no reconstruction or the check fails.
+
+    The pivot columns of the form are the identity, and an entry left of
+    its row's pivot is 0 modulo both primes, so only the free columns are
+    rebuilt.  The residues a1 and a2 combine in int64 as
+    x = a1 + p1 * ((a2 - a1) * p1^-1 mod p2) < p1 * p2 < 2^62.
+    """
+    p1, p2 = _PRIME, _PRIME2
+    e1, pivots = _rref_mod(ints, p1)
+    e2, pivots2 = _rref_mod(ints, p2)
+    if pivots != pivots2:
+        return None
+    ncols = ints.shape[1]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    a1, a2 = e1[:, free], e2[:, free]
+    x = a1 + p1 * ((a2 - a1) % p2 * pow(p1, -1, p2) % p2)
+    modulus = p1 * p2
+    bound = math.isqrt(modulus // 2)
+    entries = [[_rational(v, modulus, bound) for v in row] for row in x.tolist()]
+    if any(q is None for row in entries for q in row):
+        return None
+    lcm = math.lcm(*(q.denominator for row in entries for q in row))
+    scaled = np.array([[q.numerator * (lcm // q.denominator) for q in row]
+                       for row in entries], dtype=object).reshape(x.shape)
+    if not (ints[:, free] * lcm == ints[:, pivots] @ scaled).all():
+        return None
+    zero, one = Fraction(0), Fraction(1)
+    reduced = []
+    for c, row in zip(pivots, entries):
+        out = [zero] * ncols
+        out[c] = one
+        for f, q in zip(free, row):
+            out[f] = q
+        reduced.append(out)
+    return reduced, pivots
+
+
+def _bareiss(m):
+    """``rref`` of the integer rows ``m`` (a list of lists, reduced in place)
+    by fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Each update ``(p * row - row[c] * pivot_row) // prev``, with ``p`` the
+    new pivot and ``prev`` the one before it, divides exactly (by
+    Sylvester's identity every entry is a minor of the matrix).  At the end
+    every pivot equals the last one, ``d``, and an entry ``a`` of the form is
+    ``Fraction(a, d)``.
+    """
+    ncols = len(m[0])
     pivots = []
     prev = 1
     r = 0
@@ -270,8 +385,12 @@ def rank_report(
     first ``n_samples`` of the given ``samples`` (all of them by default).
     Rank stability is reported by comparing against the rank reached with the
     first half of the samples; nullspace vectors are confirmed on a fresh
-    batch drawn from ``seed ^ CONFIRM_SEED_XOR`` before inclusion.
+    batch drawn from ``seed ^ CONFIRM_SEED_XOR`` before inclusion, so a seed
+    is required even when the samples are given.
     """
+    if seed is None:
+        raise ValueError("a seed is required (it draws the batch that "
+                         "confirms each null vector)")
     labels = [e.label for e in entries]
     if samples is None:
         if n_samples is None:

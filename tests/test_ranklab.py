@@ -259,6 +259,10 @@ def test_rank_report_needs_a_seed():
     # a None seed would draw from the operating system: no report repeats
     with pytest.raises(ValueError, match="seed is required"):
         rank_report(catalog.catalog("quadratic"), seed=None)
+    # given samples still need the seed of the confirmation batch
+    with pytest.raises(ValueError, match="seed is required"):
+        rank_report(catalog.catalog("quadratic"), seed=None,
+                    samples=random_fblocks_stream(1, 20))
 
 
 def test_confirmation_seed_differs():
@@ -361,12 +365,20 @@ def test_independent_rows_match_python_greedy(rows):
     assert ranklab._independent_rows(ints) == _reference_independent_rows(rows, _P)
 
 
+def _is_prime(n):
+    # trial division, short for n < 2**32: sqrt(n) < 2**16
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def test_prime_keeps_int64_products_exact():
-    p = ranklab._PRIME
+    p, q = ranklab._PRIME, ranklab._PRIME2
     # residues lie in [0, p), so a - f * b lies in (-(p - 1)^2, p)
     assert (p - 1) ** 2 + p < 2**63
-    # trial division, short under that bound: sqrt(p) < 2**16
-    assert p > 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert _is_prime(p)
+    # the largest prime below p; a residue modulo p * q fits int64
+    assert q < p and _is_prime(q)
+    assert not any(_is_prime(n) for n in range(q + 1, p))
+    assert p * q < 2**62
 
 
 def test_vanishes_is_exact_per_vector():
@@ -405,6 +417,87 @@ def test_rref_equals_fraction_reference(rows, scale):
         want = nullspace(rows, ncols)
     assert nullspace(rows, ncols) == want
     assert rows == before
+
+
+def _rref_route(rows):
+    """``rref(rows)``, and which route it took: "modular", or the reason
+    the modular form was dropped for Bareiss elimination: "pivots" (the
+    primes disagree), "reconstruction" (an entry has none) or "check"."""
+    pivots, rebuilt, fallback = [], [], []
+    rref_mod, rational, bareiss = ranklab._rref_mod, ranklab._rational, ranklab._bareiss
+
+    def spy_rref_mod(ints, p):
+        reduced = rref_mod(ints, p)
+        pivots.append(reduced[1])
+        return reduced
+
+    def spy_rational(*args):
+        q = rational(*args)
+        rebuilt.append(q)
+        return q
+
+    def spy_bareiss(m):
+        fallback.append(m)
+        return bareiss(m)
+
+    with mock.patch.multiple(ranklab, _rref_mod=spy_rref_mod,
+                             _rational=spy_rational, _bareiss=spy_bareiss):
+        result = rref(rows)
+    if not fallback:
+        route = "modular"
+    elif pivots and pivots[0] != pivots[-1]:
+        route = "pivots"
+    elif None in rebuilt:
+        route = "reconstruction"
+    else:
+        route = "check"
+    return result, route
+
+
+def test_modular_rref_falls_back_on_every_route():
+    """With the primes 5 and 7 (residues modulo 35, reconstruction bound 4)
+    each way out of the modular path is common; every result must still be
+    the reference form."""
+    routes = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_planted_matrix())
+    @example(rows=[[2, 1], [4, 2]])  # modular: the entry 1/2 is within it
+    @example(rows=[[5, 1], [0, 1]])  # rank 1 modulo 5, 2 modulo 7
+    @example(rows=[[1, 10]])  # 10 = n/d mod 35 only with |n| or d above 4
+    @example(rows=[[1, 17]])  # 17 = -1/2 mod 35, which fails the check
+    def check(rows):
+        with mock.patch.multiple(ranklab, _PRIME=5, _PRIME2=7):
+            result, route = _rref_route(rows)
+        assert result == _reference_rref(rows)
+        routes.add(route)
+
+    check()
+    assert routes == {"modular", "pivots", "reconstruction", "check"}
+
+
+@pytest.mark.parametrize("rows, routes", [
+    # 2^31 - 1 is 0 modulo _PRIME but not modulo _PRIME2
+    ([[2**31 - 1, 1], [0, 1]], {"pivots"}),
+    # the entry 2^40 / 3 exceeds the reconstruction bound of about 2^30.5
+    ([[3, 2**40]], {"reconstruction", "check"}),
+    # 2^30 / 3 is within it
+    ([[3, 2**30]], {"modular"}),
+])
+def test_modular_rref_route(rows, routes):
+    result, route = _rref_route(rows)
+    assert route in routes
+    assert result == _reference_rref(rows)
+
+
+def test_catalog_ranks_take_the_modular_path():
+    """No rref of a rank report over these catalogs falls back to Bareiss
+    elimination, so the speed of the modular path cannot silently vanish."""
+    bareiss = mock.Mock(side_effect=ranklab._bareiss)
+    with mock.patch.object(ranklab, "_bareiss", bareiss):
+        for name in ("quartic", "quartic_basis", "quintic", "cubic_rank2"):
+            rank_report(catalog.catalog(name), seed=1, catalog_name=name)
+    bareiss.assert_not_called()
 
 
 def test_forced_fallback_gives_same_reports(monkeypatch):
