@@ -57,15 +57,39 @@ def _trace(m):
     return t[0, 0] + t[1, 1] + t[2, 2]
 
 
+def _checked(blocks, shape):
+    """The blocks keyed by name, checked, each as a read-only copy in exact
+    normal form of ``shape``: (3, 3) for one sample, (N, 3, 3) for a stack
+    of N samples.
+
+    Ap and Am must be symmetric with equal trace (per sample of a stack).
+    A wrong shape, an asymmetric block or unequal traces is a ValueError,
+    an entry that is neither an int nor a Fraction a TypeError.
+    """
+    out = {}
+    for name in _BLOCKS:
+        m = as_tensor(blocks[name], shape, name)
+        m.flags.writeable = False
+        out[name] = m
+    for name in ("Ap", "Am"):
+        m = out[name]
+        if not np.array_equal(m, m.swapaxes(-1, -2)):
+            raise ValueError(f"{name} must be symmetric")
+    if np.asarray(_trace(out["Ap"]) != _trace(out["Am"])).any():
+        raise ValueError("tr(Ap) must equal tr(Am)")
+    return out
+
+
 @dataclass(frozen=True)
 class FBlocks:
     """The (Ap, B, Am) block triple of a curvature tensor.
 
     ``Ap`` and ``Am`` must be symmetric with equal trace; ``B`` is arbitrary.
     Entries are exact rationals.  Each block is a read-only copy of the
-    array it was given, so what is derived from the blocks and kept in
-    ``memo`` (``catalog.contexts_for`` keeps the sample's evaluation contexts
-    there) holds for as long as the sample lives.
+    array it was given (or a read-only view into a checked stack, see
+    ``unstacked``), so what is derived from the blocks and kept in ``memo``
+    (``catalog.contexts_for`` keeps the sample's evaluation contexts there)
+    holds for as long as the sample lives.
     """
 
     Ap: np.ndarray
@@ -74,16 +98,9 @@ class FBlocks:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in _BLOCKS:
-            m = as_tensor(getattr(self, name), (3, 3), name)
-            m.flags.writeable = False
+        blocks = _checked({name: getattr(self, name) for name in _BLOCKS}, (3, 3))
+        for name, m in blocks.items():
             object.__setattr__(self, name, m)
-        for name in ("Ap", "Am"):
-            m = getattr(self, name)
-            if not np.array_equal(m, m.T):
-                raise ValueError(f"{name} must be symmetric")
-        if _trace(self.Ap) != _trace(self.Am):
-            raise ValueError("tr(Ap) must equal tr(Am)")
 
     # -- scalar data ------------------------------------------------------
 
@@ -177,6 +194,23 @@ def stacked(fbs):
     if isinstance(fbs, FBlocks):
         return {"Ap": fbs.Ap, "B": fbs.B, "Am": fbs.Am}
     return {name: np.stack([getattr(fb, name) for fb in fbs]) for name in _BLOCKS}
+
+
+def unstacked(blocks):
+    """The FBlocks of each sample of (N, 3, 3) blocks keyed by name, the
+    inverse of ``stacked``.  The stacks are checked once, as ``FBlocks``
+    checks one sample; each FBlocks holds read-only views into the checked
+    stacks, and a ``memo`` of its own."""
+    n = len(blocks["B"])
+    blocks = _checked(blocks, (n, 3, 3))
+    fbs = []
+    for i in range(n):
+        fb = object.__new__(FBlocks)
+        for name, m in blocks.items():
+            object.__setattr__(fb, name, m[i])
+        object.__setattr__(fb, "memo", {})
+        fbs.append(fb)
+    return fbs
 
 
 def _block_matrix(b) -> Scaled:

@@ -3,6 +3,13 @@
 Sampling in block space guarantees every draw satisfies all algebraic
 curvature symmetries by construction; the trace constraint tr Ap == tr Am is
 imposed by overwriting the last diagonal entry of Am.
+
+A stream of samples is drawn in one pass: all its integers come from
+``randint`` into one list, per sample the upper triangle of Ap row by row
+(6 draws), that of Am (6 draws), then B row by row (9 draws, none on the
+Einstein domain).  Index arithmetic lays the list out as three (N, 3, 3)
+stacks, which are checked once (``decomp.unstacked``); each sample holds
+read-only views into them.
 """
 
 from __future__ import annotations
@@ -12,9 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import FBlocks
+from .decomp import unstacked
 
 __all__ = ["GenConfig", "random_fblocks", "random_fblocks_stream"]
+
+# the upper triangle of a 3x3 matrix, row by row: the order of its draws
+_UPPER = np.triu_indices(3)
 
 
 @dataclass(frozen=True)
@@ -33,16 +43,6 @@ class GenConfig:
             raise ValueError(f"bound must be a positive integer, got {self.bound!r}")
 
 
-def _random_symmetric(rng, bound):
-    m = np.zeros((3, 3), dtype=object)
-    for i in range(3):
-        for j in range(i, 3):
-            v = rng.randint(-bound, bound)
-            m[i, j] = v
-            m[j, i] = v
-    return m
-
-
 def _rng(seed):
     """The random stream of ``seed``.  None is refused: ``random.Random``
     would seed it from the operating system, and no draw would repeat."""
@@ -53,23 +53,31 @@ def _rng(seed):
 
 
 def random_fblocks(seed, config=GenConfig()):
-    """Draw one FBlocks sample from the given seed (deterministic)."""
-    return _draw(_rng(seed), config)
+    """Draw one FBlocks sample from the given seed (deterministic): the
+    first sample of the stream of ``seed``."""
+    return _stream(_rng(seed), 1, config)[0]
 
 
 def random_fblocks_stream(seed, count, config=GenConfig()):
     """Draw ``count`` independent samples from one seeded stream."""
     rng = _rng(seed)
-    return [_draw(rng, config) for _ in range(count)]
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    return _stream(rng, count, config)
 
 
-def _draw(rng, config):
+def _stream(rng, count, config):
     bound = config.bound
-    ap = _random_symmetric(rng, bound)
-    am = _random_symmetric(rng, bound)
-    b = np.zeros((3, 3), dtype=object)
-    if not config.einstein:
-        for i, j in np.ndindex(3, 3):
-            b[i, j] = rng.randint(-bound, bound)
-    am[2, 2] = ap[0, 0] + ap[1, 1] + ap[2, 2] - am[0, 0] - am[1, 1]
-    return FBlocks(Ap=ap, B=b, Am=am)
+    width = 12 if config.einstein else 21
+    randint = rng.randint
+    draws = np.array([randint(-bound, bound) for _ in range(count * width)],
+                     dtype=object).reshape(count, width)
+    ap, am = np.empty((2, count, 3, 3), dtype=object)
+    i, j = _UPPER
+    for m, upper in ((ap, draws[:, :6]), (am, draws[:, 6:12])):
+        m[:, i, j] = upper
+        m[:, j, i] = upper
+    am[:, 2, 2] = ap[:, 0, 0] + ap[:, 1, 1] + ap[:, 2, 2] - am[:, 0, 0] - am[:, 1, 1]
+    b = (np.zeros((count, 3, 3), dtype=object) if config.einstein
+         else draws[:, 12:].reshape(count, 3, 3))
+    return unstacked({"Ap": ap, "B": b, "Am": am})

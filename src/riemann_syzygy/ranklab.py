@@ -7,7 +7,10 @@ rank.  The rank of that matrix lower-bounds (and, with enough samples,
 equals with overwhelming probability) the dimension of the span of the
 invariants as polynomial functions; its nullspace vectors are candidate
 linear identities, which are confirmed on an independently seeded batch of
-samples before being reported.
+samples before being reported.  ``rank_report`` draws that batch first and
+evaluates it together with the samples, in one ``sample_matrix`` call, even
+when no null vector turns out to need it; the rows are then split into the
+sample rows and the confirmation rows.
 
 The rank is found without eliminating every row exactly.  Each row is
 scaled to integers, which does not change which rows are independent, and
@@ -19,7 +22,9 @@ rows only, and their null vectors are checked against every row by one
 matrix product on Python ints.  When all vanish, the chosen rows span the
 row space of the whole matrix, so rank, pivots and null vectors are exactly
 those of all rows; otherwise (p divided a minor) the whole matrix is
-eliminated exactly.
+eliminated exactly.  Rows are chosen once per report: those chosen among
+the first half of the samples, for the stability check, are the ones chosen
+on all samples that lie in that half (see ``_certified_basis``).
 
 Exact elimination (``rref``) scales each row to integers and finds the
 reduced row echelon form modulo two primes on int64.  When both give the
@@ -315,16 +320,23 @@ def _vanishes(null, ints):
     return ~(ints @ vecs.T != 0).any(axis=0)
 
 
-def _certified_basis(ints):
+def _certified_basis(ints, kept):
     """Rows spanning the row space of the integer matrix ``ints``, and its
-    nullspace.
+    nullspace, from ``kept``, the rows ``_independent_rows`` chooses on it.
 
-    The null vectors of the rows chosen by ``_independent_rows`` are checked
-    against every row in one exact matrix product; if one fails to vanish,
-    the nullspace of all rows is computed instead.
+    The null vectors of the kept rows are checked against every row in one
+    exact matrix product; if one fails to vanish, the nullspace of all rows
+    is computed instead.
+
+    ``_independent_rows`` keeps a row only if it is independent of the rows
+    kept before it, so on the first h rows of a matrix it keeps exactly the
+    rows below h that it keeps on the whole matrix; when selection stops at
+    one row per column, no row after the last kept one is independent of
+    the kept rows.  So the kept rows of a row prefix are taken from those of
+    the whole matrix, and rows are selected once per matrix.
     """
     ncols = ints.shape[1]
-    basis = ints[_independent_rows(ints)].tolist()
+    basis = ints[kept].tolist()
     null = nullspace(basis, ncols)
     if _vanishes(null, ints).all():
         return basis, null
@@ -386,44 +398,55 @@ def rank_report(
     Rank stability is reported by comparing against the rank reached with the
     first half of the samples; nullspace vectors are confirmed on a fresh
     batch drawn from ``seed ^ CONFIRM_SEED_XOR`` before inclusion, so a seed
-    is required even when the samples are given.
+    is required even when the samples are given.  The confirmation batch is
+    drawn first and evaluated together with the samples, in one
+    ``sample_matrix`` call, even when no null vector needs it.
+
+    The confirmation batch is of ``config``'s domain, so given samples must
+    be of it too, or the null vectors of their domain would be silently
+    dropped: an Einstein ``config`` refuses a sample with a nonzero B, and a
+    general one refuses samples that are all Einstein (ValueError).  Other
+    curvature classes (Ricci-flat, conformally flat) are not told apart;
+    they wait for domains as data.
     """
     if seed is None:
         raise ValueError("a seed is required (it draws the batch that "
                          "confirms each null vector)")
     labels = [e.label for e in entries]
-    if samples is None:
+    given = samples is not None
+    if not given:
         if n_samples is None:
             n_samples = 2 * len(entries) + 8
         samples = random_fblocks_stream(seed, n_samples, config)
     elif n_samples is not None and len(samples) < n_samples:
         raise ValueError(f"{len(samples)} samples given but {n_samples} are needed")
-    samples = samples[:n_samples]
+    samples = list(samples[:n_samples])
     n_samples = len(samples)
     if n_samples < 2:
         # with one sample the half set is the full set: stability is vacuous
         raise ValueError(f"rank analysis needs at least 2 samples, got {n_samples}")
-    rows = sample_matrix(entries, samples, representation)
+    if given:
+        _check_domain(samples, config)
+    confirm = random_fblocks_stream(
+        seed ^ CONFIRM_SEED_XOR, max(8, len(entries) // 2), config)
+    rows = sample_matrix(entries, samples + confirm, representation)
     n = len(entries)
     ints = _integer_matrix(rows, n)
-    basis, null = _certified_basis(ints)
-    pivots = rref(basis)[1]
     # sample_matrix emits rows sample by sample, so a prefix is a sample prefix
-    half = ints[: len(rows) // n_samples * (n_samples // 2)]
-    stable = n - len(_certified_basis(half)[1]) == len(pivots)
-    confirmed = []
-    if null:
-        confirm_fbs = random_fblocks_stream(
-            seed ^ CONFIRM_SEED_XOR, max(8, len(entries) // 2), config
-        )
-        confirm = _integer_matrix(
-            sample_matrix(entries, confirm_fbs, representation), n)
-        confirmed = [vec for vec, ok in zip(null, _vanishes(null, confirm)) if ok]
+    per_sample = len(rows) // (n_samples + len(confirm))
+    ints, confirm_ints = np.split(ints, [per_sample * n_samples])
+    kept = _independent_rows(ints)
+    basis, null = _certified_basis(ints, kept)
+    pivots = rref(basis)[1]
+    half = per_sample * (n_samples // 2)
+    half_null = _certified_basis(ints[:half], [i for i in kept if i < half])[1]
+    stable = n - len(half_null) == len(pivots)
+    confirmed = [vec for vec, ok in zip(null, _vanishes(null, confirm_ints)) if ok]
     return RankReport(
         catalog=catalog_name,
         labels=labels,
         n_samples=n_samples,
-        n_rows=len(rows),
+        n_rows=len(ints),
         rank=len(pivots),
         pivots=[labels[c] for c in pivots],
         nullspace=confirmed,
@@ -431,6 +454,20 @@ def rank_report(
         seed=seed,
         config=asdict(config),
     )
+
+
+def _check_domain(samples, config):
+    """ValueError unless the given ``samples`` are of ``config``'s domain,
+    the domain of the batch that confirms their null vectors."""
+    if config.einstein:
+        i = next((i for i, fb in enumerate(samples) if not fb.is_einstein()), None)
+        if i is not None:
+            raise ValueError(f"config is Einstein but sample {i} has a nonzero "
+                             "mixed block B")
+    elif all(fb.is_einstein() for fb in samples):
+        raise ValueError("every given sample is Einstein (B = 0) but config is "
+                         "general, so their null vectors would be confirmed on "
+                         "general samples; pass GenConfig(einstein=True)")
 
 
 def express_over(target, entries, seed, n_samples=None, config=GenConfig()):

@@ -478,11 +478,16 @@ def test_rank_import_config_mismatch_exit_2(tmp_path, capsys):
         assert code == 2 and not out
         assert '{"bound": 9, "einstein": true}' in err and wanted in err
     assert run(rank + ["--einstein"], capsys)[0] == 0
-    # an envelope without a config, or a bare blocks object, states none
+    # an envelope without a config, or a bare blocks object, states none;
+    # its Einstein samples are still refused under a general config, whose
+    # confirmation batch would drop their null vectors
     data = json.loads(samples.read_text())
     del data["config"]
     samples.write_text(json.dumps(data))
-    assert run(rank, capsys)[0] == 0
+    code, out, err = run(rank, capsys)
+    assert code == 2 and not out
+    assert "every given sample is Einstein" in err
+    assert run(rank + ["--einstein"], capsys)[0] == 0
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(data["samples"][0]))
     code, out, err = run(["rank", "--catalog", "cubic", "--seed", "4",

@@ -86,27 +86,70 @@ def test_weyl_blocks_are_traceless(samples):
         assert wm[0, 0] + wm[1, 1] + wm[2, 2] == 0
 
 
+def _one(ap, b, am):
+    return FBlocks(Ap=ap, B=b, Am=am)
+
+
+def _in_stack(ap, b, am):
+    """The blocks as the second sample of a stack, behind a valid one."""
+    good = np.zeros((3, 3), dtype=object)
+    stacks = {name: np.stack([good, np.asarray(m)])
+              for name, m in (("Ap", ap), ("B", b), ("Am", am))}
+    return decomp.unstacked(stacks)[1]
+
+
+# one sample and a stack are checked by the same code, with the same errors
+_CHECKED_AS = (_one, _in_stack)
+
+
 def test_fblocks_validation():
     good = np.zeros((3, 3), dtype=object)
     asym = good.copy()
     asym[0, 1] = 1  # not symmetric
-    with pytest.raises(ValueError, match="symmetric"):
-        FBlocks(Ap=asym, B=good, Am=good)
     unbalanced = good.copy()
     unbalanced[0, 0] = 1  # tr Ap != tr Am
-    with pytest.raises(ValueError, match="trace|tr"):
-        FBlocks(Ap=unbalanced, B=good, Am=good)
+    for make in _CHECKED_AS:
+        with pytest.raises(ValueError, match="^Ap must be symmetric$"):
+            make(asym, good, good)
+        with pytest.raises(ValueError, match="^Am must be symmetric$"):
+            make(good, good, asym)
+        with pytest.raises(ValueError, match=r"^tr\(Ap\) must equal tr\(Am\)$"):
+            make(unbalanced, good, good)
+        fb = make(unbalanced, asym, unbalanced)  # B is arbitrary
+        assert all(not m.flags.writeable for m in (fb.Ap, fb.B, fb.Am))
+    with pytest.raises(ValueError, match=r"^B must have shape \(3, 3\), got \(2, 2\)$"):
+        FBlocks(Ap=good, B=np.zeros((2, 2), dtype=object), Am=good)
+    with pytest.raises(ValueError, match=r"^Am must have shape \(1, 3, 3\), "
+                       r"got \(2, 3, 3\)$"):
+        decomp.unstacked({"Ap": good[None], "B": good[None],
+                          "Am": np.stack([good, good])})
 
 
 def test_fblocks_rejects_float_and_string_entries():
     good = np.zeros((3, 3), dtype=object)
-    for bad in (0.1, "1/2"):
-        b = good.copy()
-        b[0, 1] = bad
-        with pytest.raises(TypeError):
-            FBlocks(Ap=good, B=b, Am=good)
-    with pytest.raises(TypeError):
-        FBlocks(Ap=good, B=np.full((3, 3), 0.5), Am=good)
+    for make in _CHECKED_AS:
+        for bad, kind in ((0.1, "float"), ("1/2", "str")):
+            b = good.copy()
+            b[0, 1] = bad
+            with pytest.raises(TypeError,
+                               match=f"^expected int or Fraction entry, got {kind}$"):
+                make(good, b, good)
+        with pytest.raises(TypeError, match="got float$"):
+            make(good, np.full((3, 3), 0.5), good)
+
+
+def test_unstacked_samples_are_views_with_their_own_memo():
+    ap = np.array([np.eye(3, dtype=int) * k for k in range(4)], dtype=object)
+    b = np.arange(36).reshape(4, 3, 3)
+    fbs = decomp.unstacked({"Ap": ap, "B": b, "Am": ap})
+    assert [fb.Ap[0, 0] for fb in fbs] == [0, 1, 2, 3]
+    assert all(type(x) is int for fb in fbs for x in fb.B.flat)
+    # the stacks were copied once, checked, and made read-only
+    assert len({id(fb.B.base) for fb in fbs}) == 1
+    assert not fbs[0].B.base.flags.writeable and fbs[0].B.base is not b
+    assert len({id(fb.memo) for fb in fbs}) == 4
+    assert fbs[2] == FBlocks(Ap=ap[2], B=b[2], Am=ap[2])
+    assert decomp.unstacked({"Ap": ap[:0], "B": b[:0], "Am": ap[:0]}) == []
 
 
 def test_decompose_rejects_non_curvature():

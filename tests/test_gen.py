@@ -1,5 +1,7 @@
 """Random sample generation: determinism, bounds, domain flags."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,3 +68,51 @@ def test_none_seed_refused():
                  lambda: random_fblocks_stream(None, 2)):
         with pytest.raises(ValueError, match="seed is required"):
             draw()
+
+
+def _reference_draw(rng, config):
+    """One sample drawn entry by entry with ``randint``: the upper triangle
+    of Ap row by row, that of Am, then B row by row (not on the Einstein
+    domain), and Am[2, 2] set from the trace constraint."""
+    bound = config.bound
+    blocks = {}
+    for name in ("Ap", "Am"):
+        m = np.zeros((3, 3), dtype=object)
+        for i in range(3):
+            for j in range(i, 3):
+                m[i, j] = m[j, i] = rng.randint(-bound, bound)
+        blocks[name] = m
+    b = np.zeros((3, 3), dtype=object)
+    if not config.einstein:
+        for i in range(3):
+            for j in range(3):
+                b[i, j] = rng.randint(-bound, bound)
+    ap, am = blocks["Ap"], blocks["Am"]
+    am[2, 2] = ap[0, 0] + ap[1, 1] + ap[2, 2] - am[0, 0] - am[1, 1]
+    return ap, b, am
+
+
+@pytest.mark.parametrize("einstein", [False, True])
+@pytest.mark.parametrize("bound", [1, 9, 1000])
+def test_stream_matches_reference_draw(bound, einstein):
+    config = GenConfig(bound=bound, einstein=einstein)
+    for seed in (0, 1, 7, 2024):
+        for count in (0, 1, 7):
+            fbs = random_fblocks_stream(seed, count, config)
+            rng = random.Random(seed)
+            assert len(fbs) == count
+            for fb in fbs:
+                for name, want in zip(("Ap", "B", "Am"), _reference_draw(rng, config)):
+                    m = getattr(fb, name)
+                    assert m.shape == (3, 3) and m.dtype == object
+                    assert not m.flags.writeable
+                    assert all(type(x) is int for x in m.flat)
+                    assert m.tolist() == want.tolist()
+            assert len({id(fb.memo) for fb in fbs}) == count
+        assert random_fblocks(seed, config) == random_fblocks_stream(seed, 3, config)[0]
+
+
+def test_negative_count_refused():
+    with pytest.raises(ValueError, match="^count must be non-negative, got -1$"):
+        random_fblocks_stream(1, -1)
+    assert random_fblocks_stream(1, 0) == []

@@ -317,8 +317,10 @@ def test_certified_basis_matches_full_elimination(prime, rows):
     ncols = len(rows[0])
     ints = ranklab._integer_matrix(rows, ncols)
     with mock.patch.object(ranklab, "_PRIME", prime):
-        basis, null = ranklab._certified_basis(ints)
-        prefix_nulls = [ranklab._certified_basis(ints[:k])[1]
+        kept = ranklab._independent_rows(ints)
+        basis, null = ranklab._certified_basis(ints, kept)
+        # the rows kept on a prefix are those kept on all rows within it
+        prefix_nulls = [ranklab._certified_basis(ints[:k], [i for i in kept if i < k])[1]
                         for k in range(1, len(rows) + 1)]
     assert all(row in ints.tolist() for row in basis)
     assert null == nullspace(rows, ncols)
@@ -586,3 +588,77 @@ def test_rank_reports_byte_identical():
                              catalog_name=name)
         text = dumps(report.to_dict())
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+@st.composite
+def _rows_with_p_multiples(draw):
+    """Planted rows (zero, repeated, rank deficient), some replaced by rows
+    that are 0 modulo ``_PRIME`` but not 0."""
+    rows = draw(_planted_matrix())
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        rows[i] = [_P * draw(st.integers(-3, 3)) for _ in rows[i]]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_rows_with_p_multiples())
+@example(rows=[[0, 0], [_P, -_P], [0, 0]])
+@example(rows=[[1, 2], [2, 4], [1, 2]])
+# selection stops after one row per column, before the last rows
+@example(rows=[[1, 0], [0, 1], [1, 1], [3, 5], [0, 0]])
+@example(rows=[[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+def test_independent_rows_of_a_prefix_are_a_prefix(rows):
+    """On the first h rows the greedy selection keeps exactly the rows below h
+    that it keeps on all rows, so ``rank_report`` selects rows once."""
+    ints = ranklab._integer_matrix(rows, len(rows[0]))
+    kept = ranklab._independent_rows(ints)
+    for h in range(len(rows) + 1):
+        assert ranklab._independent_rows(ints[:h]) == [i for i in kept if i < h]
+
+
+def test_sample_matrix_of_joined_batches_is_joined_rows():
+    """``rank_report`` evaluates its samples and confirmation batch at once
+    and splits the rows: the rows of a joined batch are the joined rows."""
+    a = random_fblocks_stream(11, 3)
+    b = random_fblocks_stream(12, 2, GenConfig(einstein=True))
+    for name in catalog.catalog_names():
+        entries = catalog.catalog(name)
+        joined = sample_matrix(entries, a + b)
+        want = sample_matrix(entries, a) + sample_matrix(entries, b)
+        assert [[(type(x), x) for x in row] for row in joined] == \
+            [[(type(x), x) for x in row] for row in want], name
+
+
+def test_rank_report_evaluates_and_selects_once():
+    """One evaluation batch (samples and confirmation batch together) and one
+    row selection per report, so the saving cannot silently vanish."""
+    for name in ("quartic", "quartic_basis", "quintic", "cubic_rank2"):
+        with mock.patch.object(ranklab, "sample_matrix",
+                               wraps=ranklab.sample_matrix) as evaluated, \
+                mock.patch.object(ranklab, "_independent_rows",
+                                  wraps=ranklab._independent_rows) as selected:
+            report = rank_report(catalog.catalog(name), seed=1, catalog_name=name)
+        assert evaluated.call_count == 1 and selected.call_count == 1, name
+        (entries, fbs, _), _ = evaluated.call_args
+        assert len(fbs) == report.n_samples + max(8, len(entries) // 2)
+
+
+def test_rank_report_refuses_samples_of_another_domain():
+    """The confirmation batch is of ``config``'s domain; null vectors of the
+    given samples' domain would be dropped on another one."""
+    entries = catalog.catalog("quartic")
+    einstein = random_fblocks_stream(3, 60, GenConfig(einstein=True))
+    with pytest.raises(ValueError, match=r"every given sample is Einstein .*"
+                       r"pass GenConfig\(einstein=True\)$"):
+        rank_report(entries, seed=3, samples=einstein)
+    report = rank_report(entries, seed=3, samples=einstein,
+                         config=GenConfig(einstein=True))
+    assert len(report.nullspace) == 21
+    # one general sample among Einstein ones
+    mixed = einstein[:5] + random_fblocks_stream(3, 1) + einstein[5:]
+    with pytest.raises(ValueError, match="^config is Einstein but sample 5 has "
+                       "a nonzero mixed block B$"):
+        rank_report(entries, seed=3, samples=mixed,
+                    config=GenConfig(einstein=True))
+    # a general config takes them: not every sample is Einstein
+    assert rank_report(entries, seed=3, samples=mixed).n_samples == 61
