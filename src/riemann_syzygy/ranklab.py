@@ -14,27 +14,29 @@ sample rows and the confirmation rows.
 
 The rank is found without eliminating every row exactly.  Each row is
 scaled to integers, which does not change which rows are independent, and
-the rows are reduced modulo the prime p = 2^31 - 1 into one int64 array, on
-which rows are chosen greedily in order, keeping each row independent of
-those kept before (at most n of them); rows independent mod p are
-independent over the rationals.  Exact elimination then runs on the chosen
-rows only, and their null vectors are checked against every row by one
-matrix product on Python ints.  When all vanish, the chosen rows span the
-row space of the whole matrix, so rank, pivots and null vectors are exactly
-those of all rows; otherwise (p divided a minor) the whole matrix is
-eliminated exactly.  Rows are chosen once per report: those chosen among
-the first half of the samples, for the stability check, are the ones chosen
-on all samples that lie in that half (see ``_certified_basis``).
+rows are chosen greedily in order, keeping each row independent modulo the
+prime p = 2^31 - 1 of those kept before (at most n of them); rows
+independent mod p are independent over the rationals.  Exact elimination
+then runs on the chosen rows only, and their null vectors are checked
+against every row by one matrix product on Python ints.  When all vanish,
+the chosen rows span the row space of the whole matrix, so rank, pivots
+and null vectors are exactly those of all rows; otherwise (p divided a
+minor) the whole matrix is eliminated exactly.  Rows are chosen once per
+report: those chosen among the first half of the samples, for the
+stability check, are the ones chosen on all samples that lie in that half
+(see ``_certified_basis``).
 
-Exact elimination (``rref``) scales each row to integers and finds the
-reduced row echelon form modulo two primes on int64.  When both give the
-same pivots, the entries of the free columns are rebuilt over the rationals
-(Chinese remaindering, then rational reconstruction), and one matrix product
-on Python ints checks that every row is the combination of the reduced rows
-that its entries in the pivot columns dictate; that check proves the
-result (see ``rref``).  When the pivots differ, an entry has no
-reconstruction or the check fails, the rows are reduced by fraction-free
-Gauss-Jordan elimination (Bareiss) instead.
+One kernel, ``_rref_mod``, does every elimination: Gauss-Jordan modulo a
+prime on int64.  The rows chosen mod p are the pivot columns of the
+transpose's form mod p.  Exact elimination (``rref``) reduces the rows
+modulo one prime after another, 2^31 - 1 and 2^31 - 19 first.  Once two
+primes agree on the pivots, the entries of the free columns are rebuilt
+over the rationals (Chinese remaindering, then rational reconstruction),
+and one matrix product on Python ints checks that every row is the
+combination of the reduced rows that its entries in the pivot columns
+dictate; that check proves the result.  When the pivots differ, an entry
+has no reconstruction or the check fails, the next prime is taken (see
+``rref``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import expr
 from .catalog import CatalogEntry
-from .curvature import SCHEMA
+from .curvature import SCHEMA, int_dtype
 from .gen import GenConfig, random_fblocks_stream
 
 __all__ = [
@@ -83,17 +85,27 @@ def _check_width(rows, ncols):
 def rref(rows):
     """Reduced row echelon form over the rationals.
 
-    The rows are scaled to integers, a matrix M, and reduced modulo
-    ``_PRIME`` and ``_PRIME2`` (``_rref_mod``).  When both give the same r
-    pivots, each entry of the free columns is rebuilt from its two residues
-    (``_rational``) into E, and ``M[:, free] == M[:, pivots] @ E[:, free]``
-    is checked on Python ints, scaled by the lcm of E's denominators.  That
-    check proves E: rank(M) >= r, since a minor nonzero mod p is nonzero,
-    and M = M[:, pivots] E with E of r rows gives rank(M) <= r, so E's rows
-    span the row space of M; E is in reduced row echelon form, which is
-    unique.  A prime that divides a minor, or an entry beyond the
-    reconstruction bound, can only fail the check, not pass it.  Otherwise
-    the rows are reduced by ``_bareiss``.
+    The rows are scaled to integers, a matrix M, and reduced modulo one
+    prime after another from ``_primes`` (``_rref_mod``).  A prime whose
+    pivots differ from those of the primes before it starts the count
+    again; otherwise its residues of the free columns are joined to theirs
+    by Chinese remaindering, modulo the product m of the agreeing primes.
+    From the second agreeing prime on, each entry is rebuilt from its
+    residue (``_rational``, with |numerator| and denominator at most
+    isqrt(m // 2)) into E, and ``M[:, free] == M[:, pivots] @ E[:, free]``
+    is checked on Python ints, scaled by the lcm of E's denominators.
+
+    That check proves E: rank(M) >= r, since a minor nonzero mod p is
+    nonzero, and M = M[:, pivots] E with E of r rows gives rank(M) <= r,
+    so E's rows span the row space of M; E is in reduced row echelon form,
+    which is unique.  A prime that divides a minor, or an entry beyond the
+    reconstruction bound, can only fail the check, not pass it, and then
+    the loop takes another prime.  It ends: only the finitely many primes
+    dividing some minor of M give other pivots or other residues, so from
+    some prime on every prime agrees with the true pivots and residues, m
+    grows without bound and the bound passes every numerator and
+    denominator of E.  On the benchmark catalogs the first two primes
+    suffice.
 
     Returns (rref_rows, pivot_columns) with Fraction entries; the input is not
     modified.  ValueError when the rows differ in length.
@@ -101,25 +113,74 @@ def rref(rows):
     if not len(rows):
         return [], []
     ints = _integer_matrix(rows, len(rows[0]))
-    return _modular_rref(ints) or _bareiss(ints.tolist())
+    ncols = ints.shape[1]
+    pivots = None
+    for p in _primes():
+        reduced, pivots_p = _rref_mod(ints, p)
+        if pivots_p != pivots:
+            pivots = pivots_p
+            pivot_set = set(pivots)
+            free = [c for c in range(ncols) if c not in pivot_set]
+            x, modulus = reduced[:, free], p
+            continue
+        # int64 while modulus * p < 2^62: x < modulus and the product of a
+        # residue and an inverse modulo p is below p^2
+        x = x.astype(int_dtype(modulus * p))
+        x = x + modulus * ((reduced[:, free] - x) % p * pow(modulus, -1, p) % p)
+        modulus *= p
+        form = _checked_form(ints, x, modulus, pivots, free)
+        if form is not None:
+            return form
+
+
+def _primes():
+    """The moduli of ``rref``: ``_PRIME``, ``_PRIME2``, then every prime
+    below ``_PRIME2`` in descending order.  The first two are constants, so
+    that the common path tests no number for primality."""
+    yield _PRIME
+    yield _PRIME2
+    for n in range(_PRIME2 - 1, 1, -1):
+        if _is_prime(n):
+            yield n
+
+
+def _is_prime(n):
+    """Whether ``n`` is prime, by Miller-Rabin to the bases 2, 3, 5 and 7,
+    which is exact for every n below 3,215,031,751."""
+    if n < 2:
+        return False
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+            return False
+    return True
 
 
 def _rref_mod(ints, p):
     """Reduced row echelon form of the integer matrix ``ints`` modulo the
     prime ``p``: the nonzero rows as an int64 array, and the pivot columns.
+    Elimination stops once the rows below the pivot rows are all zero.
 
     Each pivot row is normalised and its column eliminated from every row
-    at once (the pivot row itself becomes 0 and is then put back), exact in
-    int64 by the bound of ``_independent_rows``.
+    at once (the pivot row itself becomes 0 and is then put back).
+    Residues lie in [0, p), so ``a - f * b`` lies in (-(p - 1)^2, p):
+    int64 holds it while (p - 1)^2 + p < 2^63.
     """
-    m = (ints % p).astype(np.int64)
+    # rows contiguous also when ``ints`` is a transposed view
+    m = (ints % p).astype(np.int64, order="C")
     pivots = []
     for c in range(m.shape[1]):
         r = len(pivots)
-        if r == len(m):
-            break
         nonzero = m[r:, c].nonzero()[0]
         if not nonzero.size:
+            if not m[r:].any():
+                break
             continue
         i = r + nonzero[0]
         if i != r:
@@ -150,27 +211,15 @@ def _rational(x, modulus, bound):
     return Fraction(r1, t1)
 
 
-def _modular_rref(ints):
-    """``rref`` of the integer matrix ``ints`` from its forms modulo
-    ``_PRIME`` and ``_PRIME2``, proved by one exact check; None when the
-    pivots differ, an entry has no reconstruction or the check fails.
+def _checked_form(ints, x, modulus, pivots, free):
+    """``rref`` of the integer matrix ``ints`` from ``x``, the residues
+    modulo ``modulus`` of its free columns, proved by one exact check; None
+    when an entry has no reconstruction or the check fails.
 
     The pivot columns of the form are the identity, and an entry left of
-    its row's pivot is 0 modulo both primes, so only the free columns are
-    rebuilt.  The residues a1 and a2 combine in int64 as
-    x = a1 + p1 * ((a2 - a1) * p1^-1 mod p2) < p1 * p2 < 2^62.
+    its row's pivot is 0 modulo every prime, so only the free columns are
+    rebuilt.
     """
-    p1, p2 = _PRIME, _PRIME2
-    e1, pivots = _rref_mod(ints, p1)
-    e2, pivots2 = _rref_mod(ints, p2)
-    if pivots != pivots2:
-        return None
-    ncols = ints.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    a1, a2 = e1[:, free], e2[:, free]
-    x = a1 + p1 * ((a2 - a1) % p2 * pow(p1, -1, p2) % p2)
-    modulus = p1 * p2
     bound = math.isqrt(modulus // 2)
     entries = [[_rational(v, modulus, bound) for v in row] for row in x.tolist()]
     if any(q is None for row in entries for q in row):
@@ -180,6 +229,7 @@ def _modular_rref(ints):
                        for row in entries], dtype=object).reshape(x.shape)
     if not (ints[:, free] * lcm == ints[:, pivots] @ scaled).all():
         return None
+    ncols = ints.shape[1]
     zero, one = Fraction(0), Fraction(1)
     reduced = []
     for c, row in zip(pivots, entries):
@@ -191,44 +241,8 @@ def _modular_rref(ints):
     return reduced, pivots
 
 
-def _bareiss(m):
-    """``rref`` of the integer rows ``m`` (a list of lists, reduced in place)
-    by fraction-free Gauss-Jordan elimination (Bareiss 1968).
-
-    Each update ``(p * row - row[c] * pivot_row) // prev``, with ``p`` the
-    new pivot and ``prev`` the one before it, divides exactly (by
-    Sylvester's identity every entry is a minor of the matrix).  At the end
-    every pivot equals the last one, ``d``, and an entry ``a`` of the form is
-    ``Fraction(a, d)``.
-    """
-    ncols = len(m[0])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        top = m[r]
-        p = top[c]
-        for i, row in enumerate(m):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-            elif p != prev:
-                m[i] = [p * a // prev for a in row]
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [[Fraction(a, prev) for a in row] for row in m[:r]], pivots
-
-
 def rank(rows):
+    """Rank of ``rows`` over the rationals: the number of ``rref`` pivots."""
     return len(rref(rows)[1])
 
 
@@ -284,32 +298,10 @@ def _integer_matrix(rows, ncols):
 
 def _independent_rows(ints):
     """Indices of rows of the integer matrix ``ints`` independent modulo
-    ``_PRIME``, chosen greedily in order; selection stops once one row per
-    column is kept.
-
-    Each kept row is normalised at its first nonzero column, and that column
-    is eliminated from all later rows at once.  Residues lie in [0, p), so
-    ``a - f * b`` lies in (-(p - 1)^2, p): int64 holds it while
-    (p - 1)^2 + p < 2^63.
-    """
-    p = _PRIME
-    m = (ints % p).astype(np.int64)
-    kept = []
-    i = 0
-    while len(kept) < m.shape[1]:
-        nonzero = np.flatnonzero(m[i:].any(axis=1))
-        if not nonzero.size:
-            break
-        i += int(nonzero[0])
-        row = m[i]
-        c = np.flatnonzero(row)[0]
-        row = row * pow(int(row[c]), -1, p) % p
-        rest = m[i + 1:]
-        rest -= rest[:, c, None] * row
-        rest %= p
-        kept.append(i)
-        i += 1
-    return kept
+    ``_PRIME``, chosen greedily in order (at most one per column): the
+    pivot columns of the transpose's reduced row echelon form modulo
+    ``_PRIME``."""
+    return _rref_mod(ints.T, _PRIME)[1]
 
 
 def _vanishes(null, ints):
@@ -408,6 +400,9 @@ def rank_report(
     general one refuses samples that are all Einstein (ValueError).  Other
     curvature classes (Ricci-flat, conformally flat) are not told apart;
     they wait for domains as data.
+
+    A null vector that fails confirmation is dropped without a flag, so
+    ``rank + len(nullspace)`` can fall short of the column count.
     """
     if seed is None:
         raise ValueError("a seed is required (it draws the batch that "

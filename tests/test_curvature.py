@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riemann_syzygy import catalog, curvature, expr, ranklab, relations
@@ -243,7 +243,11 @@ def test_rational_string_forms():
 
 
 def _rational_to_str_reference(x):
-    """``rational_to_str`` as it was before integers skipped the Fraction."""
+    """``rational_to_str`` as it was before integers skipped the Fraction.
+    A numpy integer becomes an int first: Fraction would negate its
+    numerator in int64, which overflows at -2**63."""
+    if isinstance(x, np.integer):
+        x = int(x)
     x = Fraction(x)
     if x.denominator == 1:
         return int(x)
@@ -262,6 +266,7 @@ _BEYOND_INT64 = st.one_of(st.integers(2**63, 2**200), st.integers(-2**200, -2**6
     st.fractions(),
     st.one_of(_BEYOND_INT64, st.integers()).map(Fraction),
 ))
+@example(np.int64(-2**63))
 def test_rational_to_str_equals_reference(x):
     got, want = rational_to_str(x), _rational_to_str_reference(x)
     assert got == want

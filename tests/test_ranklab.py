@@ -1,6 +1,7 @@
 """Exact linear algebra and randomized rank analysis."""
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -381,6 +382,11 @@ def test_prime_keeps_int64_products_exact():
     assert q < p and _is_prime(q)
     assert not any(_is_prime(n) for n in range(q + 1, p))
     assert p * q < 2**62
+    # Miller-Rabin to the bases 2, 3, 5, 7 is exact below 3,215,031,751
+    for n in [*range(2, 10**4 + 1), *range(2**31 - 200, 2**31)]:
+        assert ranklab._is_prime(n) == _is_prime(n), n
+    below = [n for n in range(q - 1, q - 400, -1) if _is_prime(n)]
+    assert list(itertools.islice(ranklab._primes(), 2 + len(below))) == [p, q, *below]
 
 
 def test_vanishes_is_exact_per_vector():
@@ -422,15 +428,20 @@ def test_rref_equals_fraction_reference(rows, scale):
 
 
 def _rref_route(rows):
-    """``rref(rows)``, and which route it took: "modular", or the reason
-    the modular form was dropped for Bareiss elimination: "pivots" (the
-    primes disagree), "reconstruction" (an entry has none) or "check"."""
-    pivots, rebuilt, fallback = [], [], []
-    rref_mod, rational, bareiss = ranklab._rref_mod, ranklab._rational, ranklab._bareiss
+    """``rref(rows)``, the number of primes it reduced the rows modulo, and
+    the routes by which it took one more prime: "pivots" (a prime's pivots
+    differ from those before it), "reconstruction" (an entry has none) and
+    "check" (the rebuilt form fails the exact check).  Two primes and no
+    route is the common path."""
+    primes, routes, rebuilt = [], set(), []
+    rref_mod, rational, checked_form = (ranklab._rref_mod, ranklab._rational,
+                                        ranklab._checked_form)
 
     def spy_rref_mod(ints, p):
         reduced = rref_mod(ints, p)
-        pivots.append(reduced[1])
+        if primes and reduced[1] != primes[-1]:
+            routes.add("pivots")
+        primes.append(reduced[1])
         return reduced
 
     def spy_rational(*args):
@@ -438,68 +449,102 @@ def _rref_route(rows):
         rebuilt.append(q)
         return q
 
-    def spy_bareiss(m):
-        fallback.append(m)
-        return bareiss(m)
+    def spy_checked_form(*args):
+        rebuilt.clear()
+        form = checked_form(*args)
+        if form is None:
+            routes.add("reconstruction" if None in rebuilt else "check")
+        return form
 
-    with mock.patch.multiple(ranklab, _rref_mod=spy_rref_mod,
-                             _rational=spy_rational, _bareiss=spy_bareiss):
+    with mock.patch.multiple(ranklab, _rref_mod=spy_rref_mod, _rational=spy_rational,
+                             _checked_form=spy_checked_form):
         result = rref(rows)
-    if not fallback:
-        route = "modular"
-    elif pivots and pivots[0] != pivots[-1]:
-        route = "pivots"
-    elif None in rebuilt:
-        route = "reconstruction"
-    else:
-        route = "check"
-    return result, route
+    return result, len(primes), routes
+
+
+# the unpatched generator, for use while ``ranklab._primes`` is patched
+_PRIMES = ranklab._primes
+
+
+def _small_primes_first():
+    """5, 7, 11 and 13, then ``rref``'s own primes: modulo 5 and 7 (residues
+    modulo 35, reconstruction bound 4) each route of the loop is common."""
+    return itertools.chain([5, 7, 11, 13], _PRIMES())
 
 
 def test_modular_rref_falls_back_on_every_route():
-    """With the primes 5 and 7 (residues modulo 35, reconstruction bound 4)
-    each way out of the modular path is common; every result must still be
+    """Each way of taking one more prime is taken, and every result is still
     the reference form."""
-    routes = set()
+    seen = set()
 
     @settings(max_examples=200, deadline=None)
     @given(rows=_planted_matrix())
-    @example(rows=[[2, 1], [4, 2]])  # modular: the entry 1/2 is within it
+    @example(rows=[[2, 1], [4, 2]])  # two primes: the entry 1/2 is within 4
     @example(rows=[[5, 1], [0, 1]])  # rank 1 modulo 5, 2 modulo 7
     @example(rows=[[1, 10]])  # 10 = n/d mod 35 only with |n| or d above 4
     @example(rows=[[1, 17]])  # 17 = -1/2 mod 35, which fails the check
     def check(rows):
-        with mock.patch.multiple(ranklab, _PRIME=5, _PRIME2=7):
-            result, route = _rref_route(rows)
+        with mock.patch.object(ranklab, "_primes", _small_primes_first):
+            result, _, routes = _rref_route(rows)
         assert result == _reference_rref(rows)
-        routes.add(route)
+        seen.update(routes or {"two primes"})
 
     check()
-    assert routes == {"modular", "pivots", "reconstruction", "check"}
+    assert seen == {"two primes", "pivots", "reconstruction", "check"}
 
 
+@pytest.mark.parametrize("rows, nprimes, routes", [
+    ([[2, 1], [4, 2]], 2, set()),
+    # rank 1 modulo 5, 2 modulo 7 and 11
+    ([[5, 1], [0, 1]], 3, {"pivots"}),
+    # 10 has no reconstruction modulo 35, and is 10/1 modulo 385
+    ([[1, 10]], 3, {"reconstruction"}),
+    # 17 = -1/2 modulo 35; modulo 385 (bound 13) it has no reconstruction
+    ([[1, 17]], 4, {"check", "reconstruction"}),
+])
+def test_modular_rref_route_from_small_primes(rows, nprimes, routes):
+    with mock.patch.object(ranklab, "_primes", _small_primes_first):
+        result, got_nprimes, got_routes = _rref_route(rows)
+    assert (got_nprimes, got_routes) == (nprimes, routes)
+    assert result == _reference_rref(rows)
+
+
+# with rref's own primes; ``routes`` is the number of primes and the routes
 @pytest.mark.parametrize("rows, routes", [
     # 2^31 - 1 is 0 modulo _PRIME but not modulo _PRIME2
-    ([[2**31 - 1, 1], [0, 1]], {"pivots"}),
-    # the entry 2^40 / 3 exceeds the reconstruction bound of about 2^30.5
-    ([[3, 2**40]], {"reconstruction", "check"}),
+    ([[2**31 - 1, 1], [0, 1]], (3, {"pivots"})),
+    # the entry 2^40 / 3 exceeds the reconstruction bound of about 2^30.5,
+    # so it takes a third prime
+    ([[3, 2**40]], (3, {"reconstruction"})),
     # 2^30 / 3 is within it
-    ([[3, 2**30]], {"modular"}),
+    ([[3, 2**30]], (2, set())),
 ])
 def test_modular_rref_route(rows, routes):
-    result, route = _rref_route(rows)
-    assert route in routes
+    result, nprimes, taken = _rref_route(rows)
+    assert (nprimes, taken) == routes
     assert result == _reference_rref(rows)
 
 
 def test_catalog_ranks_take_the_modular_path():
-    """No rref of a rank report over these catalogs falls back to Bareiss
-    elimination, so the speed of the modular path cannot silently vanish."""
-    bareiss = mock.Mock(side_effect=ranklab._bareiss)
-    with mock.patch.object(ranklab, "_bareiss", bareiss):
+    """Every rref of a rank report over these catalogs reduces its rows
+    modulo exactly two primes, so the fast path cannot silently grow a
+    third prime."""
+    counts = []
+    rref_mod, exact_rref = ranklab._rref_mod, ranklab.rref
+
+    def counting_rref_mod(ints, p):
+        counts[-1] += 1
+        return rref_mod(ints, p)
+
+    def counting_rref(rows):
+        counts.append(0)
+        return exact_rref(rows)
+
+    with mock.patch.multiple(ranklab, _rref_mod=counting_rref_mod, rref=counting_rref):
         for name in ("quartic", "quartic_basis", "quintic", "cubic_rank2"):
+            counts.append(0)  # the row selection of the report
             rank_report(catalog.catalog(name), seed=1, catalog_name=name)
-    bareiss.assert_not_called()
+    assert counts == [1, 2, 2, 2] * 4
 
 
 def test_forced_fallback_gives_same_reports(monkeypatch):
@@ -661,4 +706,9 @@ def test_rank_report_refuses_samples_of_another_domain():
         rank_report(entries, seed=3, samples=mixed,
                     config=GenConfig(einstein=True))
     # a general config takes them: not every sample is Einstein
-    assert rank_report(entries, seed=3, samples=mixed).n_samples == 61
+    report = rank_report(entries, seed=3, samples=mixed)
+    assert report.n_samples == 61
+    # their 20 null vectors fail on the general confirmation batch and are
+    # dropped without a flag: rank plus nullspace falls short of 26 columns
+    assert (report.rank, len(report.labels), report.nullspace) == (6, 26, [])
+    assert len(nullspace(sample_matrix(entries, mixed), 26)) == 20
