@@ -80,11 +80,11 @@ INT64_BOUND = 2**62
 
 class Scaled(NamedTuple):
     """An exact scalar or array as ``num / den``, with ``den`` > 0 and every
-    ``|num|`` entry at most ``bound``.  An array ``num`` is int64 when
-    ``bound < INT64_BOUND`` and an object array of Python ints otherwise; a
-    scalar ``num`` is a Python int."""
+    ``|num|`` entry at most ``bound``.  ``num`` is an array, 0-d for a
+    scalar: int64 when ``bound < INT64_BOUND`` and an object array of Python
+    ints otherwise."""
 
-    num: object
+    num: np.ndarray
     den: int
     bound: int
 
@@ -96,9 +96,7 @@ def int_dtype(bound):
 
 def _from_ints(num, den):
     """The Scaled form of integer numerators (int64 or Python ints) over den."""
-    if np.ndim(num) == 0:
-        num = int(num)
-        return Scaled(num, den, abs(num))
+    num = np.asarray(num)
     bound = max(int(num.max()), -int(num.min()))
     return Scaled(num.astype(int_dtype(bound), copy=False), den, bound)
 
@@ -106,11 +104,7 @@ def _from_ints(num, den):
 def scaled(value) -> Scaled:
     """Integer numerators of an exact scalar or array over the least common
     denominator of its entries."""
-    if not isinstance(value, np.ndarray) or value.ndim == 0:
-        x = _as_rational(value[()] if isinstance(value, np.ndarray) else value)
-        if type(x) is int:
-            return Scaled(x, 1, abs(x))
-        return Scaled(x.numerator, x.denominator, abs(x.numerator))
+    value = np.asarray(value, dtype=object)
     flat = value.ravel().tolist()
     den = 1
     if set(map(type, flat)) != {int}:
@@ -127,7 +121,7 @@ def widened(s: Scaled, growth):
     magnitudes by at most ``growth`` cannot wrap: as it is (int64 or Python
     ints) when ``growth * s.bound`` is below INT64_BOUND, as Python ints
     otherwise."""
-    if growth * s.bound >= INT64_BOUND and np.ndim(s.num):
+    if growth * s.bound >= INT64_BOUND:
         return s.num.astype(object)
     return s.num
 

@@ -13,16 +13,19 @@ a label occurring once is a free index of the expression.  Examples:
 
 Evaluation is exact and runs on integers.  A context holds each symbol in
 one form only, its scaled form (``curvature.Scaled``): integer numerators
-over one denominator, made on the symbol's first use.  The symbol's exact
-value, when asked for, is derived from that form.  An expression is brought
-over one denominator too: each monomial's coefficient, times its symbols'
-denominators, over their least common multiple.  A monomial is then bounded
-by |coefficient| * the product of its factors' largest numerators * the
-product of the ranges of its summed indices; that bound covers every
-intermediate of its contraction, in any order of summing.  When the sum of
-these bounds over all monomials is below 2**62 the contractions run on
-int64, and otherwise the same contractions run on object arrays of Python
-ints.  Only the final division makes ``fractions.Fraction`` entries.
+over one denominator, made on the symbol's first use; the numerators are
+an array for every symbol, 0-d for a scalar.  The symbol's exact value,
+when asked for, is derived from that form.  Every factor of a monomial,
+scalars too, is an operand of one contraction; a scalar's has no index.
+An expression is brought over one denominator too: each monomial's
+coefficient, times its symbols' denominators, over their least common
+multiple.  A monomial is then bounded by |coefficient| * the product of its
+factors' largest numerators * the product of the ranges of its summed
+indices; that bound covers every intermediate of its contraction, in any
+order of summing.  When the sum of these bounds over all monomials is below
+2**62 the contractions run on int64, and otherwise the same contractions run
+on object arrays of Python ints.  Only the final division makes
+``fractions.Fraction`` entries.
 
 A small contraction runs as one ``np.einsum`` pass.  A large one runs two
 operands at a time, each step one ``np.matmul`` of the two reshaped into
@@ -35,9 +38,9 @@ compiled once per process into a plan, keyed by the monomial's factors, the
 free labels, the shapes of the factors on one sample and whether the context
 is batched; the coefficient is not part of the key.  A context keeps what a
 monomial takes from it apart from its coefficient (``LazyContext.part``):
-the scalar factors times the denominators, the bound without the
-coefficient, the plan, and the exact contraction of the numerators, on int64
-when that bound allows.  It is made on the monomial's first evaluation in
+the product of its factors' denominators, the bound without the
+coefficient, and the exact contraction of their numerators, on int64 when
+that bound allows.  It is made on the monomial's first evaluation in
 the context and kept for the context's life, keyed by the factors and the
 free labels.  Every later expression holding the monomial, another
 relation's side or a mutant that differs in a coefficient, only multiplies
@@ -183,7 +186,10 @@ def _parse_term(sign, text):
     coeff = Fraction(sign)
     start = 0
     if _RATIONAL_RE.match(tokens[0]):
-        coeff *= Fraction(tokens[0])
+        try:
+            coeff *= Fraction(tokens[0])
+        except ZeroDivisionError:
+            raise ExprError(f"zero denominator in term {text!r}") from None
         start = 1
         if start == len(tokens):
             raise ExprError(f"term {text!r} has a coefficient but no factor")
@@ -478,19 +484,14 @@ def _pairwise_steps(terms, out, size, batched):
 
 class _Plan(NamedTuple):
     """A monomial's contraction, apart from its coefficient and its sample:
-    the positions of its ``scalars`` and of its ``arrays`` factors, the
-    product ``summed`` of the ranges of its summed indices, the einsum
-    ``spec`` of its arrays (None when it has none), its pairwise ``steps``
-    (``_Step``s; empty for one einsum pass over ``spec``), and the output
-    ``shape`` of one sample.  A batched plan contracts every factor, scalars
-    too, along the sample axis, so its ``scalars`` are empty."""
+    the product ``summed`` of the ranges of its summed indices, the einsum
+    ``spec`` of all its factors (a scalar's subscript is empty, or the
+    sample letter alone in a batched plan), and its pairwise ``steps``
+    (``_Step``s; empty for one einsum pass over ``spec``)."""
 
-    scalars: tuple
-    arrays: tuple
     summed: int
-    spec: str | None
+    spec: str
     steps: tuple
-    shape: tuple
 
 
 _PLANS = {}
@@ -509,11 +510,13 @@ def _compile(factors, free, shapes, batched=False) -> _Plan:
     missing from the context), made on first request and kept for the
     process; ``batched`` when every factor has a leading sample axis.  The
     plan serves batches of every size.  A monomial that does not fit its
-    shapes raises, and nothing is kept."""
+    shapes, or has no factor, raises, and nothing is kept."""
     key = (factors, free, shapes, batched)
     if key in _PLANS:
         return _PLANS[key]
-    scalars, arrays, subs = [], [], []
+    if not factors:
+        raise ExprError("a monomial with no factor")
+    subs = []
     letter_of = {}
     size_of = {}
 
@@ -524,20 +527,16 @@ def _compile(factors, free, shapes, batched=False) -> _Plan:
             letter_of[lbl] = _LETTERS[len(letter_of)]
         return letter_of[lbl]
 
-    for i, ((name, labels), shape) in enumerate(zip(factors, shapes)):
+    for (name, labels), shape in zip(factors, shapes):
         if shape is None:
             raise ExprError(f"unknown symbol {name!r}")
         rank = len(shape)
-        if not labels:
-            if rank:
-                raise ExprError(f"symbol {name!r} needs {rank} indices")
-            scalars.append(i)
-            continue
+        if not labels and rank:
+            raise ExprError(f"symbol {name!r} needs {rank} indices")
         if rank != len(labels):
             raise ExprError(
                 f"symbol {name!r} has rank {rank}, got {len(labels)} indices"
             )
-        arrays.append(i)
         subs.append("".join(letter(l) for l in labels))
         for lbl, n in zip(labels, shape):
             if size_of.setdefault(lbl, n) != n:
@@ -545,46 +544,32 @@ def _compile(factors, free, shapes, batched=False) -> _Plan:
                     f"index {lbl!r} ranges over {size_of[lbl]} and {n} values"
                 )
 
-    if not arrays and free:
+    if not size_of and free:
         raise ExprError("free indices in a purely scalar monomial")
-    if batched:
-        # scalars join the contraction with no index but the sample's
-        arrays, subs = arrays + scalars, subs + [""] * len(scalars)
-        scalars = []
     summed = math.prod(size_of[l] for l in set(size_of) - set(free))
-    shape = tuple(size_of[l] for l in free)
-    if not arrays:
-        plan = _Plan(tuple(scalars), (), summed, None, (), shape)
-    else:
-        out = "".join(letter(l) for l in free)
-        spec = ",".join(subs) + "->" + out
-        steps = ()
-        cut = _BATCH_ONE_PASS_POINTS if batched else _ONE_PASS_POINTS
-        if len(arrays) > 1 and math.prod(size_of.values()) > cut:
-            size = {letter_of[l]: n for l, n in size_of.items()}
-            steps = _pairwise_steps(subs, out, size, batched)
-        if batched:
-            spec = _batch_spec(spec, letter(None))  # a letter no label has
-        plan = _Plan(tuple(scalars), tuple(arrays), summed, spec, steps, shape)
-    _PLANS[key] = plan
+    out = "".join(letter(l) for l in free)
+    spec = ",".join(subs) + "->" + out
+    steps = ()
+    cut = _BATCH_ONE_PASS_POINTS if batched else _ONE_PASS_POINTS
+    if len(subs) > 1 and math.prod(size_of.values()) > cut:
+        size = {letter_of[l]: n for l, n in size_of.items()}
+        steps = _pairwise_steps(subs, out, size, batched)
+    if batched:
+        spec = _batch_spec(spec, letter(None))  # a letter no label has
+    plan = _PLANS[key] = _Plan(summed, spec, steps)
     return plan
 
 
 class _Part(NamedTuple):
     """What a monomial takes from one context, apart from its coefficient:
-    ``p / q`` is the product of its scalar factors over its arrays'
-    denominators;
-    ``bound``, the product of the summed ranges and of the arrays' largest
-    numerators, is at least every entry of the contraction of the numerator
-    arrays along ``plan`` and of each of its intermediates, on every sample
-    (0 when a factor is zero); ``value`` is that contraction, exact in
-    ``int_dtype(bound)``, or None when ``p`` or ``bound`` is 0 or there is no
-    array to contract."""
+    ``q`` is the product of its factors' denominators; ``bound``, the
+    product of the summed ranges and of the factors' largest numerators, is
+    at least every entry of the contraction of the numerators and of each of
+    its intermediates, on every sample; ``value`` is that contraction, exact
+    on int64 when ``bound`` and every factor's numerators fit it."""
 
-    p: int
     q: int
     bound: int
-    plan: _Plan
     value: object
 
 
@@ -593,45 +578,15 @@ def _part(factors, free, context) -> _Part:
              for name, _ in factors]
     batched = context.batch is not None
     # per sample: without the sample axis of a batched context
-    shapes = tuple(None if f is None else np.shape(f.num)[batched:]
-                   for f in forms)
+    shapes = tuple(None if f is None else f.num.shape[batched:] for f in forms)
     plan = _compile(factors, free, shapes, batched)
-    p, q = 1, 1
-    for i in plan.scalars:
-        num, den, _ = forms[i]
-        p, q = p * num, q * den
-    bound = plan.summed
-    arrays = []
-    for i in plan.arrays:
-        num, den, top = forms[i]
-        arrays.append(num)
-        q *= den
-        bound *= top
-    value = None
-    if plan.spec is not None and p and bound:
-        dtype = int_dtype(bound)
-        value = _contract(plan.spec, plan.steps,
-                          [a.astype(dtype, copy=False) for a in arrays])
-    return _Part(p, q, bound, plan, value)
-
-
-class _Term(NamedTuple):
-    """One monomial over integers: ``p / q`` times the contraction
-    ``part.value``; ``p / q`` is the coefficient times ``part.p / part.q``
-    in lowest terms, and ``bound`` is ``|p| * part.bound``."""
-
-    p: int
-    q: int
-    bound: int
-    part: _Part
-
-
-def _monomial(mono: Monomial, context, free) -> _Term:
-    part = context.part(mono.factors, free)
-    p, q = mono.coeff.numerator * part.p, mono.coeff.denominator * part.q
-    g = math.gcd(p, q)
-    p, q = p // g, q // g
-    return _Term(p, q, abs(p) * part.bound, part)
+    q = math.prod(f.den for f in forms)
+    bound = plan.summed * math.prod(f.bound for f in forms)
+    # a zero factor makes the bound 0 but leaves the others' numerators wide
+    dtype = int_dtype(max(bound, *(f.bound for f in forms)))
+    value = _contract(plan.spec, plan.steps,
+                      [f.num.astype(dtype, copy=False) for f in forms])
+    return _Part(q, bound, value)
 
 
 def evaluate(poly, context):
@@ -644,31 +599,29 @@ def evaluate(poly, context):
     (N,) for a scalar, (N, *free) otherwise.
     """
     poly = as_poly(poly)
-    batch = () if context.batch is None else (context.batch,)
-    terms = [_monomial(m, context, poly.free_labels) for m in poly.monomials]
-    if not terms:
+    if not poly.monomials:
         if poly.free_labels:
             raise ExprError("cannot evaluate an empty expression with free indices")
-        return np.zeros(batch, dtype=object) if batch else 0
+        return np.zeros(context.batch, dtype=object) if context.batch else 0
+    # each monomial as p / q times its part's contraction, in lowest terms
+    terms = []
+    for m in poly.monomials:
+        part = context.part(m.factors, poly.free_labels)
+        p, q = m.coeff.numerator, m.coeff.denominator * part.q
+        g = math.gcd(p, q)
+        terms.append((p // g, q // g, part))
     # over the common denominator each numerator p, and its bound, grow by den/q
-    den = math.lcm(*(t.q for t in terms))
-    dtype = int_dtype(sum(t.bound * (den // t.q) for t in terms))
+    den = math.lcm(*(q for _, q, _ in terms))
+    dtype = int_dtype(sum(abs(p) * (den // q) * part.bound for p, q, part in terms))
     total = 0
-    for t in terms:
-        k = t.p * (den // t.q)
-        if t.part.plan.spec is None:
-            total = total + k
-        elif not t.bound:
-            if batch + t.part.plan.shape:
-                total = total + np.zeros(batch + t.part.plan.shape, dtype=dtype)
-        else:
-            value = t.part.value
-            if dtype is object:
-                # a contraction kept on int64 (a 0-d one is an np.int64) is
-                # widened before k, which may pass int64, multiplies it
-                value = (value.astype(object, copy=False)
-                         if isinstance(value, np.ndarray) else int(value))
-            total = total + k * value
+    for p, q, part in terms:
+        value = part.value
+        if dtype is object:
+            # a contraction kept on int64 (a 0-d one is an np.int64) is
+            # widened before p, which may pass int64, multiplies it
+            value = (value.astype(object, copy=False)
+                     if isinstance(value, np.ndarray) else int(value))
+        total = total + p * (den // q) * value
     return unscaled(total, den)
 
 
@@ -695,12 +648,12 @@ class LazyContext(Mapping):
     it is N, and every symbol's numerators carry a leading axis of N.
 
     ``part(factors, free)`` is a monomial's share of ``evaluate`` that does
-    not depend on its coefficient (see ``_Part``): its scalar factors and
-    denominators, its bound, its plan and the exact contraction of its
-    numerators.  It too is made on first request and kept, so every
-    expression evaluated in the context, every relation side or mutant of
-    one, contracts a monomial once and then only multiplies in its own
-    coefficient.  Everything is kept for as long as the context lives.
+    not depend on its coefficient (see ``_Part``): its denominators, its
+    bound and the exact contraction of its numerators.  It too is made on
+    first request and kept, so every expression evaluated in the context,
+    every relation side or mutant of one, contracts a monomial once and then
+    only multiplies in its own coefficient.  Everything is kept for as long
+    as the context lives.
     """
 
     def __init__(self, rules, batch=None, **values):

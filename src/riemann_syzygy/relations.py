@@ -32,7 +32,7 @@ the identity matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -136,26 +136,39 @@ class VerifyReport:
 
 def _relation_from_dict(d, position):
     """The Relation of registry entry number ``position``; a null ``rhs`` is
-    none.  ValueError naming the relation (or, without a name, the position)
-    for a missing name or lhs, ``tags`` that are not a list of strings, and
+    none.  ValueError naming the relation (or, without a name that is a
+    string, the position) for a missing name or lhs, a key that is not a
+    field of ``Relation``, ``tags`` that are not a list of strings, an
+    ``rhs_delta`` that is not a bool, ``notes`` that are not a string, and
     whatever ``Relation`` rejects."""
     if "name" not in d:
         raise ValueError(f"registry entry {position} has no name")
     name = d["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"registry entry {position}: name must be a string, got {name!r}")
+    unknown = sorted(set(d) - {f.name for f in fields(Relation)})
+    if unknown:
+        raise ValueError(f"{name}: unknown key(s) {', '.join(unknown)}")
     if "lhs" not in d:
         raise ValueError(f"{name}: no lhs")
     tags = d.get("tags", [])
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise ValueError(f"{name}: tags must be a list of strings, got {tags!r}")
+    rhs_delta = d.get("rhs_delta", False)
+    if not isinstance(rhs_delta, bool):
+        raise ValueError(f"{name}: rhs_delta must be true or false, got {rhs_delta!r}")
+    notes = d.get("notes", "")
+    if not isinstance(notes, str):
+        raise ValueError(f"{name}: notes must be a string, got {notes!r}")
     return Relation(
         name=name,
         domain=d.get("domain", "general"),
         lhs=d["lhs"],
         rhs=d.get("rhs"),
-        rhs_delta=bool(d.get("rhs_delta", False)),
+        rhs_delta=rhs_delta,
         expect=d.get("expect", "zero"),
         tags=tuple(tags),
-        notes=d.get("notes", ""),
+        notes=notes,
     )
 
 

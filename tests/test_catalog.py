@@ -136,8 +136,9 @@ def test_benchmark_catalogs_exist():
      r"language, got Ap of rank 2 \(matrix\)"),
     ({"fform": "Rc[a,b]*Rc[a,b]"}, "fform: expected symbols of the matrix "
      r"language, got Rc of rank 2 \(tensor\)"),
+    ({"matrix": "R*R - 1/0*detB"}, r"matrix: zero denominator in term '1/0\*detB'"),
 ], ids=["malformed", "mixed", "unknown", "misranked", "dict", "matrix-as-tensor",
-        "tensor-as-fform"])
+        "tensor-as-fform", "zero-denominator"])
 def test_malformed_entry_rejected(fields, reason):
     # rejected when the entry is made, naming the entry and the field
     with pytest.raises(expr.ExprError, match=f"^z: {reason}$"):

@@ -55,6 +55,28 @@ def test_grammar_rejections():
         parse("Rc[a,b] + Sc")  # inconsistent free labels across terms
 
 
+@pytest.mark.parametrize("text, term", [
+    ("1/0*R", "1/0*R"), ("Sc - 3/00*Sc*Sc", "3/00*Sc*Sc"), ("2/0*Rc[a,b]", "2/0*Rc[a,b]"),
+], ids=["first", "second", "free"])
+def test_zero_denominator_names_the_term(text, term):
+    with pytest.raises(ExprError) as err:
+        parse(text)
+    assert str(err.value) == f"zero denominator in term {term!r}"
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["one", "batch"])
+@pytest.mark.parametrize("language", ["tensor", "matrix"])
+def test_monomial_without_factor_raises(samples, language, batched, monkeypatch):
+    # parse refuses such a term; only a hand-built monomial gets this far
+    monkeypatch.setattr(expr, "_PLANS", {})
+    ctx = expr.contexts(samples[:2] if batched else samples[0])[language]
+    poly = Poly(monomials=(expr.Monomial(Fraction(3), ()),), free_labels=())
+    for _ in range(2):
+        with pytest.raises(ExprError, match="^a monomial with no factor$"):
+            evaluate(poly, ctx)
+    assert expr._PLANS == {}
+
+
 def test_render_parse_round_trip():
     for text in (
         "Sc*Sc - 4*Rc[a,b]*Rc[a,b]",
@@ -458,6 +480,8 @@ _BATCH = st.lists(
     min_size=1, max_size=4,
 ).map(lambda batch: [_blocks(values) for values in batch])
 _EMPTY = Poly(monomials=(), free_labels=())
+# monomials of scalar factors only, in both languages
+_SCALARS = [parse(text) for text in ("R*R*R", "Sc*Sc", "detB", "1/3*R*detB - 2*R")]
 
 
 # no shrinking: a failure reports its example at once
@@ -476,6 +500,7 @@ def test_batched_evaluate_equals_per_sample(fbs):
     batched = expr.contexts(fbs)
     singles = [catalog.contexts_for(fb) for fb in fbs]
     expressions = ([(what, poly.language, poly) for what, poly in _EXPRESSIONS]
+                   + [(render(poly), poly.language, poly) for poly in _SCALARS]
                    + [("empty", lang, _EMPTY) for lang in batched])
     for what, language, poly in expressions:
         got = evaluate(poly, batched[language])

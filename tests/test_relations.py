@@ -161,9 +161,17 @@ def _sides(lhs, rhs, **fields):
      r"symbols of one language, got Rc of rank 3 \(no language\)$"),
     (_sides("Sc", {"expr": "Sc", "language": "tensor"}),
      "bad_rel: rhs must be an expression string or a Poly, got dict$"),
+    (_sides("Rc[a,b]", "Sc", rhs_detla=True), "bad_rel: unknown key[(]s[)] rhs_detla$"),
+    (_sides("Rc[a,b]", "Sc", rhs_delta="false"),
+     "bad_rel: rhs_delta must be true or false, got 'false'$"),
+    ({"name": 5, "lhs": _SIDE}, "registry entry 4: name must be a string, got 5$"),
+    ({"name": "bad_rel", "lhs": _SIDE, "notes": ["a"]},
+     r"bad_rel: notes must be a string, got \['a'\]$"),
+    (_sides("Sc", "1/0*Sc*Sc"), r"bad_rel: rhs: zero denominator in term '1/0\*Sc\*Sc'$"),
 ], ids=["no-name", "no-lhs", "string-tags", "non-string-tag", "malformed-lhs",
         "malformed-rhs", "unfit-labels", "unfit-rhs-delta", "mixed-lhs",
-        "unknown-rhs", "misranked-lhs", "dict-rhs"])
+        "unknown-rhs", "misranked-lhs", "dict-rhs", "unknown-key", "string-rhs-delta",
+        "non-string-name", "non-string-notes", "zero-denominator"])
 def test_malformed_registry_entry_rejected(entry, reason):
     with pytest.raises(ValueError, match=f"^{reason}"):
         relations._relation_from_dict(entry, 4)
