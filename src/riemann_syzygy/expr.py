@@ -598,11 +598,19 @@ def evaluate(poly, context):
     as an object array whose leading axis runs over the samples: of shape
     (N,) for a scalar, (N, *free) otherwise.
     """
+    value = _evaluate_scaled(poly, context)
+    return unscaled(value.num, value.den)
+
+
+def _evaluate_scaled(poly, context) -> Scaled:
+    """``evaluate``'s value as integer numerators over one denominator, with
+    a proven bound on the numerators: int64 when the bound allows, Python
+    ints otherwise."""
     poly = as_poly(poly)
     if not poly.monomials:
         if poly.free_labels:
             raise ExprError("cannot evaluate an empty expression with free indices")
-        return np.zeros(context.batch, dtype=object) if context.batch else 0
+        return Scaled(np.zeros(context.batch or (), np.int64), 1, 0)
     # each monomial as p / q times its part's contraction, in lowest terms
     terms = []
     for m in poly.monomials:
@@ -612,7 +620,8 @@ def evaluate(poly, context):
         terms.append((p // g, q // g, part))
     # over the common denominator each numerator p, and its bound, grow by den/q
     den = math.lcm(*(q for _, q, _ in terms))
-    dtype = int_dtype(sum(abs(p) * (den // q) * part.bound for p, q, part in terms))
+    bound = sum(abs(p) * (den // q) * part.bound for p, q, part in terms)
+    dtype = int_dtype(bound)
     total = 0
     for p, q, part in terms:
         value = part.value
@@ -622,7 +631,7 @@ def evaluate(poly, context):
             value = (value.astype(object, copy=False)
                      if isinstance(value, np.ndarray) else int(value))
         total = total + p * (den // q) * value
-    return unscaled(total, den)
+    return Scaled(np.asarray(total, dtype), den, bound)
 
 
 def _table(name):

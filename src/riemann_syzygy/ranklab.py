@@ -1,30 +1,47 @@
 """Exact-rational rank analysis of invariant catalogs on random samples.
 
 A catalog of n invariants is probed by evaluating every entry on randomly
-generated curvature blocks, once over all of them (see ``sample_matrix``),
-stacking the values into a rows-by-n rational matrix, and finding its exact
-rank.  The rank of that matrix lower-bounds (and, with enough samples,
-equals with overwhelming probability) the dimension of the span of the
-invariants as polynomial functions; its nullspace vectors are candidate
-linear identities, which are confirmed on an independently seeded batch of
+generated curvature blocks, once over all of them, stacking the values into
+a rows-by-n rational matrix M, and finding its exact rank.  The rank of
+that matrix lower-bounds (and, with enough samples, equals with
+overwhelming probability) the dimension of the span of the invariants as
+polynomial functions; its nullspace vectors are candidate linear
+identities, which are confirmed on an independently seeded batch of
 samples before being reported.  ``rank_report`` draws that batch first and
-evaluates it together with the samples, in one ``sample_matrix`` call, even
-when no null vector turns out to need it; the rows are then split into the
+evaluates it together with the samples, in one evaluation batch, even when
+no null vector turns out to need it; the rows are then split into the
 sample rows and the confirmation rows.
 
-The rank is found without eliminating every row exactly.  Each row is
-scaled to integers, which does not change which rows are independent, and
-rows are chosen greedily in order, keeping each row independent modulo the
-prime p = 2^31 - 1 of those kept before (at most n of them); rows
-independent mod p are independent over the rationals.  Exact elimination
-then runs on the chosen rows only, and their null vectors are checked
-against every row by one matrix product on Python ints.  When all vanish,
-the chosen rows span the row space of the whole matrix, so rank, pivots
-and null vectors are exactly those of all rows; otherwise (p divided a
-minor) the whole matrix is eliminated exactly.  Rows are chosen once per
-report: those chosen among the first half of the samples, for the
-stability check, are the ones chosen on all samples that lie in that half
-(see ``_certified_basis``).
+A report works on integers from the contraction to the null vectors.  Each
+entry's values come out of ``expr`` as integer numerators over one
+denominator d_j per column (``_numerators``): M = N diag(d)^-1 with N an
+integer matrix, int64 when its entries' proven bound allows and Python ints
+otherwise.  Scaling columns by nonzero numbers keeps which rows are
+independent and the pivot columns, and maps a null vector w of N to the
+null vector d * w (entrywise) of M; the primitive form of a null vector is
+unique up to sign, so the report is that of M.  ``sample_matrix`` divides
+each column of N by its denominator, for callers that need the values.
+
+The rank is found without eliminating every row exactly.  Rows are chosen
+greedily in order, keeping each row independent modulo the prime
+p = 2^31 - 1 of those kept before (at most n of them); rows independent mod
+p are independent over the rationals.  Exact elimination then runs on the
+chosen rows only, and their null vectors are checked against every row by
+one matrix product.  When all vanish, the chosen rows span the row space of
+the whole matrix, so rank, pivots and null vectors are exactly those of all
+rows; otherwise (p divided a minor) the whole matrix is eliminated exactly.
+Rows are chosen once per report: those chosen among the first half of the
+samples, for the stability check, are the ones chosen on all samples that
+lie in that half (see ``_certified_basis``).
+
+Every exact check is one matrix product on integers, on int64 when a bound
+on its entries and partial sums, found from the largest entry of each
+operand, is below 2^63, and on Python ints otherwise (``_exact``): the
+null-vector check at ncols * max|row entry| * max|vector entry|
+(``_vanishes``) and the proof of ``rref`` at max|row entry| times the
+larger of the scale of the rebuilt entries and the pivot count times their
+largest numerator (``_checked_form``).  On the four benchmark catalogs
+(seeds 1 to 10) N fits in 26 to 39 bits and every check's bound in 26 to 60.
 
 One kernel, ``_rref_mod``, does every elimination: Gauss-Jordan modulo a
 prime on int64.  The rows chosen mod p are the pivot columns of the
@@ -32,7 +49,7 @@ transpose's form mod p.  Exact elimination (``rref``) reduces the rows
 modulo one prime after another, 2^31 - 1 and 2^31 - 19 first.  Once two
 primes agree on the pivots, the entries of the free columns are rebuilt
 over the rationals (Chinese remaindering, then rational reconstruction),
-and one matrix product on Python ints checks that every row is the
+and one matrix product checks that every row is the
 combination of the reduced rows that its entries in the pivot columns
 dictate; that check proves the result.  When the pivots differ, an entry
 has no reconstruction or the check fails, the next prime is taken (see
@@ -49,7 +66,7 @@ import numpy as np
 
 from . import expr
 from .catalog import CatalogEntry
-from .curvature import SCHEMA, int_dtype
+from .curvature import SCHEMA, int_dtype, unscaled
 from .gen import GenConfig, random_fblocks_stream
 
 __all__ = [
@@ -93,7 +110,7 @@ def rref(rows):
     From the second agreeing prime on, each entry is rebuilt from its
     residue (``_rational``, with |numerator| and denominator at most
     isqrt(m // 2)) into E, and ``M[:, free] == M[:, pivots] @ E[:, free]``
-    is checked on Python ints, scaled by the lcm of E's denominators.
+    is checked exactly, scaled by the lcm of E's denominators.
 
     That check proves E: rank(M) >= r, since a minor nonzero mod p is
     nonzero, and M = M[:, pivots] E with E of r rows gives rank(M) <= r,
@@ -227,6 +244,9 @@ def _checked_form(ints, x, modulus, pivots, free):
     lcm = math.lcm(*(q.denominator for row in entries for q in row))
     scaled = np.array([[q.numerator * (lcm // q.denominator) for q in row]
                        for row in entries], dtype=object).reshape(x.shape)
+    # each side's entries and partial sums are at most this in magnitude
+    bound = _magnitude(ints) * max(lcm, len(pivots) * _magnitude(scaled))
+    ints, scaled = _exact(bound, ints, scaled)
     if not (ints[:, free] * lcm == ints[:, pivots] @ scaled).all():
         return None
     ncols = ints.shape[1]
@@ -247,24 +267,18 @@ def rank(rows):
 
 
 def _primitive(vec):
-    """Scale a rational vector to coprime integers, first nonzero positive."""
-    denoms = [v.denominator for v in vec if v != 0]
-    if not denoms:
-        return [0] * len(vec)
-    mult = math.lcm(*denoms)
-    ints = [int(v * mult) for v in vec]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ints
+    """A nonzero integer vector divided by the gcd of its entries, first
+    nonzero entry positive."""
+    g = math.gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return [v // g for v in vec]
 
 
 def nullspace(rows, ncols=None):
     """Primitive integer basis of the right nullspace of the row span."""
     if ncols is None:
-        if not rows:
+        if not len(rows):
             raise ValueError("ncols is required for an empty matrix")
         ncols = len(rows[0])
     _check_width(rows, ncols)
@@ -273,19 +287,26 @@ def nullspace(rows, ncols=None):
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[fc]
+        # the null vector that is 1 at fc and 0 at the other free columns,
+        # times the lcm of its denominators
+        column = [row[fc] for row in reduced]
+        mult = math.lcm(*(q.denominator for q in column))
+        vec = [0] * ncols
+        vec[fc] = mult
+        for q, pc in zip(column, pivots):
+            vec[pc] = -q.numerator * (mult // q.denominator)
         basis.append(_primitive(vec))
     return basis
 
 
 def _integer_matrix(rows, ncols):
-    """``rows`` as a len(rows) x ncols object array of Python ints, each row
-    times the lcm of its denominators (a row of ints is kept as it is).
-    ValueError naming the first row that is not ``ncols`` long."""
+    """``rows`` as a len(rows) x ncols integer matrix: an int64 ndarray as
+    it is, otherwise an object array of Python ints, each row times the lcm
+    of its denominators (a row of ints is kept as it is).  ValueError naming
+    the first row that is not ``ncols`` long."""
     _check_width(rows, ncols)
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+        return rows
     m = np.array(rows, dtype=object).reshape(len(rows), ncols)
     if set(map(type, m.flat)) <= {int}:
         return m
@@ -304,11 +325,30 @@ def _independent_rows(ints):
     return _rref_mod(ints.T, _PRIME)[1]
 
 
+def _magnitude(ints):
+    """The largest |entry| of the integer array ``ints``, 0 when empty."""
+    if not ints.size:
+        return 0
+    return max(int(ints.max()), -int(ints.min()))
+
+
+def _exact(bound, *arrays):
+    """The integer ``arrays`` in a dtype in which arithmetic whose every
+    entry and intermediate is at most ``bound`` in magnitude is exact:
+    int64 when ``bound`` < 2^63, Python ints otherwise."""
+    dtype = np.int64 if bound < 1 << 63 else object
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
 def _vanishes(null, ints):
     """For each null vector, whether it is orthogonal to every row of the
-    integer matrix ``ints``: one matrix product on Python ints, exact at any
-    magnitude."""
+    integer matrix ``ints``: one matrix product, whose partial sums are at
+    most ncols * max|row entry| * max|vector entry|, on int64 when that
+    bound and the entries allow and on Python ints otherwise."""
     vecs = np.array(null, dtype=object).reshape(len(null), ints.shape[1])
+    x, c = _magnitude(ints), _magnitude(vecs)
+    bound = max(ints.shape[1] * x * c, x, c)
+    ints, vecs = _exact(bound, ints, vecs)
     return ~(ints @ vecs.T != 0).any(axis=0)
 
 
@@ -328,12 +368,11 @@ def _certified_basis(ints, kept):
     the whole matrix, and rows are selected once per matrix.
     """
     ncols = ints.shape[1]
-    basis = ints[kept].tolist()
+    basis = ints[kept]
     null = nullspace(basis, ncols)
     if _vanishes(null, ints).all():
         return basis, null
-    rows = ints.tolist()
-    return rows, nullspace(rows, ncols)
+    return ints, nullspace(ints, ncols)
 
 
 @dataclass
@@ -360,6 +399,19 @@ def sample_matrix(entries, fbs, representation=None):
     row per sample and free-index assignment for tensor-valued entries,
     sample by sample and then assignment by assignment in C order.
 
+    The values of the matrix of numerators of ``_numerators``, each column
+    over its denominator, in exact normal form."""
+    nums, dens = _numerators(entries, fbs, representation)
+    columns = [unscaled(nums[:, j], den) for j, den in enumerate(dens)]
+    return np.stack(columns, axis=-1).tolist()
+
+
+def _numerators(entries, fbs, representation=None):
+    """The matrix of ``sample_matrix`` as integers N, one column per entry,
+    and the column denominators d, so that the values are N[:, j] / d[j].
+    N is int64 when the proven bound on its entries allows and an object
+    array of Python ints otherwise.
+
     Each entry contributes ``entry.form(representation)``, the Poly the entry
     holds, evaluated once on all samples, in the batched context of its
     language (see ``expr.contexts``).  Nothing is parsed."""
@@ -367,11 +419,13 @@ def sample_matrix(entries, fbs, representation=None):
     if len({p.free_labels for p in forms}) != 1:
         raise ValueError("all catalog entries must share the same free labels")
     if not fbs:
-        return []
+        return np.zeros((0, len(forms)), np.int64), [1] * len(forms)
     contexts = expr.contexts(fbs)
-    columns = [expr.evaluate(p, contexts[p.language]) for p in forms]
+    columns = [expr._evaluate_scaled(p, contexts[p.language]) for p in forms]
+    dtype = int_dtype(max(c.bound for c in columns))
     # column per entry, row per sample and free-index assignment in C order
-    return np.stack(columns, axis=-1).reshape(-1, len(forms)).tolist()
+    nums = np.stack([c.num.astype(dtype, copy=False) for c in columns], axis=-1)
+    return nums.reshape(-1, len(forms)), [c.den for c in columns]
 
 
 def rank_report(
@@ -392,7 +446,7 @@ def rank_report(
     batch drawn from ``seed ^ CONFIRM_SEED_XOR`` before inclusion, so a seed
     is required even when the samples are given.  The confirmation batch is
     drawn first and evaluated together with the samples, in one
-    ``sample_matrix`` call, even when no null vector needs it.
+    ``_numerators`` call, even when no null vector needs it.
 
     The confirmation batch is of ``config``'s domain, so given samples must
     be of it too, or the null vectors of their domain would be silently
@@ -424,19 +478,20 @@ def rank_report(
         _check_domain(samples, config)
     confirm = random_fblocks_stream(
         seed ^ CONFIRM_SEED_XOR, max(8, len(entries) // 2), config)
-    rows = sample_matrix(entries, samples + confirm, representation)
+    nums, dens = _numerators(entries, samples + confirm, representation)
     n = len(entries)
-    ints = _integer_matrix(rows, n)
-    # sample_matrix emits rows sample by sample, so a prefix is a sample prefix
-    per_sample = len(rows) // (n_samples + len(confirm))
-    ints, confirm_ints = np.split(ints, [per_sample * n_samples])
+    # rows run sample by sample, so a prefix is a sample prefix
+    per_sample = len(nums) // (n_samples + len(confirm))
+    ints, confirm_ints = np.split(nums, [per_sample * n_samples])
     kept = _independent_rows(ints)
     basis, null = _certified_basis(ints, kept)
     pivots = rref(basis)[1]
     half = per_sample * (n_samples // 2)
     half_null = _certified_basis(ints[:half], [i for i in kept if i < half])[1]
     stable = n - len(half_null) == len(pivots)
-    confirmed = [vec for vec, ok in zip(null, _vanishes(null, confirm_ints)) if ok]
+    # a null vector w of the numerators is d * w for the values
+    confirmed = [_primitive([d * c for d, c in zip(dens, vec)])
+                 for vec, ok in zip(null, _vanishes(null, confirm_ints)) if ok]
     return RankReport(
         catalog=catalog_name,
         labels=labels,

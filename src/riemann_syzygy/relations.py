@@ -137,10 +137,13 @@ class VerifyReport:
 def _relation_from_dict(d, position):
     """The Relation of registry entry number ``position``; a null ``rhs`` is
     none.  ValueError naming the relation (or, without a name that is a
-    string, the position) for a missing name or lhs, a key that is not a
-    field of ``Relation``, ``tags`` that are not a list of strings, an
-    ``rhs_delta`` that is not a bool, ``notes`` that are not a string, and
-    whatever ``Relation`` rejects."""
+    string, the position) for an entry that is not a JSON object, a missing
+    name or lhs, a key that is not a field of ``Relation``, ``tags`` that
+    are not a list of strings, an ``rhs_delta`` that is not a bool,
+    ``notes`` that are not a string, and whatever ``Relation`` rejects."""
+    if not isinstance(d, dict):
+        raise ValueError(f"registry entry {position} must be a JSON object, "
+                         f"got {type(d).__name__}")
     if "name" not in d:
         raise ValueError(f"registry entry {position} has no name")
     name = d["name"]
@@ -172,18 +175,26 @@ def _relation_from_dict(d, position):
     )
 
 
-def _read_registry():
-    """All relations of the registry file, in file order."""
-    text = resources.files("riemann_syzygy.data").joinpath("relations.json").read_text()
-    rels = tuple(_relation_from_dict(d, i)
-                 for i, d in enumerate(json.loads(text)["relations"]))
+def _read_registry(text):
+    """All relations of the registry JSON ``text``, in file order.
+    ValueError unless it is an object holding a ``relations`` list, and for
+    a malformed entry or a repeated name."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"the registry must be a JSON object, got {type(data).__name__}")
+    entries = data.get("relations")
+    if not isinstance(entries, list):
+        raise ValueError("the registry's 'relations' must be a list, got "
+                         f"{type(entries).__name__}")
+    rels = tuple(_relation_from_dict(d, i) for i, d in enumerate(entries))
     names = [r.name for r in rels]
     if len(set(names)) != len(names):
         raise ValueError("duplicate relation names in the registry")
     return rels
 
 
-_REGISTRY = _read_registry()
+_REGISTRY = _read_registry(
+    resources.files("riemann_syzygy.data").joinpath("relations.json").read_text())
 
 
 def load_relations():

@@ -61,6 +61,19 @@ def test_nullspace_full_rank_empty():
         nullspace([])
 
 
+@pytest.mark.parametrize("rows", [
+    np.array([[1, 2], [2, 4]]),
+    np.array([[1, 2], [2, 4]], dtype=object),
+    np.array([[Fraction(1, 2), 1], [2**70, 2**71]], dtype=object),
+], ids=["int64", "object", "object-fractions"])
+def test_nullspace_of_an_array(rows):
+    # the width is read from the array, as from a list of rows
+    assert nullspace(rows) == nullspace(rows.tolist()) == [[2, -1]]
+    assert rank(rows) == 1
+    with pytest.raises(ValueError, match="^ncols is required"):
+        nullspace(rows[:0])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: rref([[1, 2], [3, 4, 5]]), "row 1 has 3 entries, expected 2"),
     (lambda: rref([[1, 2], [3]]), "row 1 has 1 entries, expected 2"),
@@ -323,7 +336,7 @@ def test_certified_basis_matches_full_elimination(prime, rows):
         # the rows kept on a prefix are those kept on all rows within it
         prefix_nulls = [ranklab._certified_basis(ints[:k], [i for i in kept if i < k])[1]
                         for k in range(1, len(rows) + 1)]
-    assert all(row in ints.tolist() for row in basis)
+    assert all(row in ints.tolist() for row in basis.tolist())
     assert null == nullspace(rows, ncols)
     assert ncols - len(null) == rank(rows)
     assert rref(basis)[1] == rref(rows)[1]
@@ -678,14 +691,177 @@ def test_rank_report_evaluates_and_selects_once():
     """One evaluation batch (samples and confirmation batch together) and one
     row selection per report, so the saving cannot silently vanish."""
     for name in ("quartic", "quartic_basis", "quintic", "cubic_rank2"):
-        with mock.patch.object(ranklab, "sample_matrix",
-                               wraps=ranklab.sample_matrix) as evaluated, \
+        with mock.patch.object(ranklab, "_numerators",
+                               wraps=ranklab._numerators) as evaluated, \
                 mock.patch.object(ranklab, "_independent_rows",
                                   wraps=ranklab._independent_rows) as selected:
             report = rank_report(catalog.catalog(name), seed=1, catalog_name=name)
         assert evaluated.call_count == 1 and selected.call_count == 1, name
         (entries, fbs, _), _ = evaluated.call_args
         assert len(fbs) == report.n_samples + max(8, len(entries) // 2)
+
+
+def _row_scaled(rows):
+    """``rows`` as an object array of Python ints, each row times the lcm of
+    its denominators."""
+    out = []
+    for row in rows:
+        q = [Fraction(x) for x in row]
+        mult = math.lcm(*(x.denominator for x in q))
+        out.append([x.numerator * (mult // x.denominator) for x in q])
+    return np.array(out, dtype=object)
+
+
+def _reference_report(entries, seed, config):
+    """The fields of ``rank_report`` by the route through exact values:
+    ``sample_matrix`` rows, each scaled to integers, and the exact ``rref``
+    and ``nullspace`` of all sample rows and of their first half; a null
+    vector is kept when it vanishes on every confirmation row."""
+    n = len(entries)
+    n_samples = 2 * n + 8
+    samples = random_fblocks_stream(seed, n_samples, config)
+    confirm = random_fblocks_stream(seed ^ ranklab.CONFIRM_SEED_XOR,
+                                    max(8, n // 2), config)
+    rows = sample_matrix(entries, samples + confirm)
+    per_sample = len(rows) // (n_samples + len(confirm))
+    ints = _row_scaled(rows)
+    ints, confirm_ints = ints[:per_sample * n_samples], ints[per_sample * n_samples:]
+    pivots = rref(ints)[1]
+    null = [v for v in nullspace(ints, n)
+            if not (confirm_ints @ np.array(v, dtype=object)).any()]
+    return {"n_rows": len(ints), "rank": len(pivots),
+            "pivots": [entries[c].label for c in pivots], "nullspace": null,
+            "stable": rank(ints[:per_sample * (n_samples // 2)]) == len(pivots)}
+
+
+def _report_and_matrix_dtype(entries, seed, config):
+    """``rank_report``'s fields that ``_reference_report`` gives, and the
+    dtype of its matrix of numerators."""
+    dtypes = []
+    numerators = ranklab._numerators
+
+    def spy_numerators(*args):
+        result = numerators(*args)
+        dtypes.append(result[0].dtype)
+        return result
+
+    with mock.patch.object(ranklab, "_numerators", spy_numerators):
+        report = rank_report(entries, seed=seed, config=config).to_dict()
+    (dtype,) = dtypes
+    return {k: report[k] for k in ("n_rows", "rank", "pivots", "nullspace", "stable")}, dtype
+
+
+def _entry(label, poly):
+    return catalog.CatalogEntry(label=label, **{poly.language: poly})
+
+
+def _fractional_catalog():
+    """The quadratic catalog with its entries over the denominators 1, 2, 3,
+    5 and 7, and a combination of the first two: the catalogs' columns are
+    all over 1, these are not, so the null vectors of the numerators and of
+    the values differ."""
+    entries = catalog.catalog("quadratic")
+    forms = [expr.scale(e.form(), Fraction(1, k)) for e, k in zip(entries, (1, 2, 3, 5, 7))]
+    extra = expr.combine((Fraction(1, 3), forms[0]), (Fraction(2, 7), forms[1]))
+    return [*map(_entry, [e.label for e in entries], forms), _entry("extra", extra)]
+
+
+@pytest.mark.parametrize("einstein", [False, True], ids=["general", "einstein"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rank_report_equals_the_route_through_values(seed, einstein):
+    """Column by column numerators give the report of row-scaled values:
+    column scaling keeps the pivots and maps each null vector w to d * w."""
+    config = GenConfig(einstein=einstein)
+    catalogs = {name: catalog.catalog(name) for name in catalog.catalog_names()}
+    catalogs["fractional"] = _fractional_catalog()
+    for name, entries in catalogs.items():
+        report, dtype = _report_and_matrix_dtype(entries, seed, config)
+        assert report == _reference_report(entries, seed, config), name
+        assert dtype == np.int64, name
+    dens = ranklab._numerators(catalogs["fractional"], random_fblocks_stream(1, 2))[1]
+    assert len(set(dens)) > 1
+
+
+def test_rank_report_equals_the_route_through_values_on_python_ints():
+    """Above the int64 bound the numerators are Python ints, and the report
+    is still that of the values."""
+    wide = GenConfig(bound=10**6)
+    for name in ("quartic_basis", "cubic_rank2"):
+        entries = catalog.catalog(name)
+        report, dtype = _report_and_matrix_dtype(entries, 1, wide)
+        assert report == _reference_report(entries, 1, wide), name
+        assert dtype == object, name
+    # a column of 2^70 times the first plus the second, over small samples:
+    # its null vector has the entry 2^70
+    entries = catalog.catalog("quadratic")
+    first, second = entries[0].form(), entries[1].form()
+    entries = [*entries, _entry("big", expr.combine((2**70, first), (1, second)))]
+    report, dtype = _report_and_matrix_dtype(entries, 1, GenConfig())
+    assert report == _reference_report(entries, 1, GenConfig())
+    assert dtype == object
+    assert [2**70, 1, 0, 0, 0, -1] in report["nullspace"]
+
+
+def test_checks_take_int64_below_2_63_only():
+    one = np.array([[1]], dtype=object)
+    assert ranklab._exact(2**63 - 1, one)[0].dtype == np.int64
+    assert ranklab._exact(2**63, one)[0].dtype == object
+    taken = []
+    exact = ranklab._exact
+
+    def spy_exact(bound, *arrays):
+        out = exact(bound, *arrays)
+        taken.append((bound, {a.dtype for a in out}))
+        return out
+
+    ints = np.array([[2**31, 2**31]], dtype=np.int64)
+    with mock.patch.object(ranklab, "_exact", spy_exact):
+        # ncols * max|x| * max|c| = 2 * 2^31 * 2^31: a product of exactly
+        # 2^63, whose sum wraps in int64
+        assert ranklab._vanishes([[2**31, 2**31]], ints).tolist() == [False]
+        assert ranklab._vanishes([[2**31 - 1, 1 - 2**31]], ints).tolist() == [True]
+    assert taken == [(2**63, {np.dtype(object)}),
+                     (2**63 - 2**32, {np.dtype(np.int64)})]
+
+
+def test_catalog_reports_check_on_int64():
+    """On the four benchmark catalogs the numerators, every ``_vanishes``
+    product and every ``_checked_form`` proof product are int64, so the
+    fast path cannot silently fall back to Python ints."""
+    checks, matrices = [], []
+    exact, numerators = ranklab._exact, ranklab._numerators
+    vanishes, checked_form = ranklab._vanishes, ranklab._checked_form
+    caller = []
+
+    def spy_exact(bound, *arrays):
+        out = exact(bound, *arrays)
+        checks.append((caller[-1], {a.dtype for a in out}))
+        return out
+
+    def spy_numerators(*args):
+        result = numerators(*args)
+        matrices.append(result[0].dtype)
+        return result
+
+    def calling(name, fn):
+        def spy(*args):
+            caller.append(name)
+            try:
+                return fn(*args)
+            finally:
+                caller.pop()
+        return spy
+
+    with mock.patch.multiple(ranklab, _exact=spy_exact, _numerators=spy_numerators,
+                             _vanishes=calling("vanishes", vanishes),
+                             _checked_form=calling("checked_form", checked_form)):
+        for name in ("quartic", "quartic_basis", "quintic", "cubic_rank2"):
+            rank_report(catalog.catalog(name), seed=1, catalog_name=name)
+    assert matrices == [np.int64] * 4
+    # per report: two certified bases and one rref(basis), each proved by one
+    # checked form; two certified bases and the confirmation batch checked
+    assert sorted(name for name, _ in checks) == ["checked_form"] * 12 + ["vanishes"] * 12
+    assert all(dtypes == {np.dtype(np.int64)} for _, dtypes in checks)
 
 
 def test_rank_report_refuses_samples_of_another_domain():

@@ -168,13 +168,36 @@ def _sides(lhs, rhs, **fields):
     ({"name": "bad_rel", "lhs": _SIDE, "notes": ["a"]},
      r"bad_rel: notes must be a string, got \['a'\]$"),
     (_sides("Sc", "1/0*Sc*Sc"), r"bad_rel: rhs: zero denominator in term '1/0\*Sc\*Sc'$"),
+    (5, "registry entry 4 must be a JSON object, got int$"),
+    (None, "registry entry 4 must be a JSON object, got NoneType$"),
+    (["name"], "registry entry 4 must be a JSON object, got list$"),
+    ("name", "registry entry 4 must be a JSON object, got str$"),
 ], ids=["no-name", "no-lhs", "string-tags", "non-string-tag", "malformed-lhs",
         "malformed-rhs", "unfit-labels", "unfit-rhs-delta", "mixed-lhs",
         "unknown-rhs", "misranked-lhs", "dict-rhs", "unknown-key", "string-rhs-delta",
-        "non-string-name", "non-string-notes", "zero-denominator"])
+        "non-string-name", "non-string-notes", "zero-denominator", "int-entry",
+        "null-entry", "list-entry", "string-entry"])
 def test_malformed_registry_entry_rejected(entry, reason):
     with pytest.raises(ValueError, match=f"^{reason}"):
         relations._relation_from_dict(entry, 4)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[]", "the registry must be a JSON object, got list$"),
+    ("null", "the registry must be a JSON object, got NoneType$"),
+    ("{}", "the registry's 'relations' must be a list, got NoneType$"),
+    ('{"relations": {"name": "r"}}', "the registry's 'relations' must be a list, got dict$"),
+    ('{"relations": [{"name": "r", "lhs": "Sc"}, 3]}',
+     "registry entry 1 must be a JSON object, got int$"),
+], ids=["list", "null", "no-relations", "dict-relations", "int-entry"])
+def test_malformed_registry_rejected(text, reason):
+    with pytest.raises(ValueError, match=f"^{reason}"):
+        relations._read_registry(text)
+
+
+def test_registry_text_reads_as_the_registry():
+    text = resources.files("riemann_syzygy.data").joinpath("relations.json").read_text()
+    assert relations._read_registry(text) == relations.load_relations()
 
 
 @pytest.mark.parametrize("value, got", [
