@@ -60,7 +60,9 @@ def zeros() -> Rank4Tensor:
 
 
 def _as_rational(x):
-    if isinstance(x, (int, np.integer)):
+    if type(x) is int:
+        return x
+    if isinstance(x, (int, np.integer)) and type(x) is not bool:
         return int(x)
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
@@ -69,7 +71,8 @@ def _as_rational(x):
 
 # The exact normal form of a scalar or, entrywise, of an object array: an
 # int when the value is integral, a Fraction otherwise.  Ints, numpy integers
-# and Fractions are accepted; anything else (floats, strings) is a TypeError.
+# and Fractions are accepted; anything else (bools, floats, strings) is a
+# TypeError.
 exact = np.frompyfunc(_as_rational, 1, 1)
 
 
@@ -165,7 +168,11 @@ def _shaped(values, shape, name):
 
 def as_tensor(values, shape=(4, 4, 4, 4), name="curvature tensor"):
     """The shape-checked entry point for values from outside the package:
-    an object array of the given shape in exact normal form."""
+    an object array of the given shape in exact normal form.  An array of
+    integer dtype becomes Python ints in one ``astype(object)``; other input
+    goes through ``exact`` entry by entry."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return _shaped(values, shape, name)
     return exact(_shaped(values, shape, name))
 
 

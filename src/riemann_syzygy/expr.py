@@ -36,11 +36,14 @@ and range checks, the product of the summed ranges and, for a large
 contraction, its steps with each step's permutations and reshapes) is
 compiled once per process into a plan, keyed by the monomial's factors, the
 free labels, the shapes of the factors on one sample and whether the context
-is batched; the coefficient is not part of the key.  A context keeps what a
-monomial takes from it apart from its coefficient (``LazyContext.part``):
-the product of its factors' denominators, the bound without the
-coefficient, and the exact contraction of their numerators, on int64 when
-that bound allows.  It is made on the monomial's first evaluation in
+is batched; the coefficient is not part of the key.  The steps depend only
+on the contraction's einsum spec of one sample, the range of each of its
+letters and whether it is batched, and are found once per process for each
+such spec: the monomials of one shape, R and W chains alike, share them.  A
+context keeps what a monomial takes from it apart from its coefficient
+(``LazyContext.part``): the product of its factors' denominators, the bound
+without the coefficient, and the exact contraction of their numerators, on
+int64 when that bound allows.  It is made on the monomial's first evaluation in
 the context and kept for the context's life, keyed by the factors and the
 free labels.  Every later expression holding the monomial, another
 relation's side or a mutant that differs in a coefficient, only multiplies
@@ -315,9 +318,9 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # A contraction over at most this many index points runs in one einsum pass;
 # larger ones run pairwise, one matmul per step, along a path found once per
-# plan.  Timed on int64 over every distinct contraction of two or more arrays
-# that the registry and the catalogs make on one sample (numpy 2.4, 2-CPU
-# Xeon): at 2**10 points one pass wins 5 of 6; at 2**12, which this cut keeps
+# spec (``_STEPS``).  Timed on int64 over every distinct contraction of two
+# or more arrays that the registry and the catalogs make on one sample
+# (numpy 2.4, 2-CPU Xeon): at 2**10 points one pass wins 5 of 6; at 2**12, which this cut keeps
 # in one pass, the steps win 15 of 24 (18 against 28 us at the median); at
 # 2**14 they win all 8 and at 2**16 all 29.  End to end, verify_all(s, 10)
 # in a fresh process took 84 ms with the cut at 2**10 and 78 ms at 2**12
@@ -325,13 +328,16 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _ONE_PASS_POINTS = 2**12
 # A batched contraction shares each step's call overhead among its samples,
 # so it goes pairwise from fewer points per sample.  Timed as above over
-# batches of 40: one pass wins 9 of 11 at 27 points per sample, and the steps
-# win 3 of 3 at 64, 22 of 22 at 81 and 11 of 13 at 256.  End to end, the four
-# rank reports of the rank-catalogs benchmark (36-60 samples per catalog) in
-# a fresh process took 91 ms with the cut at 2**6 and 85 ms at 2**8 (medians
-# of 16 interleaved runs each, quartiles 80-123 ms); in another set of 10,
-# 120 ms at both and 148 ms at 2**12.
-_BATCH_ONE_PASS_POINTS = 2**8
+# batches of 40: at 9 and 16 points per sample one pass wins all 15, at 27
+# the steps win 7 of 12 (12 against 13 us at the median), and from 64 points
+# on they win 4 of 4 at 64, 23 of 23 at 81, 2 of 2 at 243 and 11 of 14 at
+# 256.  This cut keeps 27-point words, where the two are even, in one pass.
+# End to end, the rank-catalogs benchmark (perfbench/run.py --seconds 8)
+# gave a median pass of 7.53 ref with the cut at 2**4, 7.58 at 2**5, 7.74 at
+# 2**6 and 8.49 at 2**8 (4 interleaved runs each).  The cut once stood at
+# 2**8 because each plan searched its own path, about 150 us of Python per
+# monomial; the steps are now shared by every monomial of one spec.
+_BATCH_ONE_PASS_POINTS = 2**5
 
 
 def _contract(spec, steps, arrays):
@@ -367,33 +373,52 @@ def _greedy_path(inputs, out, size):
     pairs that share a label (or among all pairs when none do), the one whose
     result is smallest against the sizes of the two, then the one of fewest
     operations: the greedy score of opt_einsum (Smith & Gray, JOSS 3:753,
-    2018) that ``np.einsum_path(optimize="greedy")`` uses."""
-    sets = [frozenset(t) for t in inputs]
-    out = frozenset(out)
+    2018) that ``np.einsum_path(optimize="greedy")`` uses.  Label sets are
+    bitmasks, one bit per label of ``size``."""
+    bits = [(1 << k, n) for k, n in enumerate(size.values())]
+    bit = dict(zip(size, (b for b, _ in bits)))
+    counts = {}
 
     def points(labels):
-        return math.prod(map(size.__getitem__, labels))
+        p = counts.get(labels)
+        if p is None:
+            p = 1
+            for b, n in bits:
+                if labels & b:
+                    p *= n
+            counts[labels] = p
+        return p
 
+    def mask(labels):
+        m = 0
+        for l in labels:
+            m |= bit[l]
+        return m
+
+    sets = [mask(t) for t in inputs]
+    out = mask(out)
     path = []
     while len(sets) > 1:
         # labels on two or more operands, and on three or more
-        once = twice = more = frozenset()
+        once = twice = more = 0
         for s in sets:
             more |= twice & s
             twice |= once & s
             once |= s
         kept = out | more
         sizes = [points(s) for s in sets]
-        pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
+        n = len(sets)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         best = None
         for i, j in [(i, j) for i, j in pairs if sets[i] & sets[j]] or pairs:
-            joint = sets[i] | sets[j]
-            res = joint & (kept | (twice - (sets[i] & sets[j])))
+            a, b = sets[i], sets[j]
+            joint = a | b
+            res = joint & (kept | (twice & ~(a & b)))
             score = (points(res) - sizes[i] - sizes[j],
                      points(joint) * (1 if res == joint else 2))
-            if best is None or score < best[0]:
-                best = score, i, j, res
-        _, i, j, res = best
+            if best is None or score < best:
+                best, pick = score, (i, j, res)
+        i, j, res = pick
         del sets[j], sets[i]
         sets.append(res)
         path.append((i, j))
@@ -428,45 +453,46 @@ def _step(picked, pair, keep, out, size, batched):
     k = len(lead)
     labels, traces = [], []
     for t, other in zip(pair, pair[::-1]):
-        t, diagonals = list(t), []
-        for l in dict.fromkeys(t):
-            while t.count(l) > 1:
-                i = t.index(l)
-                j = t.index(l, i + 1)
-                diagonals.append((i + k, j + k))
-                del t[j], t[i]
-                t.append(l)
+        diagonals = []
+        if len(set(t)) < len(t):
+            t = list(t)
+            for l in dict.fromkeys(t):
+                while t.count(l) > 1:
+                    i = t.index(l)
+                    j = t.index(l, i + 1)
+                    diagonals.append((i + k, j + k))
+                    del t[j], t[i]
+                    t.append(l)
         summed = tuple(n + k for n, l in enumerate(t)
                        if l not in keep and l not in other)
         labels.append(t)
         traces.append((tuple(diagonals), summed))
     a, b = labels
-    batch = [l for l in a if l in b and l in keep]
-    contracted = [l for l in a if l in b and l not in keep]
-    kept_a = [l for l in a if l not in b and l in keep]
+    batch, contracted, kept_a = [], [], []
+    for l in a:
+        if l in b:
+            (batch if l in keep else contracted).append(l)
+        elif l in keep:
+            kept_a.append(l)
     kept_b = [l for l in b if l not in a and l in keep]
-
-    def points(ls):
-        return math.prod(size[l] for l in ls)
-
-    def operand(t, trace, order, shape):
+    m = math.prod([size[l] for l in kept_a])
+    c = math.prod([size[l] for l in contracted])
+    n = math.prod([size[l] for l in kept_b])
+    operands = []
+    for t, (diagonals, summed), order, shape in (
+            (a, traces[0], batch + kept_a + contracted, (-1, m, c)),
+            (b, traces[1], batch + contracted + kept_b, (-1, c, n))):
         # the summed axes, of length 1 once summed, go last
-        order = order + [l for l in t if l not in order]
-        return trace + (lead + tuple(t.index(l) + k for l in order), shape)
-
-    operands = (
-        operand(a, traces[0], batch + kept_a + contracted,
-                (-1, points(kept_a), points(contracted))),
-        operand(b, traces[1], batch + contracted + kept_b,
-                (-1, points(contracted), points(kept_b))),
-    )
+        order += [l for l in t if l not in order]
+        operands.append((diagonals, summed,
+                         lead + tuple([t.index(l) + k for l in order]), shape))
     res = batch + kept_a + kept_b
-    shape = (-1,) * k + tuple(size[l] for l in res)
+    shape = (-1,) * k + tuple([size[l] for l in res])
     perm = None
     if out is not None and list(out) != res:
-        perm = lead + tuple(res.index(l) + k for l in out)
+        perm = lead + tuple([res.index(l) + k for l in out])
         res = list(out)
-    return _Step(picked, operands, shape, perm), "".join(res)
+    return _Step(picked, tuple(operands), shape, perm), "".join(res)
 
 
 def _pairwise_steps(terms, out, size, batched):
@@ -495,6 +521,10 @@ class _Plan(NamedTuple):
 
 
 _PLANS = {}
+# The pairwise steps of each contraction that runs pairwise, keyed by its
+# einsum spec of one sample, the range of each of its letters and whether it
+# is batched: every monomial of one contraction shape shares one path search.
+_STEPS = {}
 
 
 def _batch_spec(spec, b):
@@ -509,8 +539,10 @@ def _compile(factors, free, shapes, batched=False) -> _Plan:
     factors' numerators have these shapes per sample (None for a symbol
     missing from the context), made on first request and kept for the
     process; ``batched`` when every factor has a leading sample axis.  The
-    plan serves batches of every size.  A monomial that does not fit its
-    shapes, or has no factor, raises, and nothing is kept."""
+    plan serves batches of every size, and its pairwise steps are those of
+    every plan of the same spec and letter ranges (``_STEPS``).  A monomial
+    that does not fit its shapes, or has no factor, raises, and nothing is
+    kept."""
     key = (factors, free, shapes, batched)
     if key in _PLANS:
         return _PLANS[key]
@@ -553,7 +585,10 @@ def _compile(factors, free, shapes, batched=False) -> _Plan:
     cut = _BATCH_ONE_PASS_POINTS if batched else _ONE_PASS_POINTS
     if len(subs) > 1 and math.prod(size_of.values()) > cut:
         size = {letter_of[l]: n for l, n in size_of.items()}
-        steps = _pairwise_steps(subs, out, size, batched)
+        spec_key = (spec, tuple(size.items()), batched)
+        if spec_key not in _STEPS:
+            _STEPS[spec_key] = _pairwise_steps(subs, out, size, batched)
+        steps = _STEPS[spec_key]
     if batched:
         spec = _batch_spec(spec, letter(None))  # a letter no label has
     plan = _PLANS[key] = _Plan(summed, spec, steps)

@@ -8,8 +8,14 @@ A stream of samples is drawn in one pass: all its integers come from
 ``randint`` into one list, per sample the upper triangle of Ap row by row
 (6 draws), that of Am (6 draws), then B row by row (9 draws, none on the
 Einstein domain).  Index arithmetic lays the list out as three (N, 3, 3)
-stacks, which are checked once (``decomp.unstacked``); each sample holds
-read-only views into them.
+stacks of int64, or of Python ints when 5 * bound, the largest magnitude of
+Am's filled entry, does not fit int64 (``curvature.int_dtype``).  The
+stacks are checked once (``decomp.unstacked``), which turns them into
+Python ints in one ``astype(object)``; each sample holds read-only views
+into them.
+
+A seed, a count or a bound that is not an int, or is a bool, is refused
+with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curvature import int_dtype
 from .decomp import unstacked
 
 __all__ = ["GenConfig", "random_fblocks", "random_fblocks_stream"]
@@ -39,17 +46,30 @@ class GenConfig:
     einstein: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.bound, int) or self.bound < 1:
+        if type(self.bound) is bool or not isinstance(self.bound, int) or self.bound < 1:
             raise ValueError(f"bound must be a positive integer, got {self.bound!r}")
 
 
-def _rng(seed):
-    """The random stream of ``seed``.  None is refused: ``random.Random``
-    would seed it from the operating system, and no draw would repeat."""
+def integer(name, value):
+    """``value`` when it is an int (not a bool); otherwise a ValueError
+    naming the argument ``name``."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def checked_seed(seed):
+    """``seed`` when it is an int.  None is refused: ``random.Random`` would
+    seed it from the operating system, and no draw would repeat."""
     if seed is None:
         raise ValueError("a seed is required (None would draw unrepeatable "
                          "samples)")
-    return random.Random(seed)
+    return integer("seed", seed)
+
+
+def _rng(seed):
+    """The random stream of ``seed`` (see ``checked_seed``)."""
+    return random.Random(checked_seed(seed))
 
 
 def random_fblocks(seed, config=GenConfig()):
@@ -61,7 +81,7 @@ def random_fblocks(seed, config=GenConfig()):
 def random_fblocks_stream(seed, count, config=GenConfig()):
     """Draw ``count`` independent samples from one seeded stream."""
     rng = _rng(seed)
-    if count < 0:
+    if integer("count", count) < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     return _stream(rng, count, config)
 
@@ -70,14 +90,16 @@ def _stream(rng, count, config):
     bound = config.bound
     width = 12 if config.einstein else 21
     randint = rng.randint
+    # Am's filled entry, a sum of five draws, is the largest
+    dtype = int_dtype(5 * bound)
     draws = np.array([randint(-bound, bound) for _ in range(count * width)],
-                     dtype=object).reshape(count, width)
-    ap, am = np.empty((2, count, 3, 3), dtype=object)
+                     dtype=dtype).reshape(count, width)
+    ap, am = np.empty((2, count, 3, 3), dtype=dtype)
     i, j = _UPPER
     for m, upper in ((ap, draws[:, :6]), (am, draws[:, 6:12])):
         m[:, i, j] = upper
         m[:, j, i] = upper
     am[:, 2, 2] = ap[:, 0, 0] + ap[:, 1, 1] + ap[:, 2, 2] - am[:, 0, 0] - am[:, 1, 1]
-    b = (np.zeros((count, 3, 3), dtype=object) if config.einstein
+    b = (np.zeros((count, 3, 3), dtype=dtype) if config.einstein
          else draws[:, 12:].reshape(count, 3, 3))
     return unstacked({"Ap": ap, "B": b, "Am": am})

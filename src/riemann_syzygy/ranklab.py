@@ -67,7 +67,7 @@ import numpy as np
 from . import expr
 from .catalog import CatalogEntry
 from .curvature import SCHEMA, int_dtype, unscaled
-from .gen import GenConfig, random_fblocks_stream
+from .gen import GenConfig, integer, random_fblocks_stream
 
 __all__ = [
     "RankReport",
@@ -461,6 +461,9 @@ def rank_report(
     if seed is None:
         raise ValueError("a seed is required (it draws the batch that "
                          "confirms each null vector)")
+    integer("seed", seed)
+    if n_samples is not None:
+        integer("n_samples", n_samples)
     labels = [e.label for e in entries]
     given = samples is not None
     if not given:

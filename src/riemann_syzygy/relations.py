@@ -40,7 +40,7 @@ import numpy as np
 from . import expr
 from .catalog import contexts_for
 from .curvature import DELTA4, SCHEMA
-from .gen import GenConfig, random_fblocks_stream
+from .gen import GenConfig, checked_seed, integer, random_fblocks_stream
 
 __all__ = [
     "Relation",
@@ -262,16 +262,18 @@ def verify_all(seed, n_samples=50, relations=None, bound=9):
     relations run on samples with vanishing mixed block.  Both streams derive
     deterministically from the one seed.
     """
-    if n_samples < 1:
+    checked_seed(seed)
+    if integer("n_samples", n_samples) < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    configs = {domain: GenConfig(bound=bound, einstein=(domain == "einstein"))
+               for domain in ("general", "einstein")}
     if relations is None:
         relations = load_relations()
     streams = {}
 
     def samples_for(domain):
         if domain not in streams:
-            cfg = GenConfig(bound=bound, einstein=(domain == "einstein"))
-            streams[domain] = random_fblocks_stream(seed, n_samples, cfg)
+            streams[domain] = random_fblocks_stream(seed, n_samples, configs[domain])
         return streams[domain]
 
     results = [check_relation(r, samples_for(r.domain)) for r in relations]

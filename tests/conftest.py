@@ -11,6 +11,17 @@ from riemann_syzygy.decomp import FBlocks
 from riemann_syzygy.gen import GenConfig, random_fblocks_stream
 
 
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """Empty contraction plan tables for one test: ``expr._PLANS``, the plans
+    keyed by monomial, and ``expr._STEPS``, the pairwise steps keyed by
+    contraction spec; the process's own tables come back after it."""
+    from riemann_syzygy import expr
+
+    monkeypatch.setattr(expr, "_PLANS", {})
+    monkeypatch.setattr(expr, "_STEPS", {})
+
+
 @pytest.fixture(scope="session")
 def samples():
     """Ten general random block samples (bound 9)."""

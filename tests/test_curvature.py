@@ -224,6 +224,32 @@ def test_float_and_string_entries_rejected():
     assert type(curvature.exact(np.int64(2))) is int
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+def test_integer_arrays_become_python_ints(dtype):
+    top = np.iinfo(dtype).max
+    values = np.array([[0, 1, top], [2, top, 3], [4, 5, 6]], dtype=dtype)
+    if dtype != np.uint64:
+        values[0, 0] = np.iinfo(dtype).min
+    m = as_tensor(values, (3, 3), "m")
+    assert m.dtype == object
+    assert all(type(v) is int for v in m.flat)
+    assert m.tolist() == [[int(v) for v in row] for row in values]
+    # a copy: the caller's array stays its own
+    m[0, 1] = 7
+    assert values[0, 1] == 1
+    with pytest.raises(ValueError, match=r"^m must have shape \(3, 3\), got \(9,\)$"):
+        as_tensor(values.ravel(), (3, 3), "m")
+
+
+def test_bool_entries_rejected():
+    for bad in (np.ones((3, 3), dtype=bool),
+                np.array([[True, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=object)):
+        with pytest.raises(TypeError, match="got bool"):
+            as_tensor(bad, (3, 3), "m")
+    with pytest.raises(TypeError):
+        curvature.exact(True)
+
+
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
 def test_rational_string_round_trip(p, q):
     x = Fraction(p, q)

@@ -66,9 +66,9 @@ def test_zero_denominator_names_the_term(text, term):
 
 @pytest.mark.parametrize("batched", [False, True], ids=["one", "batch"])
 @pytest.mark.parametrize("language", ["tensor", "matrix"])
-def test_monomial_without_factor_raises(samples, language, batched, monkeypatch):
+@pytest.mark.usefixtures("fresh_plans")
+def test_monomial_without_factor_raises(samples, language, batched):
     # parse refuses such a term; only a hand-built monomial gets this far
-    monkeypatch.setattr(expr, "_PLANS", {})
     ctx = expr.contexts(samples[:2] if batched else samples[0])[language]
     poly = Poly(monomials=(expr.Monomial(Fraction(3), ()),), free_labels=())
     for _ in range(2):
@@ -396,8 +396,8 @@ def _spy_path(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("fresh_plans")
 def test_pairwise_path_found_once_per_contraction(monkeypatch):
-    monkeypatch.setattr(expr, "_PLANS", {})
     calls = _spy_path(monkeypatch)
     # 4**8 index points each, so pairwise; the first two share their factors
     quartic = "R[a,b,c,d]*R[c,d,e,f]*R[e,f,g,h]*R[g,h,a,b]"
@@ -405,14 +405,16 @@ def test_pairwise_path_found_once_per_contraction(monkeypatch):
     contexts = [tensor_context(reconstruct(random_fblocks(seed, GenConfig())))
                 for seed in range(5)]
     values = [evaluate(poly, ctx) for ctx in contexts]
-    # once for the R factors and once for the W factors, on the first sample
-    assert calls == ["abcd,cdef,efgh,ghab->"] * 2
+    # once, on the first sample: the R and the W chains share one spec
+    assert calls == ["abcd,cdef,efgh,ghab->"]
+    r_plan, w_plan = [plan for plan in expr._PLANS.values() if plan.steps]
+    assert r_plan.steps is w_plan.steps
     for ctx, value in zip(contexts, values):
         assert _same(value, _reference(poly, ctx))
 
 
-def test_mutant_compiles_no_new_plan(samples, monkeypatch):
-    monkeypatch.setattr(expr, "_PLANS", {})
+@pytest.mark.usefixtures("fresh_plans")
+def test_mutant_compiles_no_new_plan(samples):
     rel = relations.get_relation("gauss_bonnet")
     # a sample of its own: the session's samples keep the contractions that
     # earlier tests made on them
@@ -440,8 +442,8 @@ def test_mutant_compiles_no_new_plan(samples, monkeypatch):
     ("X", "symbol 'X' needs 2 indices"),
     ("X[i,j]*Y[j,i]", "index 'j' ranges over 3 and 4 values"),
 ])
-def test_failed_compile_raises_every_time(text, message, monkeypatch):
-    monkeypatch.setattr(expr, "_PLANS", {})
+@pytest.mark.usefixtures("fresh_plans")
+def test_failed_compile_raises_every_time(text, message):
     ctx = _symbols(X=np.ones((3, 3), dtype=object), Y=np.ones((4, 4), dtype=object))
     poly = parse(text)
     for _ in range(2):
@@ -514,8 +516,8 @@ def test_batched_evaluate_equals_per_sample(fbs):
         assert _same(evaluate(poly, ctx), _reference(poly, ctx)), what
 
 
+@pytest.mark.usefixtures("fresh_plans")
 def test_batched_path_found_once_per_contraction(monkeypatch):
-    monkeypatch.setattr(expr, "_PLANS", {})
     calls = _spy_path(monkeypatch)
     quartic = "R[a,b,c,d]*R[c,d,e,f]*R[e,f,g,h]*R[g,h,a,b]"
     poly = parse(f"{quartic} - 2*{quartic} + {quartic.replace('R', 'W')}")
@@ -528,15 +530,44 @@ def test_batched_path_found_once_per_contraction(monkeypatch):
         for p in forms:
             evaluate(p, contexts[p.language])
         if n == 36:
-            # on per-sample shapes, once per plan that contracts pairwise
-            assert calls[:2] == ["abcd,cdef,efgh,ghab->"] * 2
-            assert len(calls) == sum(1 for plan in expr._PLANS.values() if plan.steps)
+            # on per-sample shapes, once per distinct pairwise spec; the
+            # plans of one spec share its steps
+            assert calls[0] == "abcd,cdef,efgh,ghab->"
+            assert len(calls) == len(expr._STEPS)
+            shared = [plan.steps for plan in expr._PLANS.values() if plan.steps]
+            assert len(shared) > len(calls)
+            assert ({id(s) for s in shared}
+                    == {id(s) for s in expr._STEPS.values()})
             found = list(calls)
     assert calls == found
     for n, value in zip((36, 60), values):
         assert value.shape == (n,)
         for fb, v in zip(fbs, value):
             assert _same(v, evaluate(poly, tensor_context(fb)))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+def test_batched_routes_agree(samples, wide, monkeypatch):
+    # every batched contraction of up to _ONE_PASS_POINTS per sample in one
+    # einsum pass, then at the batched cut, where those over
+    # _BATCH_ONE_PASS_POINTS run pairwise (larger ones run pairwise on both
+    # routes); a sample scaled by 2**70 puts the whole batch on Python ints
+    fbs = [FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am) for fb in samples[:3]]
+    if wide:
+        big = fbs[1]
+        fbs = [fbs[0], FBlocks(Ap=big.Ap * 2**70, B=big.B * 2**70, Am=big.Am * 2**70)]
+    values, pairwise = {}, {}
+    for route, cut in (("one pass", expr._ONE_PASS_POINTS),
+                       ("cut", expr._BATCH_ONE_PASS_POINTS)):
+        monkeypatch.setattr(expr, "_BATCH_ONE_PASS_POINTS", cut)
+        monkeypatch.setattr(expr, "_PLANS", {})
+        monkeypatch.setattr(expr, "_STEPS", {})
+        contexts = expr.contexts(fbs)
+        values[route] = [evaluate(poly, contexts[poly.language]) for _, poly in _EXPRESSIONS]
+        pairwise[route] = sum(1 for plan in expr._PLANS.values() if plan.steps)
+    assert pairwise["cut"] > pairwise["one pass"]
+    for (what, _), a, b in zip(_EXPRESSIONS, values["one pass"], values["cut"]):
+        assert _same(a, b), what
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +587,8 @@ def _multiply_adds(inputs, out, size, path):
     return total
 
 
+@pytest.mark.usefixtures("fresh_plans")
 def test_path_costs_no_more_than_numpys_greedy(samples, monkeypatch):
-    monkeypatch.setattr(expr, "_PLANS", {})
     calls = {}
     greedy_path = expr._greedy_path
 

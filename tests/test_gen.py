@@ -1,6 +1,7 @@
 """Random sample generation: determinism, bounds, domain flags."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -116,3 +117,58 @@ def test_negative_count_refused():
     with pytest.raises(ValueError, match="^count must be non-negative, got -1$"):
         random_fblocks_stream(1, -1)
     assert random_fblocks_stream(1, 0) == []
+
+
+def _reference_stream(seed, count, config):
+    """The stream drawn on object arrays of Python ints throughout: one
+    ``randint`` list laid out by index arithmetic, as ``gen._stream`` lays
+    out its integer stacks."""
+    rng = random.Random(seed)
+    bound = config.bound
+    width = 12 if config.einstein else 21
+    draws = np.array([rng.randint(-bound, bound) for _ in range(count * width)],
+                     dtype=object).reshape(count, width)
+    ap, am = np.empty((2, count, 3, 3), dtype=object)
+    i, j = np.triu_indices(3)
+    for m, upper in ((ap, draws[:, :6]), (am, draws[:, 6:12])):
+        m[:, i, j] = upper
+        m[:, j, i] = upper
+    am[:, 2, 2] = ap[:, 0, 0] + ap[:, 1, 1] + ap[:, 2, 2] - am[:, 0, 0] - am[:, 1, 1]
+    b = (np.zeros((count, 3, 3), dtype=object) if config.einstein
+         else draws[:, 12:].reshape(count, 3, 3))
+    return ap, b, am
+
+
+@pytest.mark.parametrize("einstein", [False, True])
+@pytest.mark.parametrize("bound", [1, 9, 10**6, 2**61])
+def test_stream_equals_object_reference(bound, einstein):
+    # 2**61: five times it passes int64's bound, so the stacks hold Python ints
+    config = GenConfig(bound=bound, einstein=einstein)
+    for seed in (0, 3, 4101, 2**40):
+        fbs = random_fblocks_stream(seed, 9, config)
+        for name, want in zip(("Ap", "B", "Am"), _reference_stream(seed, 9, config)):
+            got = np.stack([getattr(fb, name) for fb in fbs])
+            assert got.dtype == object
+            assert all(type(v) is int for v in got.flat), name
+            assert got.tolist() == want.tolist(), name
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "9", None])
+def test_non_int_bound_refused(bad):
+    with pytest.raises(ValueError, match=f"^bound must be a positive integer, got {bad!r}$"):
+        GenConfig(bound=bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "3", None])
+def test_non_int_count_refused(bad):
+    with pytest.raises(ValueError, match=f"^count must be an integer, got {bad!r}$"):
+        random_fblocks_stream(1, bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, "x", b"x"])
+def test_non_int_seed_refused(bad):
+    message = f"^seed must be an integer, got {re.escape(repr(bad))}$"
+    for draw in (lambda: random_fblocks(bad),
+                 lambda: random_fblocks_stream(bad, 2)):
+        with pytest.raises(ValueError, match=message):
+            draw()

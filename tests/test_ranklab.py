@@ -279,6 +279,22 @@ def test_rank_report_needs_a_seed():
                     samples=random_fblocks_stream(1, 20))
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"), ({"seed": "1"}, "seed"),
+    ({"seed": 1, "n_samples": True}, "n_samples"),
+    ({"seed": 1, "n_samples": 20.0}, "n_samples"),
+])
+def test_rank_report_refuses_non_int_arguments(kwargs, name, monkeypatch):
+    # refused before any sample is drawn
+    draws = []
+    monkeypatch.setattr(ranklab, "random_fblocks_stream",
+                        lambda *args: draws.append(args))
+    bad = repr(kwargs[name])
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+        rank_report(catalog.catalog("quadratic"), **kwargs)
+    assert draws == []
+
+
 def test_confirmation_seed_differs():
     assert ranklab.CONFIRM_SEED_XOR != 0
 

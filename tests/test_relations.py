@@ -42,6 +42,21 @@ def test_verify_all_passes():
     assert d["ok"] is True
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1.5, 2), {}, "seed must be an integer, got 1.5"),
+    ((True, 2), {}, "seed must be an integer, got True"),
+    ((1, True), {}, "n_samples must be an integer, got True"),
+    ((1, 2.0), {}, "n_samples must be an integer, got 2.0"),
+    ((1, 2), {"bound": True}, "bound must be a positive integer, got True"),
+    ((1, 2), {"bound": 9.0}, "bound must be a positive integer, got 9.0"),
+])
+def test_verify_all_refuses_non_int_arguments(args, kwargs, message):
+    # at entry, also when no relation would draw a sample
+    for rels in (None, []):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_all(*args, relations=rels, **kwargs)
+
+
 def test_verify_all_needs_a_seed():
     # a None seed would draw from the operating system: no report repeats
     with pytest.raises(ValueError, match="seed is required"):
