@@ -30,7 +30,7 @@ import sys
 from dataclasses import asdict
 
 from . import catalog as catalog_mod
-from . import ranklab, relations, thooft
+from . import expr, ranklab, relations, thooft
 from .curvature import (
     SCHEMA,
     dumps,
@@ -178,8 +178,10 @@ def _cmd_invariants(args):
         fb = _read_blocks(args.input, config)
     else:
         fb = random_fblocks_stream(args.seed, 1, config)[0]
-    row = ranklab.sample_matrix(entries, [fb])[0]
-    values = {e.label: rational_to_str(v) for e, v in zip(entries, row)}
+    ctx = catalog_mod.contexts_for(fb)
+    forms = [e.form() for e in entries]
+    values = {e.label: rational_to_str(expr.evaluate(p, ctx[p.language]))
+              for e, p in zip(entries, forms)}
     report = {"schema": SCHEMA, "catalog": args.catalog, "values": values}
     _write(args, report, [f"{k} = {v}" for k, v in values.items()])
     return 0
@@ -219,7 +221,7 @@ def _resolve_catalog(name):
     try:
         return catalog_mod.catalog(name)
     except KeyError as e:
-        raise _UsageError(str(e)) from e
+        raise _UsageError(e.args[0]) from e
 
 
 def _cmd_rank(args):

@@ -41,19 +41,21 @@ on the contraction's einsum spec of one sample, the range of each of its
 letters and whether it is batched, and are found once per process for each
 such spec: the monomials of one shape, R and W chains alike, share them.  A
 context keeps what a monomial takes from it apart from its coefficient
-(``LazyContext.part``): the product of its factors' denominators, the bound
-without the coefficient, and the exact contraction of their numerators, on
-int64 when that bound allows.  It is made on the monomial's first evaluation in
-the context and kept for the context's life, keyed by the factors and the
-free labels.  Every later expression holding the monomial, another
-relation's side or a mutant that differs in a coefficient, only multiplies
-its coefficient in; when the sum's bound needs Python ints, a kept int64
-contraction is widened first.
+(``LazyContext.part``), in scaled form too: the exact contraction of its
+factors' numerators, on int64 when its bound allows, over the product of
+their denominators, with the bound without the coefficient.  It is made on
+the monomial's first evaluation in the context and kept for the context's
+life, keyed by the factors and the free labels.  Every later expression
+holding the monomial, another relation's side or a mutant that differs in a
+coefficient, only multiplies its coefficient in; when the sum's bound needs
+Python ints, a kept int64 contraction is widened first.
 
 Two evaluation contexts are provided: the tensor language of a rank-4
-curvature tensor and the matrix language of its blocks.  No symbol has the
-same name and rank in both, so one table, (symbol, rank) -> language, gives
-an expression's language from its symbols: ``Poly.language``, looked up when
+curvature tensor and the matrix language of its blocks.  One table,
+``_SYMBOLS``, states every symbol of both once: its language, its rank, the
+rule that builds it and its weight under the dual (``pseudo_variant``).  No
+symbol has the same name and rank in both languages, so the table gives an
+expression's language from its symbols: ``Poly.language``, looked up when
 ``parse`` or ``combine`` makes the Poly and kept by ``dataclasses.replace``.
 
 A context may also hold a batch of N samples.  Every symbol then carries a
@@ -72,7 +74,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -134,15 +136,6 @@ class Monomial:
                 f"index label(s) {', '.join(bad)} appear more than twice"
             )
         return tuple(sorted(l for l, c in counts.items() if c == 1))
-
-
-# The language of each symbol at its rank; see the contexts below.
-_LANGUAGE_OF = {
-    **dict.fromkeys([("R", 4), ("Rc", 2), ("Sc", 0), ("W", 4), ("Rt", 4),
-                     ("eps", 4), ("delta", 2)], "tensor"),
-    **dict.fromkeys([("Ap", 2), ("Am", 2), ("B", 2), ("BT", 2), ("eps3", 3),
-                     ("delta3", 2), ("R", 0), ("detB", 0)], "matrix"),
-}
 
 
 @dataclass(frozen=True)
@@ -595,33 +588,26 @@ def _compile(factors, free, shapes, batched=False) -> _Plan:
     return plan
 
 
-class _Part(NamedTuple):
+def _part(factors, free, context) -> Scaled:
     """What a monomial takes from one context, apart from its coefficient:
-    ``q`` is the product of its factors' denominators; ``bound``, the
-    product of the summed ranges and of the factors' largest numerators, is
-    at least every entry of the contraction of the numerators and of each of
-    its intermediates, on every sample; ``value`` is that contraction, exact
-    on int64 when ``bound`` and every factor's numerators fit it."""
-
-    q: int
-    bound: int
-    value: object
-
-
-def _part(factors, free, context) -> _Part:
+    the contraction of its factors' numerators over the product of their
+    denominators.  The bound, the product of the summed ranges and of the
+    factors' bounds, holds for every entry of the contraction and of each of
+    its intermediates, on every sample.  The contraction is exact on int64
+    when the bound and every factor's numerators fit it; a 0-d one is a
+    scalar, an ``np.int64`` or a Python int."""
     forms = [context.scaled(name) if name in context else None
              for name, _ in factors]
     batched = context.batch is not None
     # per sample: without the sample axis of a batched context
     shapes = tuple(None if f is None else f.num.shape[batched:] for f in forms)
     plan = _compile(factors, free, shapes, batched)
-    q = math.prod(f.den for f in forms)
     bound = plan.summed * math.prod(f.bound for f in forms)
     # a zero factor makes the bound 0 but leaves the others' numerators wide
     dtype = int_dtype(max(bound, *(f.bound for f in forms)))
-    value = _contract(plan.spec, plan.steps,
-                      [f.num.astype(dtype, copy=False) for f in forms])
-    return _Part(q, bound, value)
+    num = _contract(plan.spec, plan.steps,
+                    [f.num.astype(dtype, copy=False) for f in forms])
+    return Scaled(num, math.prod(f.den for f in forms), bound)
 
 
 def evaluate(poly, context):
@@ -650,7 +636,7 @@ def _evaluate_scaled(poly, context) -> Scaled:
     terms = []
     for m in poly.monomials:
         part = context.part(m.factors, poly.free_labels)
-        p, q = m.coeff.numerator, m.coeff.denominator * part.q
+        p, q = m.coeff.numerator, m.coeff.denominator * part.den
         g = math.gcd(p, q)
         terms.append((p // g, q // g, part))
     # over the common denominator each numerator p, and its bound, grow by den/q
@@ -659,7 +645,7 @@ def _evaluate_scaled(poly, context) -> Scaled:
     dtype = int_dtype(bound)
     total = 0
     for p, q, part in terms:
-        value = part.value
+        value = part.num
         if dtype is object:
             # a contraction kept on int64 (a 0-d one is an np.int64) is
             # widened before p, which may pass int64, multiplies it
@@ -680,38 +666,92 @@ def _table(name):
     return rule
 
 
+def _det3(m):
+    """det m of a 3x3 matrix, or of each of a stack of them, as det m^T (see
+    ``decomp._trace``)."""
+    m = m.T
+    return (
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    )
+
+
+class _Symbol(NamedTuple):
+    """A symbol of one language: its ``rank``; the ``rule`` that builds its
+    scaled form from a context, out of the context's ``blocks`` or of the
+    symbols the context has already built; and its ``dual_weight``, the
+    sign each of its block entries takes under the dual, summed over them
+    (see ``pseudo_variant``)."""
+
+    rank: int
+    rule: Callable
+    dual_weight: int = 0
+
+
+# Every symbol of both languages.  Rc, Sc, 6 W and 2 Rt are derived from R's
+# numerators with the growth of each builder (see curvature); the matrix
+# symbols from the blocks, or from the stacks of a batch's blocks.
+_SYMBOLS = {
+    "tensor": {
+        "R": _Symbol(4, lambda ctx: reconstruct_scaled(ctx.blocks)),
+        "Rc": _Symbol(2, lambda ctx: derived(ricci, 4, ctx.scaled("R"))),
+        "Sc": _Symbol(0, lambda ctx: derived(ricci_scalar, 16, ctx.scaled("R"))),
+        "W": _Symbol(4, lambda ctx: derived(weyl6, 128, ctx.scaled("R"), 6)),
+        "Rt": _Symbol(4, lambda ctx: derived(dual2, 16, ctx.scaled("R"), 2)),
+        "eps": _Symbol(4, _table("EPS4")),
+        "delta": _Symbol(2, _table("DELTA4")),
+    },
+    "matrix": {
+        "Ap": _Symbol(2, lambda ctx: scaled(ctx.blocks["Ap"]), 1),
+        "Am": _Symbol(2, lambda ctx: scaled(ctx.blocks["Am"]), -1),
+        "B": _Symbol(2, lambda ctx: scaled(ctx.blocks["B"]), -1),
+        # B^T, or the transpose of each B of a batch
+        "BT": _Symbol(2, lambda ctx: derived(lambda n: n.swapaxes(-1, -2), 1,
+                                             ctx.scaled("B")), 1),
+        "eps3": _Symbol(3, _table("EPS3")),
+        "delta3": _Symbol(2, _table("DELTA3")),
+        "R": _Symbol(0, lambda ctx: scaled(
+            4 * (_trace(ctx.blocks["Ap"]) + _trace(ctx.blocks["Am"])))),
+        "detB": _Symbol(0, lambda ctx: scaled(_det3(ctx.blocks["B"])), -3),
+    },
+}
+
+# The language of each symbol at its rank: no symbol has the same name and
+# rank in both.
+_LANGUAGE_OF = {(name, s.rank): language
+                for language, symbols in _SYMBOLS.items() for name, s in symbols.items()}
+
+
 class LazyContext(Mapping):
     """A read-only symbol context holding each symbol in one form, its
     scaled form.  ``rules`` maps each name to a function of the context that
     returns that form; a rule runs on its symbol's first use only and its
-    result is kept.
-
-    ``ctx[name]`` is the exact value of the scaled form, made on first
-    request and kept; ``values`` may seed it, so an input keeps the value it
-    was given.  ``batch`` is None for one sample; for a batch of N samples
-    it is N, and every symbol's numerators carry a leading axis of N.
+    result is kept.  ``blocks`` are the blocks the rules read, keyed by name
+    as ``decomp.stacked`` gives them, and ``batch`` is None for one sample;
+    for a batch of N samples it is N, and every symbol's numerators carry a
+    leading axis of N.  ``ctx[name]`` is the exact value of the scaled form,
+    made anew on each request.
 
     ``part(factors, free)`` is a monomial's share of ``evaluate`` that does
-    not depend on its coefficient (see ``_Part``): its denominators, its
-    bound and the exact contraction of its numerators.  It too is made on
+    not depend on its coefficient (see ``_part``): the exact contraction of
+    its numerators, their denominator and their bound.  It too is made on
     first request and kept, so every expression evaluated in the context,
     every relation side or mutant of one, contracts a monomial once and then
     only multiplies in its own coefficient.  Everything is kept for as long
     as the context lives.
     """
 
-    def __init__(self, rules, batch=None, **values):
+    def __init__(self, rules, batch=None, blocks=None):
         self._rules = rules
-        self._values = values
         self._scaled = {}
         self._parts = {}
         self.batch = batch
+        self.blocks = blocks
 
     def __getitem__(self, name):
-        if name not in self._values:
-            s = self.scaled(name)
-            self._values[name] = unscaled(s.num, s.den)
-        return self._values[name]
+        s = self.scaled(name)
+        return unscaled(s.num, s.den)
 
     def __contains__(self, name):
         return name in self._rules
@@ -734,31 +774,24 @@ class LazyContext(Mapping):
         return self._parts[key]
 
 
-# Rc, Sc, 6 W and 2 Rt from R's numerators, with the growth of each builder
-# (see curvature)
-_TENSOR_RULES = {
-    "Rc": lambda ctx: derived(ricci, 4, ctx.scaled("R")),
-    "Sc": lambda ctx: derived(ricci_scalar, 16, ctx.scaled("R")),
-    "W": lambda ctx: derived(weyl6, 128, ctx.scaled("R"), 6),
-    "Rt": lambda ctx: derived(dual2, 16, ctx.scaled("R"), 2),
-    "eps": _table("EPS4"),
-    "delta": _table("DELTA4"),
-}
-
-_MATRIX_RULES = {
-    # B^T, or the transpose of each B of a batch
-    "BT": lambda ctx: derived(lambda n: n.swapaxes(-1, -2), 1, ctx.scaled("B")),
-    "eps3": _table("EPS3"),
-    "delta3": _table("DELTA3"),
-}
+def contexts(fb: FBlocks | list):
+    """The contexts of one sample, or of a batch given as a non-empty list
+    of FBlocks, one per language of ``_SYMBOLS`` and keyed by it, as
+    ``Poly.language`` names it.  Both read one set of blocks, stacked once
+    for a batch.  The contexts keep the blocks, not the sample: those that
+    ``catalog.contexts_for`` keeps on the sample then do not refer back to
+    it, and are freed with it."""
+    blocks = stacked(fb)
+    batch = None if isinstance(fb, FBlocks) else len(fb)
+    return {language: LazyContext({name: s.rule for name, s in symbols.items()},
+                                  batch, blocks)
+            for language, symbols in _SYMBOLS.items()}
 
 
 def tensor_context(t: Rank4Tensor | FBlocks | list):
-    """Symbols of the rank-4 tensor language.
+    """Symbols of the rank-4 tensor language (``_SYMBOLS["tensor"]``).
 
-    R (rank 4), Rc (Ricci, rank 2), Sc (scalar), W (Weyl, rank 4),
-    Rt (dual tensor, rank 4), eps (rank 4), delta (rank 2).  ``t`` is a
-    curvature tensor, or the FBlocks of one, whose tensor is then
+    ``t`` is a curvature tensor, or the FBlocks of one, whose tensor is then
     reconstructed on first use.  Every symbol is computed on first use only.
 
     ``t`` may also be a non-empty list of FBlocks: the context is then
@@ -767,61 +800,23 @@ def tensor_context(t: Rank4Tensor | FBlocks | list):
     ``evaluate`` gives every sample's value at once.
     """
     if isinstance(t, np.ndarray):
-        return LazyContext({"R": lambda ctx: scaled(t), **_TENSOR_RULES}, R=t)
-    if isinstance(t, FBlocks):
-        # the rule keeps the blocks, not the sample: the context that
-        # catalog.contexts_for keeps on the sample then does not refer back
-        # to it, and is freed with it
-        b = stacked(t)
-        return LazyContext({"R": lambda ctx: reconstruct_scaled(b), **_TENSOR_RULES})
-    return LazyContext({"R": lambda ctx: reconstruct_scaled(stacked(t)), **_TENSOR_RULES},
-                       batch=len(t))
-
-
-def _det3(m):
-    """det m of a 3x3 matrix, or of each of a stack of them, as det m^T (see
-    ``decomp._trace``)."""
-    m = m.T
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+        rules = {name: s.rule for name, s in _SYMBOLS["tensor"].items()}
+        return LazyContext({**rules, "R": lambda ctx: scaled(t)})
+    return contexts(t)["tensor"]
 
 
 def matrix_context(fb: FBlocks | list):
-    """Symbols of the block (matrix) language.
+    """Symbols of the block (matrix) language (``_SYMBOLS["matrix"]``).
 
-    Ap, Am, B, BT (rank 2 over 3-dim indices), eps3 (rank 3), delta3
-    (rank 2), R (scalar curvature), detB (determinant of the mixed block).
     Every symbol is computed on first use only.  ``fb`` may also be a
     non-empty list of FBlocks, for a batched context (see
     ``tensor_context``): ``Ap`` has shape (N, 3, 3), ``R`` and ``detB`` (N,).
     """
-    b = stacked(fb)
-    rules = {
-        "Ap": lambda ctx: scaled(b["Ap"]),
-        "Am": lambda ctx: scaled(b["Am"]),
-        "B": lambda ctx: scaled(b["B"]),
-        "R": lambda ctx: scaled(4 * (_trace(b["Ap"]) + _trace(b["Am"]))),
-        "detB": lambda ctx: scaled(_det3(b["B"])),
-        **_MATRIX_RULES,
-    }
-    batch = None if isinstance(fb, FBlocks) else len(fb)
-    return LazyContext(rules, batch=batch, **b)
-
-
-def contexts(fb: FBlocks | list):
-    """The matrix and tensor contexts of one sample, or of a batch given as a
-    list of FBlocks, keyed by ``Poly.language``."""
-    return {"matrix": matrix_context(fb), "tensor": tensor_context(fb)}
+    return contexts(fb)["matrix"]
 
 
 # ---------------------------------------------------------------------------
 # Pseudo (orientation-odd) variant of a matrix-language expression
-
-_PLUS_WEIGHT = {"Ap": 1, "BT": 1}
-_MINUS_WEIGHT = {"Am": 1, "B": 1, "detB": 3}
 
 
 def pseudo_variant(poly):
@@ -831,16 +826,15 @@ def pseudo_variant(poly):
     blocks while keeping Ap and B^T; on a parity-even monomial this maps the
     monomial to its parity image with sign (-1)^(number of flipped factors).
     Summing the expression and its dual image keeps, per monomial, the sign
-    sgn(n_plus - n_minus) where n_plus counts Ap/BT factors and n_minus
-    counts Am/B factors (detB counts three B entries); balanced monomials
-    cancel and are dropped.
+    of its factors' summed ``dual_weight`` (``_SYMBOLS``): +1 for each Ap or
+    BT, -1 for each Am or B and -3 for detB, three B entries.  Monomials of
+    weight 0 cancel and are dropped.
     """
+    weight = {name: s.dual_weight for name, s in _SYMBOLS["matrix"].items()}
     out = []
     for mono in poly.monomials:
-        n_plus = sum(_PLUS_WEIGHT.get(name, 0) for name, _ in mono.factors)
-        n_minus = sum(_MINUS_WEIGHT.get(name, 0) for name, _ in mono.factors)
-        if n_plus == n_minus:
-            continue
-        sign = 1 if n_plus > n_minus else -1
-        out.append(Monomial(coeff=mono.coeff * sign, factors=mono.factors))
+        w = sum(weight.get(name, 0) for name, _ in mono.factors)
+        if w:
+            out.append(Monomial(coeff=mono.coeff * (1 if w > 0 else -1),
+                                factors=mono.factors))
     return replace(poly, monomials=tuple(out))

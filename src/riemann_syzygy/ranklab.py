@@ -414,7 +414,10 @@ def _numerators(entries, fbs, representation=None):
 
     Each entry contributes ``entry.form(representation)``, the Poly the entry
     holds, evaluated once on all samples, in the batched context of its
-    language (see ``expr.contexts``).  Nothing is parsed."""
+    language (see ``expr.contexts``).  Nothing is parsed.  ValueError for
+    no entries, or entries of different free labels."""
+    if not entries:
+        raise ValueError("no catalog entries")
     forms = [e.form(representation) for e in entries]
     if len({p.free_labels for p in forms}) != 1:
         raise ValueError("all catalog entries must share the same free labels")

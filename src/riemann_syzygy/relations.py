@@ -74,7 +74,20 @@ class Relation:
         """ValueError naming the relation for a bad field, a side that does
         not parse or whose symbols fit no single language, or sides that
         cannot be compared entry by entry: different free labels, or, with
-        ``rhs_delta``, anything but a two-index lhs and scalar rhs."""
+        ``rhs_delta``, anything but a two-index lhs and scalar rhs.  The
+        tags, a list or tuple of strings, are kept as a tuple."""
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        tags = self.tags
+        if not isinstance(tags, (list, tuple)) or not all(isinstance(t, str) for t in tags):
+            raise ValueError(f"{self.name}: tags must be a list of strings, got {tags!r}")
+        if isinstance(tags, list):
+            object.__setattr__(self, "tags", tuple(tags))
+        if not isinstance(self.rhs_delta, bool):
+            raise ValueError(
+                f"{self.name}: rhs_delta must be true or false, got {self.rhs_delta!r}")
+        if not isinstance(self.notes, str):
+            raise ValueError(f"{self.name}: notes must be a string, got {self.notes!r}")
         if self.domain not in ("general", "einstein"):
             raise ValueError(f"{self.name}: bad domain {self.domain!r}")
         if self.expect not in ("zero", "nonzero"):
@@ -136,11 +149,10 @@ class VerifyReport:
 
 def _relation_from_dict(d, position):
     """The Relation of registry entry number ``position``; a null ``rhs`` is
-    none.  ValueError naming the relation (or, without a name that is a
-    string, the position) for an entry that is not a JSON object, a missing
-    name or lhs, a key that is not a field of ``Relation``, ``tags`` that
-    are not a list of strings, an ``rhs_delta`` that is not a bool,
-    ``notes`` that are not a string, and whatever ``Relation`` rejects."""
+    none and a missing domain is "general".  ValueError naming the relation
+    (or, without a name that is a string, the position) for an entry that is
+    not a JSON object, a missing name or lhs, a key that is not a field of
+    ``Relation``, and whatever ``Relation`` rejects."""
     if not isinstance(d, dict):
         raise ValueError(f"registry entry {position} must be a JSON object, "
                          f"got {type(d).__name__}")
@@ -154,25 +166,7 @@ def _relation_from_dict(d, position):
         raise ValueError(f"{name}: unknown key(s) {', '.join(unknown)}")
     if "lhs" not in d:
         raise ValueError(f"{name}: no lhs")
-    tags = d.get("tags", [])
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-        raise ValueError(f"{name}: tags must be a list of strings, got {tags!r}")
-    rhs_delta = d.get("rhs_delta", False)
-    if not isinstance(rhs_delta, bool):
-        raise ValueError(f"{name}: rhs_delta must be true or false, got {rhs_delta!r}")
-    notes = d.get("notes", "")
-    if not isinstance(notes, str):
-        raise ValueError(f"{name}: notes must be a string, got {notes!r}")
-    return Relation(
-        name=name,
-        domain=d.get("domain", "general"),
-        lhs=d["lhs"],
-        rhs=d.get("rhs"),
-        rhs_delta=rhs_delta,
-        expect=d.get("expect", "zero"),
-        tags=tuple(tags),
-        notes=notes,
-    )
+    return Relation(**{"domain": "general", **d})
 
 
 def _read_registry(text):

@@ -208,7 +208,7 @@ def test_contexts_build_only_the_symbols_used(monkeypatch, samples):
     # a built symbol is kept for the rest of the context's life
     w = tctx["W"]
     expr.evaluate("W[a,b,c,d]*W[a,b,c,d]", tctx)
-    assert tctx["W"] is w and len(weyl) == 1
+    assert np.array_equal(tctx["W"], w) and len(weyl) == 1
     assert ctx["tensor"] is tctx and len(recon) == 1
 
 

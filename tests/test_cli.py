@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON reports, reproducibility."""
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from riemann_syzygy import catalog, cli, relations
+from riemann_syzygy import catalog, cli, ranklab, relations
 from riemann_syzygy.curvature import dumps, riemann_to_json, zeros
 from riemann_syzygy.decomp import FBlocks, fblocks_to_json, reconstruct
 from riemann_syzygy.gen import GenConfig, random_fblocks, random_fblocks_stream
@@ -238,7 +239,8 @@ def test_rank_removed_alias_exit_2(capsys):
         ["rank", "--catalog", "quartic_scalars", "--seed", "3"], capsys
     )
     assert code == 2 and not out
-    assert "unknown catalog 'quartic_scalars'" in err and "quartic," in err
+    assert err == ("error: unknown catalog 'quartic_scalars'; available: "
+                   + ", ".join(catalog.catalog_names()) + "\n")
 
 
 def test_export_import_samples_reproduce(tmp_path, capsys):
@@ -338,6 +340,22 @@ def test_invariants_table(capsys):
     )
     assert code == 0
     assert "R2 = " in out
+
+
+def test_invariants_calls_no_ranklab_function(capsys, monkeypatch):
+    """``invariants`` evaluates its one sample in the sample's own contexts,
+    as ``verify`` does, not as a batch of one."""
+    argv = ["invariants", "--catalog", "quartic", "--seed", "4"]
+    want = run(argv, capsys)
+    assert want[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("invariants called ranklab")
+
+    for name, fn in vars(ranklab).items():
+        if inspect.isfunction(fn) and fn.__module__ == ranklab.__name__:
+            monkeypatch.setattr(ranklab, name, refuse)
+    assert run(argv, capsys) == want
 
 
 def test_rank_reports_nullspace(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -180,7 +181,7 @@ def test_lazy_tensor_symbols_equal_eager(seed, einstein):
     for name, eager in (("Rc", curvature.ricci), ("W", curvature.weyl),
                         ("Rt", curvature.pseudo_riemann)):
         assert np.array_equal(ctx[name], eager(t)), name
-    assert ctx["R"] is t
+    assert _same(ctx["R"], t)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +256,60 @@ def test_language_is_that_of_the_parsed_text():
 
 
 def test_language_table_matches_the_contexts(samples):
-    """Each (symbol, rank) of the language table is a symbol of that rank in
-    its language's context, and each context symbol is in the table."""
-    ctx = catalog.contexts_for(samples[0])
-    table = {(name, np.ndim(ctx[lang][name])): lang
-             for lang in ctx for name in ctx[lang]}
-    assert table == expr._LANGUAGE_OF
+    """Each symbol of ``_SYMBOLS`` is built by its language's context at its
+    declared rank, on one sample and along the sample axis of a batch; the
+    contexts hold exactly the table's symbols, and the language table holds
+    each (symbol, rank) once."""
+    for fbs in (samples[0], samples[:3]):
+        batched = isinstance(fbs, list)
+        contexts = expr.contexts(fbs)
+        assert contexts.keys() == expr._SYMBOLS.keys()
+        for language, symbols in expr._SYMBOLS.items():
+            ctx = contexts[language]
+            assert list(ctx) == list(symbols)
+            for name, symbol in symbols.items():
+                shape = ctx.scaled(name).num.shape
+                assert shape[:batched] == (3,) * batched, (language, name)
+                assert len(shape) - batched == symbol.rank, (language, name)
+                assert np.ndim(ctx[name]) == len(shape), (language, name)
+                assert expr._LANGUAGE_OF[name, symbol.rank] == language
+    assert len(expr._LANGUAGE_OF) == sum(map(len, expr._SYMBOLS.values())) == 15
+
+
+# The rule ``pseudo_variant`` followed before the symbol table held the dual
+# weights: the sign of n_plus - n_minus, counting Ap and BT against Am, B and
+# detB (three B entries).
+_PLUS_WEIGHT = {"Ap": 1, "BT": 1}
+_MINUS_WEIGHT = {"Am": 1, "B": 1, "detB": 3}
+
+
+def _two_dictionary_pseudo_variant(poly):
+    out = []
+    for mono in poly.monomials:
+        n_plus = sum(_PLUS_WEIGHT.get(name, 0) for name, _ in mono.factors)
+        n_minus = sum(_MINUS_WEIGHT.get(name, 0) for name, _ in mono.factors)
+        if n_plus != n_minus:
+            sign = 1 if n_plus > n_minus else -1
+            out.append(expr.Monomial(coeff=mono.coeff * sign, factors=mono.factors))
+    return replace(poly, monomials=tuple(out))
+
+
+def test_pseudo_variant_equals_the_two_dictionary_rule():
+    """On every matrix form of every catalog, every matrix-language side of
+    the registry and every side of their mutants."""
+    polys = [(f"{name}/{entry.label} {kind}", poly)
+             for name, entries in catalog.CATALOGS.items() for entry in entries
+             for kind, poly in entry.representations().items()
+             if poly.language == "matrix"]
+    rels = [(rel.name, rel) for rel in relations.load_relations()]
+    rels += [m for _, rel in rels for m in relations.mutations(rel)]
+    polys += [(f"{what} {side}", poly) for what, rel in rels
+              for side, poly in (("lhs", rel.lhs), ("rhs", rel.rhs))
+              if poly is not None and poly.language == "matrix"]
+    assert len(polys) > 100
+    assert any(m.monomials != _two_dictionary_pseudo_variant(m).monomials for _, m in polys)
+    for what, poly in polys:
+        assert pseudo_variant(poly) == _two_dictionary_pseudo_variant(poly), what
 
 
 @pytest.mark.parametrize("text, language", [
@@ -357,7 +406,7 @@ def test_kept_int64_contraction_widens_for_a_large_coefficient(text, coeff, batc
     ctx = fresh()
     evaluate(poly, ctx)  # coefficient 1: the contraction is kept on int64
     mono = poly.monomials[0]
-    kept = ctx.part(mono.factors, poly.free_labels).value
+    kept = ctx.part(mono.factors, poly.free_labels).num
     assert np.asarray(kept).dtype == np.int64
     if not batched and not poly.free_labels:
         assert type(kept) is np.int64
@@ -369,7 +418,7 @@ def test_kept_int64_contraction_widens_for_a_large_coefficient(text, coeff, batc
             assert _same(got[k], _reference(big, tensor_context(fb)))
     else:
         assert _same(got, _reference(big, ctx))
-    assert ctx.part(mono.factors, poly.free_labels).value is kept
+    assert ctx.part(mono.factors, poly.free_labels).num is kept
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,14 @@ def test_rank_report_rejects_too_few_samples():
                     samples=random_fblocks_stream(1, 3))
 
 
+def test_empty_catalog_rejected():
+    samples = random_fblocks_stream(1, 2)
+    for call in (lambda: sample_matrix([], samples), lambda: sample_matrix([], []),
+                 lambda: rank_report([], seed=1)):
+        with pytest.raises(ValueError, match="^no catalog entries$"):
+            call()
+
+
 def test_rank_report_needs_a_seed():
     # a None seed would draw from the operating system: no report repeats
     with pytest.raises(ValueError, match="seed is required"):

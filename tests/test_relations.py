@@ -138,13 +138,29 @@ def test_mismatched_sides_rejected(lhs, rhs, rhs_delta):
 
 
 @pytest.mark.parametrize("fields, reason", [
-    ({"domain": "riemannian"}, "bad domain 'riemannian'"),
-    ({"expect": "maybe"}, "bad expect 'maybe'"),
-    ({"rhs_delta": True}, "rhs_delta requires an rhs"),
-], ids=["bad-domain", "bad-expect", "delta-without-rhs"])
+    ({"domain": "riemannian"}, "bad_rel: bad domain 'riemannian'"),
+    ({"expect": "maybe"}, "bad_rel: bad expect 'maybe'"),
+    ({"rhs_delta": True}, "bad_rel: rhs_delta requires an rhs"),
+    ({"name": 5}, "name must be a string, got 5"),
+    ({"tags": "abc"}, "bad_rel: tags must be a list of strings, got 'abc'"),
+    ({"tags": ("a", 1)}, r"bad_rel: tags must be a list of strings, got \('a', 1\)"),
+    ({"rhs_delta": 0, "rhs": "Sc"}, "bad_rel: rhs_delta must be true or false, got 0"),
+    ({"notes": 5}, "bad_rel: notes must be a string, got 5"),
+    # the first bad field is named
+    ({"tags": "abc", "rhs_delta": 0, "notes": 5},
+     "bad_rel: tags must be a list of strings, got 'abc'"),
+], ids=["bad-domain", "bad-expect", "delta-without-rhs", "non-string-name",
+        "string-tags", "non-string-tag", "int-rhs-delta", "non-string-notes",
+        "several-bad"])
 def test_malformed_relation_rejected(fields, reason):
-    with pytest.raises(ValueError, match=f"^bad_rel: {reason}$"):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
         relations.Relation(**{"name": "bad_rel", "domain": "general", "lhs": "Sc", **fields})
+
+
+def test_relation_keeps_its_tags_as_a_tuple():
+    rel = relations.Relation(name="r", domain="general", lhs="Sc", tags=["a", "b"])
+    assert rel.tags == ("a", "b")
+    assert all(type(r.tags) is tuple for r in load_relations())
 
 
 _SIDE = "Sc"
