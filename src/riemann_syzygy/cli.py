@@ -76,7 +76,7 @@ def _read_input(path):
             return sys.stdin.read()
         with open(path) as f:
             return f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _UsageError(f"cannot read {path!r}: {e}") from e
 
 

@@ -148,7 +148,7 @@ def unscaled(num, den):
     """The exact value ``num / den`` of integer numerators (int64 or Python
     ints, array or scalar), in exact normal form: no numpy scalar leaves."""
     if np.ndim(num) == 0:
-        return _divide(num, den)
+        return int(num) if den == 1 else _divide(num, den)
     if den == 1:
         return num.astype(object)
     flat = num.ravel().tolist()

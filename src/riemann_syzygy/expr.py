@@ -626,7 +626,10 @@ def evaluate(poly, context):
 def _evaluate_scaled(poly, context) -> Scaled:
     """``evaluate``'s value as integer numerators over one denominator, with
     a proven bound on the numerators: int64 when the bound allows, Python
-    ints otherwise."""
+    ints otherwise.  A scalar in a one-sample context, whose parts are all
+    0-d, is summed in Python ints and then put in that dtype; anything else
+    is summed array by array in it, a kept int64 part widened first when
+    the sum needs Python ints."""
     poly = as_poly(poly)
     if not poly.monomials:
         if poly.free_labels:
@@ -642,6 +645,10 @@ def _evaluate_scaled(poly, context) -> Scaled:
     # over the common denominator each numerator p, and its bound, grow by den/q
     den = math.lcm(*(q for _, q, _ in terms))
     bound = sum(abs(p) * (den // q) * part.bound for p, q, part in terms)
+    if context.batch is None and not poly.free_labels:
+        # every part is 0-d: summed in Python ints, which cannot wrap
+        total = sum(p * (den // q) * int(part.num) for p, q, part in terms)
+        return Scaled(np.asarray(total, int_dtype(bound)), den, bound)
     dtype = int_dtype(bound)
     total = 0
     for p, q, part in terms:
@@ -738,8 +745,9 @@ class LazyContext(Mapping):
     its numerators, their denominator and their bound.  It too is made on
     first request and kept, so every expression evaluated in the context,
     every relation side or mutant of one, contracts a monomial once and then
-    only multiplies in its own coefficient.  Everything is kept for as long
-    as the context lives.
+    only multiplies in its own coefficient; a kept part costs one dict
+    lookup of its (factors, free) key.  Everything is kept for as long as
+    the context lives.
     """
 
     def __init__(self, rules, batch=None, blocks=None):
@@ -769,9 +777,10 @@ class LazyContext(Mapping):
 
     def part(self, factors, free):
         key = (factors, free)
-        if key not in self._parts:
-            self._parts[key] = _part(factors, free, self)
-        return self._parts[key]
+        part = self._parts.get(key)
+        if part is None:
+            part = self._parts[key] = _part(factors, free, self)
+        return part
 
 
 def contexts(fb: FBlocks | list):

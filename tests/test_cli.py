@@ -173,6 +173,21 @@ def test_malformed_blocks_exit_2(tmp_path, capsys, argv, data, reason):
     assert reason in err
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["decompose"],
+    ["reconstruct"],
+    ["invariants", "--catalog", "quadratic"],
+    ["rank", "--catalog", "quadratic", "--seed", "3", "--import-samples"],
+])
+def test_undecodable_input_names_the_file_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "h.json"
+    path.write_bytes(b"\xff{}")
+    code, out, err = run(argv + [str(path)], capsys)
+    assert code == 2 and not out
+    assert err == (f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode "
+                   "byte 0xff in position 0: invalid start byte\n")
+
 def test_verify_all_pass(capsys):
     code, out, _ = run(
         ["verify", "--set", "quadratic", "--samples", "5", "--seed", "7"],

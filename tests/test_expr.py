@@ -377,6 +377,56 @@ def test_evaluate_equals_object_reference(kind):
     check()
 
 
+
+def _term_loop(poly, context):
+    """``expr._evaluate_scaled`` as every context ran it before a one-sample
+    scalar was summed in Python ints: the loop over the terms in the dtype
+    of the sum's bound."""
+    terms = []
+    for m in poly.monomials:
+        part = context.part(m.factors, poly.free_labels)
+        p, q = m.coeff.numerator, m.coeff.denominator * part.den
+        g = math.gcd(p, q)
+        terms.append((p // g, q // g, part))
+    den = math.lcm(*(q for _, q, _ in terms))
+    bound = sum(abs(p) * (den // q) * part.bound for p, q, part in terms)
+    dtype = curvature.int_dtype(bound)
+    total = 0
+    for p, q, part in terms:
+        value = part.num
+        if dtype is object:
+            value = (value.astype(object, copy=False)
+                     if isinstance(value, np.ndarray) else int(value))
+        total = total + p * (den // q) * value
+    return curvature.Scaled(np.asarray(total, dtype), den, bound)
+
+
+def test_one_sample_scalar_sum_equals_the_term_loop(samples):
+    """Every scalar registry side, catalog form and mutant side, on one
+    sample each of small, fractional, Einstein (parts with B are 0, of bound
+    0) and 2**70-scaled blocks (Python-int parts, totals past int64)."""
+    polys = [(what, poly) for what, poly in _EXPRESSIONS if poly.is_scalar]
+    polys += [(desc, poly) for rel in relations.load_relations()
+              for desc, mutant in relations.mutations(rel)
+              for poly in (mutant.lhs, mutant.rhs)
+              if poly is not None and poly.is_scalar]
+    fb = samples[0]
+    wide = FBlocks(Ap=fb.Ap * 2**70, B=fb.B * 2**70, Am=fb.Am * 2**70)
+    fractional = past_int64 = zero_parts = 0
+    for fb in (fb, _FIXED["fractions"], _einstein(fb), wide):
+        contexts = expr.contexts(fb)
+        for what, poly in polys:
+            ctx = contexts[poly.language]
+            got, want = expr._evaluate_scaled(poly, ctx), _term_loop(poly, ctx)
+            assert got.num.dtype == want.num.dtype and got.num.shape == (), what
+            assert got.num.tolist() == want.num.tolist(), what
+            assert (got.den, got.bound) == (want.den, want.bound), what
+            fractional += got.den > 1
+            past_int64 += abs(int(got.num)) >= 2**63
+        zero_parts += sum(part.bound == 0 for ctx in contexts.values()
+                          for part in ctx._parts.values())
+    assert fractional and past_int64 and zero_parts
+
 def test_quartic_bound_counts_summed_ranges():
     # max|R| = 2**15: max|R|**4 = 2**60 fits int64, but the contraction sums
     # 4**8 such products, and the exact value exceeds 2**63

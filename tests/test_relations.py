@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -13,6 +14,7 @@ from riemann_syzygy.catalog import contexts_for
 from riemann_syzygy.curvature import dumps
 from riemann_syzygy.gen import GenConfig, random_fblocks_stream
 from riemann_syzygy.relations import (
+    Relation,
     check_relation,
     get_relation,
     load_relations,
@@ -56,6 +58,17 @@ def test_verify_all_refuses_non_int_arguments(args, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             verify_all(*args, relations=rels, **kwargs)
 
+
+
+def test_verify_all_refuses_no_relations(monkeypatch):
+    # a report of no results would pass vacuously; nothing is drawn first
+    drawn = []
+    monkeypatch.setattr(relations, "random_fblocks_stream",
+                        lambda *args: drawn.append(args))
+    for rels in ([], ()):
+        with pytest.raises(ValueError, match="^no relations to verify$"):
+            verify_all(1, 5, relations=rels)
+    assert drawn == []
 
 def test_verify_all_needs_a_seed():
     # a None seed would draw from the operating system: no report repeats
@@ -420,6 +433,22 @@ def test_mutations_parse_the_relation_once(monkeypatch, samples):
     assert len(results) == 3 and not any(r.ok for r in results)
     assert parsed == []
 
+
+
+def test_mutants_equal_the_checked_replace():
+    """A mutant, made without ``Relation``'s checks, equals the relation
+    that ``dataclasses.replace`` makes from the same side, with every check
+    run."""
+    count = 0
+    for rel in load_relations():
+        for desc, mutant in mutations(rel):
+            key = "lhs" if ": lhs " in desc else "rhs"
+            side = getattr(mutant, key)
+            assert side is not getattr(rel, key)
+            assert type(mutant) is Relation and type(mutant.tags) is tuple
+            assert mutant == replace(rel, **{key: side}), desc
+            count += 1
+    assert count > 398
 
 def test_mutated_relation_detected(samples):
     rel = get_relation("gauss_bonnet")
