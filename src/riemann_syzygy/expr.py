@@ -367,20 +367,30 @@ def _greedy_path(inputs, out, size):
     result is smallest against the sizes of the two, then the one of fewest
     operations: the greedy score of opt_einsum (Smith & Gray, JOSS 3:753,
     2018) that ``np.einsum_path(optimize="greedy")`` uses.  Label sets are
-    bitmasks, one bit per label of ``size``."""
-    bits = [(1 << k, n) for k, n in enumerate(size.values())]
-    bit = dict(zip(size, (b for b, _ in bits)))
-    counts = {}
+    bitmasks, one bit per label of ``size``; when every label has one range
+    n, a set of c labels has n ** c points."""
+    if len(inputs) == 2:
+        return [(0, 1)]
+    bit = {l: 1 << k for k, l in enumerate(size)}
+    ranges = set(size.values())
+    if len(ranges) == 1:
+        (r,) = ranges
 
-    def points(labels):
-        p = counts.get(labels)
-        if p is None:
-            p = 1
-            for b, n in bits:
-                if labels & b:
-                    p *= n
-            counts[labels] = p
-        return p
+        def points(labels):
+            return r ** labels.bit_count()
+    else:
+        bits = [(bit[l], n) for l, n in size.items()]
+        counts = {}
+
+        def points(labels):
+            p = counts.get(labels)
+            if p is None:
+                p = 1
+                for b, n in bits:
+                    if labels & b:
+                        p *= n
+                counts[labels] = p
+            return p
 
     def mask(labels):
         m = 0
@@ -401,9 +411,9 @@ def _greedy_path(inputs, out, size):
         kept = out | more
         sizes = [points(s) for s in sets]
         n = len(sets)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         best = None
-        for i, j in [(i, j) for i, j in pairs if sets[i] & sets[j]] or pairs:
+        for i, j in ([(i, j) for i in range(n) for j in range(i + 1, n) if sets[i] & sets[j]]
+                     or [(i, j) for i in range(n) for j in range(i + 1, n)]):
             a, b = sets[i], sets[j]
             joint = a | b
             res = joint & (kept | (twice & ~(a & b)))
@@ -456,8 +466,7 @@ def _step(picked, pair, keep, out, size, batched):
                     diagonals.append((i + k, j + k))
                     del t[j], t[i]
                     t.append(l)
-        summed = tuple(n + k for n, l in enumerate(t)
-                       if l not in keep and l not in other)
+        summed = tuple([n + k for n, l in enumerate(t) if l not in keep and l not in other])
         labels.append(t)
         traces.append((tuple(diagonals), summed))
     a, b = labels
@@ -476,7 +485,8 @@ def _step(picked, pair, keep, out, size, batched):
             (a, traces[0], batch + kept_a + contracted, (-1, m, c)),
             (b, traces[1], batch + contracted + kept_b, (-1, c, n))):
         # the summed axes, of length 1 once summed, go last
-        order += [l for l in t if l not in order]
+        if len(order) < len(t):
+            order += [l for l in t if l not in order]
         operands.append((diagonals, summed,
                          lead + tuple([t.index(l) + k for l in order]), shape))
     res = batch + kept_a + kept_b
@@ -520,13 +530,6 @@ _PLANS = {}
 _STEPS = {}
 
 
-def _batch_spec(spec, b):
-    """``spec`` with the sample letter ``b`` leading every term and the
-    output."""
-    inputs, out = spec.split("->")
-    return ",".join(b + t for t in inputs.split(",")) + "->" + b + out
-
-
 def _compile(factors, free, shapes, batched=False) -> _Plan:
     """The plan of a monomial with these factors and free labels whose
     factors' numerators have these shapes per sample (None for a symbol
@@ -537,53 +540,54 @@ def _compile(factors, free, shapes, batched=False) -> _Plan:
     that does not fit its shapes, or has no factor, raises, and nothing is
     kept."""
     key = (factors, free, shapes, batched)
-    if key in _PLANS:
-        return _PLANS[key]
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan
     if not factors:
         raise ExprError("a monomial with no factor")
+    # each label's letter, and each letter's range, in order of first use;
+    # a batched plan keeps one letter for the sample axis
+    letter_of, size = {}, {}
     subs = []
-    letter_of = {}
-    size_of = {}
-
-    def letter(lbl):
-        if lbl not in letter_of:
-            if len(letter_of) >= len(_LETTERS):
-                raise ExprError("too many distinct index labels")
-            letter_of[lbl] = _LETTERS[len(letter_of)]
-        return letter_of[lbl]
-
+    letters = len(_LETTERS) - batched
     for (name, labels), shape in zip(factors, shapes):
         if shape is None:
             raise ExprError(f"unknown symbol {name!r}")
-        rank = len(shape)
-        if not labels and rank:
-            raise ExprError(f"symbol {name!r} needs {rank} indices")
-        if rank != len(labels):
+        if len(shape) != len(labels):
+            if not labels:
+                raise ExprError(f"symbol {name!r} needs {len(shape)} indices")
             raise ExprError(
-                f"symbol {name!r} has rank {rank}, got {len(labels)} indices"
+                f"symbol {name!r} has rank {len(shape)}, got {len(labels)} indices"
             )
-        subs.append("".join(letter(l) for l in labels))
+        sub = ""
         for lbl, n in zip(labels, shape):
-            if size_of.setdefault(lbl, n) != n:
-                raise ExprError(
-                    f"index {lbl!r} ranges over {size_of[lbl]} and {n} values"
-                )
-
-    if not size_of and free:
-        raise ExprError("free indices in a purely scalar monomial")
-    summed = math.prod(size_of[l] for l in set(size_of) - set(free))
-    out = "".join(letter(l) for l in free)
+            l = letter_of.get(lbl)
+            if l is None:
+                if len(letter_of) == letters:
+                    raise ExprError("too many distinct index labels")
+                l = letter_of[lbl] = _LETTERS[len(letter_of)]
+                size[l] = n
+            elif size[l] != n:
+                raise ExprError(f"index {lbl!r} ranges over {size[l]} and {n} values")
+            sub += l
+        subs.append(sub)
+    missing = [l for l in free if l not in letter_of]
+    if missing:
+        raise ExprError(f"free index {missing[0]!r} is on no factor")
+    out = "".join(letter_of[l] for l in free)
+    summed = math.prod([n for l, n in size.items() if l not in out])
     spec = ",".join(subs) + "->" + out
     steps = ()
     cut = _BATCH_ONE_PASS_POINTS if batched else _ONE_PASS_POINTS
-    if len(subs) > 1 and math.prod(size_of.values()) > cut:
-        size = {letter_of[l]: n for l, n in size_of.items()}
+    if len(subs) > 1 and math.prod(size.values()) > cut:
         spec_key = (spec, tuple(size.items()), batched)
-        if spec_key not in _STEPS:
-            _STEPS[spec_key] = _pairwise_steps(subs, out, size, batched)
-        steps = _STEPS[spec_key]
+        steps = _STEPS.get(spec_key)
+        if steps is None:
+            steps = _STEPS[spec_key] = _pairwise_steps(subs, out, size, batched)
     if batched:
-        spec = _batch_spec(spec, letter(None))  # a letter no label has
+        # a letter no label has leads every term and the output
+        b = _LETTERS[len(letter_of)]
+        spec = ",".join(b + t for t in subs) + "->" + b + out
     plan = _PLANS[key] = _Plan(summed, spec, steps)
     return plan
 
@@ -658,7 +662,11 @@ def _evaluate_scaled(poly, context) -> Scaled:
             # widened before p, which may pass int64, multiplies it
             value = (value.astype(object, copy=False)
                      if isinstance(value, np.ndarray) else int(value))
-        total = total + p * (den // q) * value
+        # a part of bound 0 is 0, and the sum's bound does not cover its
+        # coefficient, which may not fit the dtype: it is not multiplied in
+        if part.bound:
+            value = p * (den // q) * value
+        total = total + value
     return Scaled(np.asarray(total, dtype), den, bound)
 
 

@@ -4,9 +4,10 @@ Sampling in block space guarantees every draw satisfies all algebraic
 curvature symmetries by construction; the trace constraint tr Ap == tr Am is
 imposed by overwriting the last diagonal entry of Am.
 
-A stream of samples is drawn in one pass: all its integers come from
-``randint`` into one list, per sample the upper triangle of Ap row by row
-(6 draws), that of Am (6 draws), then B row by row (9 draws, none on the
+A stream of samples is drawn in one pass: its integers are those that
+``randint(-bound, bound)`` would give, in the same order, drawn into one
+list (``_draws``), per sample the upper triangle of Ap row by row (6
+draws), that of Am (6 draws), then B row by row (9 draws, none on the
 Einstein domain).  Index arithmetic lays the list out as three (N, 3, 3)
 stacks of int64, or of Python ints when 5 * bound, the largest magnitude of
 Am's filled entry, does not fit int64 (``curvature.int_dtype``).  The
@@ -21,6 +22,7 @@ with a ValueError naming it.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +88,46 @@ def random_fblocks_stream(seed, count, config=GenConfig()):
     return _stream(rng, count, config)
 
 
+def _draws(rng, bound, total):
+    """The next ``total`` values of ``rng.randint(-bound, bound)``, drawn
+    32 bits at a time in one ``getrandbits`` call per chunk.
+
+    For a range of n = 2 * bound + 1 values of k = n.bit_length() bits,
+    ``randint`` takes the top k bits of the generator's next 32-bit word
+    until they are below n, and adds -bound.  ``getrandbits(32 * m)`` holds
+    the next m words, the first in its lowest 32 bits (CPython's order, not
+    documented; ``tests/test_gen.py`` guards it), so the accepted values of
+    its words are those draws in order.  A chunk of m words is expected to
+    give m * n / 2^k of them; when it gives too few, the next chunk is drawn.
+    The generator is the stream's own, so the words past the last one used
+    are never missed.  Above 32 bits ``randint`` itself draws.
+    """
+    n = 2 * bound + 1
+    k = n.bit_length()
+    if k > 32:
+        randint = rng.randint
+        return [randint(-bound, bound) for _ in range(total)]
+    # a word's top k bits are below n exactly when the word is below top
+    shift = 32 - k
+    top = n << shift
+    out = []
+    while len(out) < total:
+        m = ((total - len(out)) << k) // n + 1
+        # native 32-bit words, in the order they were drawn
+        words = memoryview(rng.getrandbits(32 * m).to_bytes(4 * m, sys.byteorder)).cast("I")
+        if sys.byteorder == "big":
+            words = words[::-1]
+        out += [(w >> shift) - bound for w in words if w < top]
+    del out[total:]
+    return out
+
+
 def _stream(rng, count, config):
     bound = config.bound
     width = 12 if config.einstein else 21
-    randint = rng.randint
     # Am's filled entry, a sum of five draws, is the largest
     dtype = int_dtype(5 * bound)
-    draws = np.array([randint(-bound, bound) for _ in range(count * width)],
+    draws = np.array(_draws(rng, bound, count * width),
                      dtype=dtype).reshape(count, width)
     ap, am = np.empty((2, count, 3, 3), dtype=dtype)
     i, j = _UPPER

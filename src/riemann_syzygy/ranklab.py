@@ -41,19 +41,24 @@ null-vector check at ncols * max|row entry| * max|vector entry|
 (``_vanishes``) and the proof of ``rref`` at max|row entry| times the
 larger of the scale of the rebuilt entries and the pivot count times their
 largest numerator (``_checked_form``).  On the four benchmark catalogs
-(seeds 1 to 10) N fits in 26 to 39 bits and every check's bound in 26 to 60.
+(seeds 1 to 10) N fits in 26 to 39 bits, and every null-vector check and
+every proof of a form has a bound of 26 to 60 bits.  Only quintic's forms
+modulo the first prime alone, rebuilt as fractions with large
+denominators, have bounds of 67 to 70 bits; they are refuted on Python
+ints.
 
 One kernel, ``_rref_mod``, does every elimination: Gauss-Jordan modulo a
 prime on int64.  The rows chosen mod p are the pivot columns of the
 transpose's form mod p.  Exact elimination (``rref``) reduces the rows
-modulo one prime after another, 2^31 - 1 and 2^31 - 19 first.  Once two
-primes agree on the pivots, the entries of the free columns are rebuilt
-over the rationals (Chinese remaindering, then rational reconstruction),
-and one matrix product checks that every row is the
-combination of the reduced rows that its entries in the pivot columns
-dictate; that check proves the result.  When the pivots differ, an entry
-has no reconstruction or the check fails, the next prime is taken (see
-``rref``).
+modulo one prime after another, 2^31 - 1 and 2^31 - 19 first.  After each
+prime the entries of the free columns are rebuilt over the rationals, from
+their residues modulo the product of the primes since the pivots last
+changed (Chinese remaindering, then rational reconstruction), and one
+matrix product checks that every row is the combination of the reduced
+rows that its entries in the pivot columns dictate; that check proves the
+result.  When an entry has no reconstruction or the check fails, the next
+prime is taken (see ``rref``).  A form whose entries are within
+isqrt((2^31 - 1) // 2) = 32767 is proved after the first prime.
 """
 
 from __future__ import annotations
@@ -107,12 +112,13 @@ def rref(rows):
     pivots differ from those of the primes before it starts the count
     again; otherwise its residues of the free columns are joined to theirs
     by Chinese remaindering, modulo the product m of the agreeing primes.
-    From the second agreeing prime on, each entry is rebuilt from its
+    After every prime, the first too, each entry is rebuilt from its
     residue (``_rational``, with |numerator| and denominator at most
     isqrt(m // 2)) into E, and ``M[:, free] == M[:, pivots] @ E[:, free]``
     is checked exactly, scaled by the lcm of E's denominators.
 
-    That check proves E: rank(M) >= r, since a minor nonzero mod p is
+    That check proves E, whatever the modulus it was rebuilt from:
+    rank(M) >= r, since a minor nonzero mod p is
     nonzero, and M = M[:, pivots] E with E of r rows gives rank(M) <= r,
     so E's rows span the row space of M; E is in reduced row echelon form,
     which is unique.  A prime that divides a minor, or an entry beyond the
@@ -121,8 +127,9 @@ def rref(rows):
     dividing some minor of M give other pivots or other residues, so from
     some prime on every prime agrees with the true pivots and residues, m
     grows without bound and the bound passes every numerator and
-    denominator of E.  On the benchmark catalogs the first two primes
-    suffice.
+    denominator of E.  On the benchmark catalogs (seeds 1 to 10) the
+    first prime suffices for the 90 calls on quartic, quartic_basis and
+    cubic_rank2, and the first two for the 30 on quintic.
 
     Returns (rref_rows, pivot_columns) with Fraction entries; the input is not
     modified.  ValueError when the rows differ in length.
@@ -139,12 +146,12 @@ def rref(rows):
             pivot_set = set(pivots)
             free = [c for c in range(ncols) if c not in pivot_set]
             x, modulus = reduced[:, free], p
-            continue
-        # int64 while modulus * p < 2^62: x < modulus and the product of a
-        # residue and an inverse modulo p is below p^2
-        x = x.astype(int_dtype(modulus * p))
-        x = x + modulus * ((reduced[:, free] - x) % p * pow(modulus, -1, p) % p)
-        modulus *= p
+        else:
+            # int64 while modulus * p < 2^62: x < modulus and the product of
+            # a residue and an inverse modulo p is below p^2
+            x = x.astype(int_dtype(modulus * p))
+            x = x + modulus * ((reduced[:, free] - x) % p * pow(modulus, -1, p) % p)
+            modulus *= p
         form = _checked_form(ints, x, modulus, pivots, free)
         if form is not None:
             return form

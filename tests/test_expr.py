@@ -11,7 +11,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from riemann_syzygy import catalog, curvature, expr, relations
+from riemann_syzygy import catalog, curvature, expr, ranklab, relations
 from riemann_syzygy.decomp import FBlocks, reconstruct
 from riemann_syzygy.expr import (
     ExprError,
@@ -27,7 +27,7 @@ from riemann_syzygy.expr import (
     scale,
     tensor_context,
 )
-from riemann_syzygy.gen import GenConfig, random_fblocks
+from riemann_syzygy.gen import GenConfig, random_fblocks, random_fblocks_stream
 from riemann_syzygy.thooft import DELTA3
 
 
@@ -469,6 +469,31 @@ def test_kept_int64_contraction_widens_for_a_large_coefficient(text, coeff, batc
     else:
         assert _same(got, _reference(big, ctx))
     assert ctx.part(mono.factors, poly.free_labels).num is kept
+
+
+@pytest.mark.parametrize("text, batched", [
+    ("1180591620717411303424*B[i,j]*B[i,j] + R", True),
+    ("1180591620717411303424*B[i,k]*B[j,k] + Ap[i,j]", False),
+], ids=["batched-scalar", "one-tensor"])
+def test_zero_part_with_a_coefficient_past_int64(text, batched):
+    """On Einstein samples a monomial with a B factor is 0, of bound 0, so
+    the sum's bound leaves it on int64 however large its coefficient (here
+    2**70): the coefficient is not multiplied in.  ``ranklab._numerators``
+    sums through the same loop."""
+    fbs = [_einstein(fb) for fb in random_fblocks_stream(3, 2, GenConfig())]
+    poly = parse(text)
+    ctx = matrix_context(fbs if batched else fbs[0])
+    got = expr._evaluate_scaled(poly, ctx)
+    assert got.num.dtype == np.int64
+    value = evaluate(poly, ctx)
+    if batched:
+        for k, fb in enumerate(fbs):
+            assert _same(value[k], _reference(poly, matrix_context(fb)))
+    else:
+        assert _same(value, _reference(poly, ctx))
+    entry = catalog.CatalogEntry(label="x", matrix=poly)
+    assert ranklab.sample_matrix([entry], fbs) == [
+        [v] for fb in fbs for v in np.ravel(_reference(poly, matrix_context(fb))).tolist()]
 
 
 # ---------------------------------------------------------------------------

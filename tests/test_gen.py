@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riemann_syzygy import gen
 from riemann_syzygy.gen import GenConfig, random_fblocks, random_fblocks_stream
 
 
@@ -94,7 +95,8 @@ def _reference_draw(rng, config):
 
 
 @pytest.mark.parametrize("einstein", [False, True])
-@pytest.mark.parametrize("bound", [1, 9, 1000])
+# 2**29: about half the words are rejected; 2**31: ``randint`` draws itself
+@pytest.mark.parametrize("bound", [1, 9, 1000, 2**29, 2**31])
 def test_stream_matches_reference_draw(bound, einstein):
     config = GenConfig(bound=bound, einstein=einstein)
     for seed in (0, 1, 7, 2024):
@@ -111,6 +113,42 @@ def test_stream_matches_reference_draw(bound, einstein):
                     assert m.tolist() == want.tolist()
             assert len({id(fb.memo) for fb in fbs}) == count
         assert random_fblocks(seed, config) == random_fblocks_stream(seed, 3, config)[0]
+
+
+class _Recording(random.Random):
+    """A generator that records the bit count of each ``getrandbits`` call."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)
+
+
+# 2**29: a range of 2**30 + 1 values in 31 bits, so about half the words are
+# rejected; 2**31 - 1: a range of 32 bits, the widest drawn by words;
+# 2**31 and 2**40: ranges of 33 and 41 bits, drawn by ``randint``
+@pytest.mark.parametrize("bound", [1, 2, 9, 1000, 10**6, 2**29, 2**30, 2**31 - 1,
+                                   2**31, 2**40])
+def test_draws_equal_randint(bound):
+    k = (2 * bound + 1).bit_length()
+    chunks = []
+    for seed in (0, 1, 7, 2024):
+        for count in (0, 1, 21, 4893, 20000):
+            rng, reference = _Recording(seed), random.Random(seed)
+            assert gen._draws(rng, bound, count) == [
+                reference.randint(-bound, bound) for _ in range(count)]
+            if k > 32:
+                # randint's own draws, one per value or rejected value
+                assert set(rng.calls) <= {k} and len(rng.calls) >= count
+            else:
+                assert all(bits % 32 == 0 for bits in rng.calls)
+                chunks.append(len(rng.calls))
+    if bound == 2**29:
+        # a chunk fell short of its count, and the next one was drawn
+        assert max(chunks) > 1
 
 
 def test_negative_count_refused():

@@ -468,8 +468,8 @@ def _rref_route(rows):
     """``rref(rows)``, the number of primes it reduced the rows modulo, and
     the routes by which it took one more prime: "pivots" (a prime's pivots
     differ from those before it), "reconstruction" (an entry has none) and
-    "check" (the rebuilt form fails the exact check).  Two primes and no
-    route is the common path."""
+    "check" (the rebuilt form fails the exact check).  The form is checked
+    after every prime, so one prime and no route is the common path."""
     primes, routes, rebuilt = [], set(), []
     rref_mod, rational, checked_form = (ranklab._rref_mod, ranklab._rational,
                                         ranklab._checked_form)
@@ -516,27 +516,31 @@ def test_modular_rref_falls_back_on_every_route():
 
     @settings(max_examples=200, deadline=None)
     @given(rows=_planted_matrix())
-    @example(rows=[[2, 1], [4, 2]])  # two primes: the entry 1/2 is within 4
+    @example(rows=[[1, 1]])  # one prime: the entry 1 is within 1
     @example(rows=[[5, 1], [0, 1]])  # rank 1 modulo 5, 2 modulo 7
-    @example(rows=[[1, 10]])  # 10 = n/d mod 35 only with |n| or d above 4
+    @example(rows=[[2, 1], [4, 2]])  # 1/2 = 3 mod 5 only with |n| or d above 1
     @example(rows=[[1, 17]])  # 17 = -1/2 mod 35, which fails the check
     def check(rows):
         with mock.patch.object(ranklab, "_primes", _small_primes_first):
             result, _, routes = _rref_route(rows)
         assert result == _reference_rref(rows)
-        seen.update(routes or {"two primes"})
+        seen.update(routes or {"one prime"})
 
     check()
-    assert seen == {"two primes", "pivots", "reconstruction", "check"}
+    assert seen == {"one prime", "pivots", "reconstruction", "check"}
 
 
 @pytest.mark.parametrize("rows, nprimes, routes", [
-    ([[2, 1], [4, 2]], 2, set()),
-    # rank 1 modulo 5, 2 modulo 7 and 11
-    ([[5, 1], [0, 1]], 3, {"pivots"}),
-    # 10 has no reconstruction modulo 35, and is 10/1 modulo 385
-    ([[1, 10]], 3, {"reconstruction"}),
-    # 17 = -1/2 modulo 35; modulo 385 (bound 13) it has no reconstruction
+    # 1/2 = 3 has no reconstruction modulo 5 (bound 1); modulo 35 it has
+    ([[2, 1], [4, 2]], 2, {"reconstruction"}),
+    # rank 1 modulo 5, whose form fails the check; rank 2 modulo 7, whose
+    # form has no free column
+    ([[5, 1], [0, 1]], 2, {"check", "pivots"}),
+    # 10 = 0 modulo 5 fails the check, has no reconstruction modulo 35, and
+    # is 10/1 modulo 385
+    ([[1, 10]], 3, {"check", "reconstruction"}),
+    # 17 = 2 modulo 5 and -1/2 modulo 35 fail the check; modulo 385 (bound
+    # 13) it has no reconstruction
     ([[1, 17]], 4, {"check", "reconstruction"}),
 ])
 def test_modular_rref_route_from_small_primes(rows, nprimes, routes):
@@ -546,15 +550,27 @@ def test_modular_rref_route_from_small_primes(rows, nprimes, routes):
     assert result == _reference_rref(rows)
 
 
-# with rref's own primes; ``routes`` is the number of primes and the routes
+# with rref's own primes; ``routes`` is the number of primes and the routes.
+# Modulo _PRIME alone the reconstruction bound is isqrt(_PRIME // 2) = 32767,
+# modulo _PRIME * _PRIME2 about 2^30.5.
 @pytest.mark.parametrize("rows, routes", [
-    # 2^31 - 1 is 0 modulo _PRIME but not modulo _PRIME2
-    ([[2**31 - 1, 1], [0, 1]], (3, {"pivots"})),
-    # the entry 2^40 / 3 exceeds the reconstruction bound of about 2^30.5,
-    # so it takes a third prime
-    ([[3, 2**40]], (3, {"reconstruction"})),
-    # 2^30 / 3 is within it
-    ([[3, 2**30]], (2, set())),
+    # 2^31 - 1 is 0 modulo _PRIME, whose form [0, 1] fails the check, but
+    # not modulo _PRIME2, whose form has no free column
+    ([[2**31 - 1, 1], [0, 1]], (2, {"check", "pivots"})),
+    # 2^40 / 3 exceeds the bound of two primes too, so it takes a third
+    ([[3, 2**40]], (3, {"check", "reconstruction"})),
+    # 2^30 / 3 is some n/d within 32767 modulo _PRIME, which fails the
+    # check, and is 2^30 / 3 modulo the two
+    ([[3, 2**30]], (2, {"check"})),
+    # 2^14 / 3 is within 32767: the first prime's form is proved
+    ([[3, 2**14]], (1, set())),
+    # 2^16 has no reconstruction modulo _PRIME, and is 2^16 / 1 modulo the two
+    ([[1, 2**16]], (2, {"reconstruction"})),
+    # 2^20 / 3 as 2^30 / 3
+    ([[3, 2**20]], (2, {"check"})),
+    # 2^31 = 1 modulo _PRIME fails the check, and 2^31 exceeds the bound of
+    # two primes
+    ([[1, 2**31]], (3, {"check", "reconstruction"})),
 ])
 def test_modular_rref_route(rows, routes):
     result, nprimes, taken = _rref_route(rows)
@@ -564,8 +580,10 @@ def test_modular_rref_route(rows, routes):
 
 def test_catalog_ranks_take_the_modular_path():
     """Every rref of a rank report over these catalogs reduces its rows
-    modulo exactly two primes, so the fast path cannot silently grow a
-    third prime."""
+    modulo exactly the primes pinned here: one for quartic, quartic_basis
+    and cubic_rank2, whose forms are within the first prime's
+    reconstruction bound, and two for quintic, whose are not.  So the fast
+    path cannot silently grow another prime."""
     counts = []
     rref_mod, exact_rref = ranklab._rref_mod, ranklab.rref
 
@@ -581,7 +599,8 @@ def test_catalog_ranks_take_the_modular_path():
         for name in ("quartic", "quartic_basis", "quintic", "cubic_rank2"):
             counts.append(0)  # the row selection of the report
             rank_report(catalog.catalog(name), seed=1, catalog_name=name)
-    assert counts == [1, 2, 2, 2] * 4
+    # per report: the row selection, then three rref calls
+    assert counts == [1, 1, 1, 1] * 2 + [1, 2, 2, 2] + [1, 1, 1, 1]
 
 
 def test_forced_fallback_gives_same_reports(monkeypatch):
@@ -851,7 +870,9 @@ def test_checks_take_int64_below_2_63_only():
 def test_catalog_reports_check_on_int64():
     """On the four benchmark catalogs the numerators, every ``_vanishes``
     product and every ``_checked_form`` proof product are int64, so the
-    fast path cannot silently fall back to Python ints."""
+    fast path cannot silently fall back to Python ints.  Only quintic's
+    forms modulo the first prime alone, whose spurious reconstructions have
+    a large lcm of denominators, are refuted on Python ints."""
     checks, matrices = [], []
     exact, numerators = ranklab._exact, ranklab._numerators
     vanishes, checked_form = ranklab._vanishes, ranklab._checked_form
@@ -876,16 +897,27 @@ def test_catalog_reports_check_on_int64():
                 caller.pop()
         return spy
 
+    def spy_checked_form(*args):
+        n = len(checks)
+        form = calling("checked_form", checked_form)(*args)
+        # the check's product, if it ran, named by its outcome
+        checks[n:] = [("proof" if form else "refuted", dtypes) for _, dtypes in checks[n:]]
+        return form
+
     with mock.patch.multiple(ranklab, _exact=spy_exact, _numerators=spy_numerators,
                              _vanishes=calling("vanishes", vanishes),
-                             _checked_form=calling("checked_form", checked_form)):
+                             _checked_form=spy_checked_form):
         for name in ("quartic", "quartic_basis", "quintic", "cubic_rank2"):
             rank_report(catalog.catalog(name), seed=1, catalog_name=name)
     assert matrices == [np.int64] * 4
     # per report: two certified bases and one rref(basis), each proved by one
-    # checked form; two certified bases and the confirmation batch checked
-    assert sorted(name for name, _ in checks) == ["checked_form"] * 12 + ["vanishes"] * 12
-    assert all(dtypes == {np.dtype(np.int64)} for _, dtypes in checks)
+    # checked form, and quintic's three first refuted modulo the first prime;
+    # two certified bases and the confirmation batch checked
+    assert (sorted(name for name, _ in checks)
+            == ["proof"] * 12 + ["refuted"] * 3 + ["vanishes"] * 12)
+    int64, pyint = {np.dtype(np.int64)}, {np.dtype(object)}
+    assert all(dtypes == (pyint if name == "refuted" else int64)
+               for name, dtypes in checks)
 
 
 def test_rank_report_refuses_samples_of_another_domain():
