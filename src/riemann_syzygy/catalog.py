@@ -18,14 +18,14 @@ a malformed form, or one whose symbols are not of the language its field
 stands for, fails at import, naming the entry and the field.  The quartic
 pseudo-scalars are derived from their even sources by
 ``expr.pseudo_variant``.  ``CatalogEntry.form`` is the one rule that picks
-the Poly that ``ranklab.sample_matrix`` and the CLI evaluate, in the context
-of its ``language``.  Each catalog has one name, its key in ``CATALOGS``.
+the Poly that ``ranklab.sample_matrix`` and the CLI evaluate, in the one
+context of a sample or batch (``contexts_for``, ``expr.context``) that holds
+both languages.  Each catalog has one name, its key in ``CATALOGS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from types import MappingProxyType
 
 from . import expr
 from .decomp import FBlocks
@@ -757,16 +757,16 @@ def catalog(name):
 
 
 def contexts_for(fb: FBlocks):
-    """Evaluation contexts of one sample, keyed by language.
+    """The evaluation context of one sample (``expr.context``), which holds
+    both languages: every Poly is evaluated in it.
 
-    The pair is made on the first call and kept in ``fb.memo``, so every
-    later call on the same FBlocks returns the same pair, and every symbol
+    The context is made on the first call and kept in ``fb.memo``, so every
+    later call on the same FBlocks returns the same context, and every symbol
     and monomial contraction it holds (see ``expr.LazyContext``), for as long
     as the sample lives; another FBlocks of the same blocks gets its own.
-    The tensor is reconstructed only when an expression of the tensor
-    language asks for one of its symbols.  A Poly ``p`` is evaluated in
-    ``contexts_for(fb)[p.language]``.
+    The tensor is reconstructed only when a factor of the tensor language
+    asks for one of its symbols.
     """
-    if "contexts" not in fb.memo:
-        fb.memo["contexts"] = MappingProxyType(expr.contexts(fb))
-    return fb.memo["contexts"]
+    if "context" not in fb.memo:
+        fb.memo["context"] = expr.context(fb)
+    return fb.memo["context"]

@@ -180,7 +180,7 @@ def _cmd_invariants(args):
         fb = random_fblocks_stream(args.seed, 1, config)[0]
     ctx = catalog_mod.contexts_for(fb)
     forms = [e.form() for e in entries]
-    values = {e.label: rational_to_str(expr.evaluate(p, ctx[p.language]))
+    values = {e.label: rational_to_str(expr.evaluate(p, ctx))
               for e, p in zip(entries, forms)}
     report = {"schema": SCHEMA, "catalog": args.catalog, "values": values}
     _write(args, report, [f"{k} = {v}" for k, v in values.items()])

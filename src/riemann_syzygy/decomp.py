@@ -88,7 +88,7 @@ class FBlocks:
     Entries are exact rationals.  Each block is a read-only copy of the
     array it was given (or a read-only view into a checked stack, see
     ``unstacked``), so what is derived from the blocks and kept in ``memo``
-    (``catalog.contexts_for`` keeps the sample's evaluation contexts there)
+    (``catalog.contexts_for`` keeps the sample's evaluation context there)
     holds for as long as the sample lives.
     """
 

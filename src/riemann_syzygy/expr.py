@@ -31,8 +31,8 @@ A small contraction runs as one ``np.einsum`` pass.  A large one runs two
 operands at a time, each step one ``np.matmul`` of the two reshaped into
 stacks of matrices; the order of the steps is found by a greedy scored as
 numpy's ``einsum_path(optimize="greedy")`` scores it.  What a monomial's
-contraction needs apart from the sample (index letters, einsum spec, rank
-and range checks, the product of the summed ranges and, for a large
+contraction needs apart from the sample (index letters, einsum spec, range
+checks, the product of the summed ranges and, for a large
 contraction, its steps with each step's permutations and reshapes) is
 compiled once per process into a plan, keyed by the monomial's factors, the
 free labels, the shapes of the factors on one sample and whether the context
@@ -50,21 +50,25 @@ holding the monomial, another relation's side or a mutant that differs in a
 coefficient, only multiplies its coefficient in; when the sum's bound needs
 Python ints, a kept int64 contraction is widened first.
 
-Two evaluation contexts are provided: the tensor language of a rank-4
-curvature tensor and the matrix language of its blocks.  One table,
-``_SYMBOLS``, states every symbol of both once: its language, its rank, the
-rule that builds it and its weight under the dual (``pseudo_variant``).  No
-symbol has the same name and rank in both languages, so the table gives an
-expression's language from its symbols: ``Poly.language``, looked up when
+One context (``context``) holds both languages of a sample: the tensor
+language of its rank-4 curvature tensor and the matrix language of its
+blocks.  One table, ``_SYMBOLS``, states every symbol of both once, keyed by
+its name and rank: its language, the rule that builds it and its weight
+under the dual (``pseudo_variant``).  ``R`` is the one name at two ranks: the
+tensor at rank 4 and the matrix language's scalar at rank 0.  A factor
+``name[labels]`` is the symbol ``(name, len(labels))``, so the table gives
+an expression's language from its symbols: ``Poly.language``, looked up when
 ``parse`` or ``combine`` makes the Poly and kept by ``dataclasses.replace``.
+A Poly of both languages, such as a relation's residual, evaluates in the
+same context.
 
 A context may also hold a batch of N samples.  Every symbol then carries a
-leading sample axis (``R`` of the tensor language has shape
-(N, 4, 4, 4, 4), the scalars ``Sc``, ``R`` and ``detB`` shape (N,)) over
-one denominator, the least common multiple over the batch, and a monomial
-runs along a batched plan: the same contraction with one more letter, the
-sample's, on every factor and on the output, and the pairwise steps found
-from the shapes of one sample, so one plan serves every N.  The bound, and
+leading sample axis (``R[a,b,c,d]`` has shape (N, 4, 4, 4, 4), the scalars
+``Sc``, ``R`` and ``detB`` shape (N,)) over one denominator, the least
+common multiple over the batch, and a monomial runs along a batched plan:
+the same contraction with one more letter, the sample's, on every factor
+and on the output, and the pairwise steps found from the shapes of one
+sample, so one plan serves every N.  The bound, and
 so the choice between int64 and Python ints, is the largest over the batch.
 ``evaluate`` then returns an (N, *free) object array, sample by sample, in
 the same exact normal form as one sample's value.
@@ -74,7 +78,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -103,8 +107,8 @@ __all__ = [
     "relabel",
     "evaluate",
     "LazyContext",
+    "context",
     "tensor_context",
-    "matrix_context",
     "pseudo_variant",
     "ExprError",
 ]
@@ -150,7 +154,7 @@ class Poly:
 
     def __post_init__(self):
         if self.language is None:
-            languages = {_LANGUAGE_OF.get((name, len(labels)))
+            languages = {getattr(_SYMBOLS.get((name, len(labels))), "language", None)
                          for m in self.monomials for name, labels in m.factors}
             if len(languages) == 1:
                 object.__setattr__(self, "language", languages.pop())
@@ -241,7 +245,8 @@ def of_language(x, language=None) -> Poly:
     poly = as_poly(x)
     if poly.language is None or language not in (None, poly.language):
         symbols = dict.fromkeys((n, len(l)) for m in poly.monomials for n, l in m.factors)
-        got = ", ".join(f"{n} of rank {r} ({_LANGUAGE_OF.get((n, r), 'no language')})"
+        got = ", ".join(f"{n} of rank {r} "
+                        f"({getattr(_SYMBOLS.get((n, r)), 'language', 'no language')})"
                         for n, r in symbols) or "none"
         want = f"the {language}" if language else "one"
         raise ExprError(f"expected symbols of {want} language, got {got}")
@@ -532,12 +537,12 @@ _STEPS = {}
 
 def _compile(factors, free, shapes, batched=False) -> _Plan:
     """The plan of a monomial with these factors and free labels whose
-    factors' numerators have these shapes per sample (None for a symbol
-    missing from the context), made on first request and kept for the
-    process; ``batched`` when every factor has a leading sample axis.  The
-    plan serves batches of every size, and its pairwise steps are those of
-    every plan of the same spec and letter ranges (``_STEPS``).  A monomial
-    that does not fit its shapes, or has no factor, raises, and nothing is
+    factors' numerators have these shapes per sample, one axis per label,
+    made on first request and kept for the process; ``batched`` when every
+    factor has a leading sample axis.  The plan serves batches of every
+    size, and its pairwise steps are those of every plan of the same spec
+    and letter ranges (``_STEPS``).  A monomial whose labels do not fit the
+    ranges of its shapes, or that has no factor, raises, and nothing is
     kept."""
     key = (factors, free, shapes, batched)
     plan = _PLANS.get(key)
@@ -551,14 +556,6 @@ def _compile(factors, free, shapes, batched=False) -> _Plan:
     subs = []
     letters = len(_LETTERS) - batched
     for (name, labels), shape in zip(factors, shapes):
-        if shape is None:
-            raise ExprError(f"unknown symbol {name!r}")
-        if len(shape) != len(labels):
-            if not labels:
-                raise ExprError(f"symbol {name!r} needs {len(shape)} indices")
-            raise ExprError(
-                f"symbol {name!r} has rank {len(shape)}, got {len(labels)} indices"
-            )
         sub = ""
         for lbl, n in zip(labels, shape):
             l = letter_of.get(lbl)
@@ -599,12 +596,15 @@ def _part(factors, free, context) -> Scaled:
     factors' bounds, holds for every entry of the contraction and of each of
     its intermediates, on every sample.  The contraction is exact on int64
     when the bound and every factor's numerators fit it; a 0-d one is a
-    scalar, an ``np.int64`` or a Python int."""
-    forms = [context.scaled(name) if name in context else None
-             for name, _ in factors]
+    scalar, an ``np.int64`` or a Python int.  A factor whose symbol the
+    context does not hold at the rank of its labels raises (``_unknown``)."""
+    for name, labels in factors:
+        if (name, len(labels)) not in context.rules:
+            raise _unknown(name, labels, context.rules)
+    forms = [context.scaled(name, len(labels)) for name, labels in factors]
     batched = context.batch is not None
     # per sample: without the sample axis of a batched context
-    shapes = tuple(None if f is None else f.num.shape[batched:] for f in forms)
+    shapes = tuple(f.num.shape[batched:] for f in forms)
     plan = _compile(factors, free, shapes, batched)
     bound = plan.summed * math.prod(f.bound for f in forms)
     # a zero factor makes the bound 0 but leaves the others' numerators wide
@@ -614,12 +614,23 @@ def _part(factors, free, context) -> Scaled:
     return Scaled(num, math.prod(f.den for f in forms), bound)
 
 
+def _unknown(name, labels, rules):
+    """The ExprError for a factor ``name[labels]`` that is no key of
+    ``rules``: an unknown name, or a name held at other ranks, each named."""
+    ranks = " or ".join(str(r) for n, r in sorted(rules) if n == name)
+    if not ranks:
+        return ExprError(f"unknown symbol {name!r}")
+    if not labels:
+        return ExprError(f"symbol {name!r} needs {ranks} indices")
+    return ExprError(f"symbol {name!r} has rank {ranks}, got {len(labels)} indices")
+
+
 def evaluate(poly, context):
     """Evaluate a Poly (or expression string) in the given symbol context.
 
     Scalars come back as int/Fraction; free-index expressions as object
     arrays indexed by the free labels in sorted order.  In a batched context
-    (see ``tensor_context``) the value of every sample comes back at once,
+    (see ``context``) the value of every sample comes back at once,
     as an object array whose leading axis runs over the samples: of shape
     (N,) for a scalar, (N, *free) otherwise.
     """
@@ -693,95 +704,74 @@ def _det3(m):
 
 
 class _Symbol(NamedTuple):
-    """A symbol of one language: its ``rank``; the ``rule`` that builds its
+    """A symbol of the table: its ``language``; the ``rule`` that builds its
     scaled form from a context, out of the context's ``blocks`` or of the
     symbols the context has already built; and its ``dual_weight``, the
     sign each of its block entries takes under the dual, summed over them
     (see ``pseudo_variant``)."""
 
-    rank: int
+    language: str
     rule: Callable
     dual_weight: int = 0
 
 
-# Every symbol of both languages.  Rc, Sc, 6 W and 2 Rt are derived from R's
-# numerators with the growth of each builder (see curvature); the matrix
-# symbols from the blocks, or from the stacks of a batch's blocks.
+# Every symbol of both languages, keyed by (name, rank).  Rc, Sc, 6 W and
+# 2 Rt are derived from R's numerators with the growth of each builder (see
+# curvature); the matrix symbols from the blocks, or from the stacks of a
+# batch's blocks.
 _SYMBOLS = {
-    "tensor": {
-        "R": _Symbol(4, lambda ctx: reconstruct_scaled(ctx.blocks)),
-        "Rc": _Symbol(2, lambda ctx: derived(ricci, 4, ctx.scaled("R"))),
-        "Sc": _Symbol(0, lambda ctx: derived(ricci_scalar, 16, ctx.scaled("R"))),
-        "W": _Symbol(4, lambda ctx: derived(weyl6, 128, ctx.scaled("R"), 6)),
-        "Rt": _Symbol(4, lambda ctx: derived(dual2, 16, ctx.scaled("R"), 2)),
-        "eps": _Symbol(4, _table("EPS4")),
-        "delta": _Symbol(2, _table("DELTA4")),
-    },
-    "matrix": {
-        "Ap": _Symbol(2, lambda ctx: scaled(ctx.blocks["Ap"]), 1),
-        "Am": _Symbol(2, lambda ctx: scaled(ctx.blocks["Am"]), -1),
-        "B": _Symbol(2, lambda ctx: scaled(ctx.blocks["B"]), -1),
-        # B^T, or the transpose of each B of a batch
-        "BT": _Symbol(2, lambda ctx: derived(lambda n: n.swapaxes(-1, -2), 1,
-                                             ctx.scaled("B")), 1),
-        "eps3": _Symbol(3, _table("EPS3")),
-        "delta3": _Symbol(2, _table("DELTA3")),
-        "R": _Symbol(0, lambda ctx: scaled(
-            4 * (_trace(ctx.blocks["Ap"]) + _trace(ctx.blocks["Am"])))),
-        "detB": _Symbol(0, lambda ctx: scaled(_det3(ctx.blocks["B"])), -3),
-    },
+    ("R", 4): _Symbol("tensor", lambda ctx: reconstruct_scaled(ctx.blocks)),
+    ("Rc", 2): _Symbol("tensor", lambda ctx: derived(ricci, 4, ctx.scaled("R", 4))),
+    ("Sc", 0): _Symbol("tensor", lambda ctx: derived(ricci_scalar, 16, ctx.scaled("R", 4))),
+    ("W", 4): _Symbol("tensor", lambda ctx: derived(weyl6, 128, ctx.scaled("R", 4), 6)),
+    ("Rt", 4): _Symbol("tensor", lambda ctx: derived(dual2, 16, ctx.scaled("R", 4), 2)),
+    ("eps", 4): _Symbol("tensor", _table("EPS4")),
+    ("delta", 2): _Symbol("tensor", _table("DELTA4")),
+    ("Ap", 2): _Symbol("matrix", lambda ctx: scaled(ctx.blocks["Ap"]), 1),
+    ("Am", 2): _Symbol("matrix", lambda ctx: scaled(ctx.blocks["Am"]), -1),
+    ("B", 2): _Symbol("matrix", lambda ctx: scaled(ctx.blocks["B"]), -1),
+    # B^T, or the transpose of each B of a batch
+    ("BT", 2): _Symbol("matrix", lambda ctx: derived(lambda n: n.swapaxes(-1, -2), 1,
+                                                     ctx.scaled("B", 2)), 1),
+    ("eps3", 3): _Symbol("matrix", _table("EPS3")),
+    ("delta3", 2): _Symbol("matrix", _table("DELTA3")),
+    ("R", 0): _Symbol("matrix", lambda ctx: scaled(
+        4 * (_trace(ctx.blocks["Ap"]) + _trace(ctx.blocks["Am"])))),
+    ("detB", 0): _Symbol("matrix", lambda ctx: scaled(_det3(ctx.blocks["B"])), -3),
 }
-
-# The language of each symbol at its rank: no symbol has the same name and
-# rank in both.
-_LANGUAGE_OF = {(name, s.rank): language
-                for language, symbols in _SYMBOLS.items() for name, s in symbols.items()}
+_RULES = {key: s.rule for key, s in _SYMBOLS.items()}
 
 
-class LazyContext(Mapping):
+class LazyContext:
     """A read-only symbol context holding each symbol in one form, its
-    scaled form.  ``rules`` maps each name to a function of the context that
-    returns that form; a rule runs on its symbol's first use only and its
-    result is kept.  ``blocks`` are the blocks the rules read, keyed by name
-    as ``decomp.stacked`` gives them, and ``batch`` is None for one sample;
-    for a batch of N samples it is N, and every symbol's numerators carry a
-    leading axis of N.  ``ctx[name]`` is the exact value of the scaled form,
-    made anew on each request.
+    scaled form.  ``rules`` maps each (name, rank) to a function of the
+    context that returns that form; a rule runs on its symbol's first use
+    only and its result is kept (``scaled(name, rank)``).  ``blocks`` are
+    the blocks the rules read, keyed by name as ``decomp.stacked`` gives
+    them, and ``batch`` is None for one sample; for a batch of N samples it
+    is N, and every symbol's numerators carry a leading axis of N.
 
     ``part(factors, free)`` is a monomial's share of ``evaluate`` that does
     not depend on its coefficient (see ``_part``): the exact contraction of
     its numerators, their denominator and their bound.  It too is made on
     first request and kept, so every expression evaluated in the context,
-    every relation side or mutant of one, contracts a monomial once and then
-    only multiplies in its own coefficient; a kept part costs one dict
+    every relation residual or mutant of one, contracts a monomial once and
+    then only multiplies in its own coefficient; a kept part costs one dict
     lookup of its (factors, free) key.  Everything is kept for as long as
     the context lives.
     """
 
     def __init__(self, rules, batch=None, blocks=None):
-        self._rules = rules
+        self.rules = rules
         self._scaled = {}
         self._parts = {}
         self.batch = batch
         self.blocks = blocks
 
-    def __getitem__(self, name):
-        s = self.scaled(name)
-        return unscaled(s.num, s.den)
-
-    def __contains__(self, name):
-        return name in self._rules
-
-    def __iter__(self):
-        return iter(self._rules)
-
-    def __len__(self):
-        return len(self._rules)
-
-    def scaled(self, name):
-        if name not in self._scaled:
-            self._scaled[name] = self._rules[name](self)
-        return self._scaled[name]
+    def scaled(self, name, rank):
+        if (name, rank) not in self._scaled:
+            self._scaled[name, rank] = self.rules[name, rank](self)
+        return self._scaled[name, rank]
 
     def part(self, factors, free):
         key = (factors, free)
@@ -791,45 +781,24 @@ class LazyContext(Mapping):
         return part
 
 
-def contexts(fb: FBlocks | list):
-    """The contexts of one sample, or of a batch given as a non-empty list
-    of FBlocks, one per language of ``_SYMBOLS`` and keyed by it, as
-    ``Poly.language`` names it.  Both read one set of blocks, stacked once
-    for a batch.  The contexts keep the blocks, not the sample: those that
-    ``catalog.contexts_for`` keeps on the sample then do not refer back to
-    it, and are freed with it."""
-    blocks = stacked(fb)
-    batch = None if isinstance(fb, FBlocks) else len(fb)
-    return {language: LazyContext({name: s.rule for name, s in symbols.items()},
-                                  batch, blocks)
-            for language, symbols in _SYMBOLS.items()}
+def context(fb: FBlocks | list):
+    """The context of one sample, or of a batch given as a non-empty list of
+    FBlocks, holding every symbol of ``_SYMBOLS``, both languages, over one
+    set of blocks, stacked once for a batch; the tensor is reconstructed
+    only when a factor of the tensor language asks for it.  In a batch,
+    ``R[a,b,c,d]`` has shape (N, 4, 4, 4, 4), ``Ap`` (N, 3, 3) and ``Sc``,
+    ``R`` and ``detB`` (N,).  The context keeps the blocks, not the sample:
+    the one that ``catalog.contexts_for`` keeps on the sample then does not
+    refer back to it, and is freed with it."""
+    return LazyContext(_RULES, None if isinstance(fb, FBlocks) else len(fb), stacked(fb))
 
 
-def tensor_context(t: Rank4Tensor | FBlocks | list):
-    """Symbols of the rank-4 tensor language (``_SYMBOLS["tensor"]``).
-
-    ``t`` is a curvature tensor, or the FBlocks of one, whose tensor is then
-    reconstructed on first use.  Every symbol is computed on first use only.
-
-    ``t`` may also be a non-empty list of FBlocks: the context is then
-    batched, every symbol holds all samples along a leading sample axis
-    over one denominator (``R`` has shape (N, 4, 4, 4, 4), ``Sc`` (N,)), and
-    ``evaluate`` gives every sample's value at once.
-    """
-    if isinstance(t, np.ndarray):
-        rules = {name: s.rule for name, s in _SYMBOLS["tensor"].items()}
-        return LazyContext({**rules, "R": lambda ctx: scaled(t)})
-    return contexts(t)["tensor"]
-
-
-def matrix_context(fb: FBlocks | list):
-    """Symbols of the block (matrix) language (``_SYMBOLS["matrix"]``).
-
-    Every symbol is computed on first use only.  ``fb`` may also be a
-    non-empty list of FBlocks, for a batched context (see
-    ``tensor_context``): ``Ap`` has shape (N, 3, 3), ``R`` and ``detB`` (N,).
-    """
-    return contexts(fb)["matrix"]
+def tensor_context(t: Rank4Tensor):
+    """The tensor-language symbols of a raw rank-4 array ``t``: ``R[a,b,c,d]``
+    is ``t`` itself, which need not satisfy the curvature symmetries, and
+    every other symbol is derived from it on first use."""
+    rules = {key: s.rule for key, s in _SYMBOLS.items() if s.language == "tensor"}
+    return LazyContext({**rules, ("R", 4): lambda ctx: scaled(t)})
 
 
 # ---------------------------------------------------------------------------
@@ -847,10 +816,10 @@ def pseudo_variant(poly):
     BT, -1 for each Am or B and -3 for detB, three B entries.  Monomials of
     weight 0 cancel and are dropped.
     """
-    weight = {name: s.dual_weight for name, s in _SYMBOLS["matrix"].items()}
     out = []
     for mono in poly.monomials:
-        w = sum(weight.get(name, 0) for name, _ in mono.factors)
+        w = sum(getattr(_SYMBOLS.get((name, len(labels))), "dual_weight", 0)
+                for name, labels in mono.factors)
         if w:
             out.append(Monomial(coeff=mono.coeff * (1 if w > 0 else -1),
                                 factors=mono.factors))

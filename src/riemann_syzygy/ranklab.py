@@ -420,8 +420,8 @@ def _numerators(entries, fbs, representation=None):
     array of Python ints otherwise.
 
     Each entry contributes ``entry.form(representation)``, the Poly the entry
-    holds, evaluated once on all samples, in the batched context of its
-    language (see ``expr.contexts``).  Nothing is parsed.  ValueError for
+    holds, evaluated once on all samples, in one batched context (see
+    ``expr.context``).  Nothing is parsed.  ValueError for
     no entries, or entries of different free labels."""
     if not entries:
         raise ValueError("no catalog entries")
@@ -430,8 +430,8 @@ def _numerators(entries, fbs, representation=None):
         raise ValueError("all catalog entries must share the same free labels")
     if not fbs:
         return np.zeros((0, len(forms)), np.int64), [1] * len(forms)
-    contexts = expr.contexts(fbs)
-    columns = [expr._evaluate_scaled(p, contexts[p.language]) for p in forms]
+    ctx = expr.context(fbs)
+    columns = [expr._evaluate_scaled(p, ctx) for p in forms]
     dtype = int_dtype(max(c.bound for c in columns))
     # column per entry, row per sample and free-index assignment in C order
     nums = np.stack([c.num.astype(dtype, copy=False) for c in columns], axis=-1)

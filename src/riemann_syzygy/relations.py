@@ -9,43 +9,48 @@ exactly, component by component, on seeded random samples.
 
 A ``Relation`` holds each side as an ``expr.Poly``, parsed once when the
 relation is made (a side may be given as an expression string or a Poly);
-the Poly's ``language``, read from its symbols, picks the context a side is
-evaluated in, and a side of no single language is rejected.  The registry,
-whose sides are plain strings, is read, parsed and checked once, when this
-module is imported, so a malformed entry fails at import, naming the
-relation, and no check, residual or mutant parses anything.
+a side of no single language is rejected.  From its sides the relation
+derives its ``residual``, one Poly: the lhs's monomials followed by the
+rhs's, negated.  A relation with ``rhs_delta`` equates an expression with
+two free indices to a scalar multiple of the identity matrix: each rhs
+monomial of its residual is multiplied by the delta of the lhs's language
+on the lhs's free labels.  The registry, whose sides are plain strings, is
+read, parsed and checked once, when this module is imported, so a malformed
+entry fails at import, naming the relation, and no check, residual or
+mutant parses anything.
 
 Samples are checked one by one, each through ``catalog.contexts_for``,
-which keeps the sample's two contexts on the sample.  Every relation and
-every mutant checked on the same FBlocks therefore shares its symbols and
-its monomial contractions (see ``expr.LazyContext``), for as long as the
-sample lives: ``verify_all`` builds each of its samples' symbols once, and
-a mutant checked after its relation contracts nothing anew.
+which keeps the sample's one context, of both languages, on the sample.  A
+sample passes when every integer numerator of the residual is 0
+(``expr._evaluate_scaled``); nothing is divided.  Every relation and every
+mutant checked on the same FBlocks therefore shares its symbols and its
+monomial contractions (see ``expr.LazyContext``), for as long as the sample
+lives: ``verify_all`` builds each of its samples' symbols once, and a mutant
+checked after its relation contracts nothing anew.
 
-A mutant (``mutations``) is its relation with one coefficient shifted.  It
-is copied from the checked relation with one side replaced, and is not
-checked again: the checks read the sides' languages and free labels, which
-a coefficient does not change.  Every relation from outside, a registry
-entry or a direct ``Relation(...)``, runs every check.
+A mutant (``mutations``) is its relation with one coefficient shifted, and
+the same monomial of the residual shifted with it.  It is copied from the
+checked relation, and is not checked again: the checks read the sides'
+languages and free labels, which a coefficient does not change.  Every
+relation from outside, a registry entry or a direct ``Relation(...)``, runs
+every check.
 
 Relations whose two sides live in different languages (one contracted from
 the rank-4 tensor, the other from the 3x3 blocks) double as consistency
-checks between the two evaluation routes.  A relation with ``rhs_delta``
-equates a tensor expression with two free indices to a scalar multiple of
-the identity matrix.
+checks between the two evaluation routes: their residuals hold symbols of
+both, and evaluate in the one context all the same.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
-
-import numpy as np
+from itertools import count
 
 from . import expr
 from .catalog import contexts_for
-from .curvature import DELTA4, SCHEMA
+from .curvature import SCHEMA
 from .gen import GenConfig, checked_seed, integer, random_fblocks_stream
 
 __all__ = [
@@ -64,8 +69,9 @@ __all__ = [
 @dataclass(frozen=True)
 class Relation:
     """One cataloged identity (or recorded non-identity).  Each side is given
-    as an expression string or an ``expr.Poly`` and held as a Poly, whose
-    ``language`` picks the context it is evaluated in."""
+    as an expression string or an ``expr.Poly`` and held as a Poly; the
+    ``residual`` Poly, derived from them (``_residual``), is what a check
+    evaluates."""
 
     name: str
     domain: str  # "general" or "einstein"
@@ -75,6 +81,7 @@ class Relation:
     expect: str = "zero"  # "zero" or "nonzero"
     tags: tuple = ()
     notes: str = ""
+    residual: expr.Poly = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         """ValueError naming the relation for a bad field, a side that does
@@ -110,20 +117,46 @@ class Relation:
                 object.__setattr__(self, key, expr.of_language(side))
             except expr.ExprError as e:
                 raise ValueError(f"{self.name}: {key}: {e}") from e
-        if self.rhs is None:
-            return
         lhs, rhs = self.lhs, self.rhs
-        if self.rhs_delta:
-            ok = len(lhs.free_labels) == 2 and rhs.is_scalar
-            want = "a two-index lhs and a scalar rhs"
-        else:
-            ok = lhs.free_labels == rhs.free_labels
-            want = "the same free labels on both sides"
-        if not ok:
-            raise ValueError(
-                f"{self.name}: lhs free labels {lhs.free_labels} and rhs free "
-                f"labels {rhs.free_labels} do not fit; expected {want}"
-            )
+        if rhs is not None:
+            if self.rhs_delta:
+                ok = len(lhs.free_labels) == 2 and rhs.is_scalar
+                want = "a two-index lhs and a scalar rhs"
+            else:
+                ok = lhs.free_labels == rhs.free_labels
+                want = "the same free labels on both sides"
+            if not ok:
+                raise ValueError(
+                    f"{self.name}: lhs free labels {lhs.free_labels} and rhs free "
+                    f"labels {rhs.free_labels} do not fit; expected {want}"
+                )
+        object.__setattr__(self, "residual", _residual(lhs, rhs, self.rhs_delta))
+
+
+def _residual(lhs, rhs, rhs_delta):
+    """The Poly lhs - rhs: the monomials of ``lhs``, then those of ``rhs``
+    negated; ``lhs`` itself without an rhs.  With ``rhs_delta`` each rhs
+    monomial is multiplied by the delta of the lhs's language on the lhs's
+    two free labels, ``delta`` for the tensor language and ``delta3`` for
+    the matrix one; a summed rhs label that is one of those is first renamed
+    to a label the rhs does not use."""
+    if rhs is None:
+        return lhs
+    free = lhs.free_labels
+    extra = ()
+    if rhs_delta:
+        used = {l for m in rhs.monomials for _, labels in m.factors for l in labels}
+        fresh = {}
+        for l in free:
+            if l in used:
+                fresh[l] = next(f"{l}{k}" for k in count(1)
+                                if f"{l}{k}" not in used and f"{l}{k}" not in free)
+                used.add(fresh[l])
+        rhs = expr.relabel(rhs, fresh)
+        extra = (("delta" if lhs.language == "tensor" else "delta3", free),)
+    negated = (expr.Monomial(coeff=-m.coeff, factors=m.factors + extra)
+               for m in rhs.monomials)
+    return expr.Poly(monomials=(*lhs.monomials, *negated), free_labels=free)
 
 
 @dataclass
@@ -158,7 +191,7 @@ def _relation_from_dict(d, position):
     none and a missing domain is "general".  ValueError naming the relation
     (or, without a name that is a string, the position) for an entry that is
     not a JSON object, a missing name or lhs, a key that is not a field of
-    ``Relation``, and whatever ``Relation`` rejects."""
+    ``Relation`` that it takes, and whatever ``Relation`` rejects."""
     if not isinstance(d, dict):
         raise ValueError(f"registry entry {position} must be a JSON object, "
                          f"got {type(d).__name__}")
@@ -167,7 +200,7 @@ def _relation_from_dict(d, position):
     name = d["name"]
     if not isinstance(name, str):
         raise ValueError(f"registry entry {position}: name must be a string, got {name!r}")
-    unknown = sorted(set(d) - {f.name for f in fields(Relation)})
+    unknown = sorted(set(d) - {f.name for f in fields(Relation) if f.init})
     if unknown:
         raise ValueError(f"{name}: unknown key(s) {', '.join(unknown)}")
     if "lhs" not in d:
@@ -214,32 +247,21 @@ def get_relation(name):
     raise KeyError(f"unknown relation {name!r}")
 
 
-def _is_zero(value):
-    if isinstance(value, np.ndarray):
-        return bool(np.all(value == 0))
-    return value == 0
-
-
 def residual(rel: Relation, fb):
-    """Exact lhs - rhs on one sample (scalar or object ndarray)."""
-    ctx = contexts_for(fb)
-    lv = expr.evaluate(rel.lhs, ctx[rel.lhs.language])
-    if rel.rhs is None:
-        return lv
-    rv = expr.evaluate(rel.rhs, ctx[rel.rhs.language])
-    if rel.rhs_delta:
-        rv = rv * DELTA4
-    return lv - rv
+    """Exact lhs - rhs on one sample (scalar or object ndarray): the value of
+    ``rel.residual`` in the sample's context."""
+    return expr.evaluate(rel.residual, contexts_for(fb))
 
 
 def check_relation(rel: Relation, samples):
-    """Verify one relation on a non-empty list of FBlocks samples."""
+    """Verify one relation on a non-empty list of FBlocks samples, each
+    decided on the integer numerators of its residual."""
     if not samples:
         raise ValueError(f"{rel.name}: no samples to check on")
     first_failure = None
     saw_nonzero = False
     for i, fb in enumerate(samples):
-        if not _is_zero(residual(rel, fb)):
+        if expr._evaluate_scaled(rel.residual, contexts_for(fb)).num.any():
             saw_nonzero = True
             if rel.expect == "zero":
                 first_failure = i
@@ -287,34 +309,41 @@ def verify_all(seed, n_samples=50, relations=None, bound=9):
 # coefficients rather than passing vacuously.
 
 
-def _mutate_expr(poly, index):
-    monos = list(poly.monomials)
-    m = monos[index]
-    monos[index] = expr.Monomial(coeff=m.coeff + 1, factors=m.factors)
-    return expr.Poly(monomials=tuple(monos), free_labels=poly.free_labels,
-                     language=poly.language)
+def _replaced(poly, index, mono):
+    """``poly`` with its monomial ``index`` replaced by ``mono``."""
+    monos = poly.monomials
+    return expr.Poly(monomials=(*monos[:index], mono, *monos[index + 1:]),
+                     free_labels=poly.free_labels, language=poly.language)
 
 
-def _with_side(rel, key, poly):
-    """``rel`` with its side ``key`` replaced by ``poly``, a Poly of the same
-    language and free labels, made without ``Relation``'s checks: they held
-    for ``rel`` and hold for the copy, which differs from it in coefficients
-    only."""
+def _with_side(rel, key, index):
+    """``rel`` with the coefficient of monomial ``index`` of its side ``key``
+    shifted by +1, and that of the same monomial of its residual with it (by
+    -1 for an rhs monomial, which the residual holds negated), made without
+    ``Relation``'s checks: they held for ``rel`` and hold for the copy, which
+    differs from it in coefficients only."""
+    side = getattr(rel, key)
+    m = side.monomials[index]
+    m = expr.Monomial(coeff=m.coeff + 1, factors=m.factors)
     mutant = object.__new__(Relation)
     mutant.__dict__.update(rel.__dict__)
-    mutant.__dict__[key] = poly
+    mutant.__dict__[key] = _replaced(side, index, m)
+    if key == "rhs":
+        index += len(rel.lhs.monomials)
+        m = expr.Monomial(coeff=-m.coeff, factors=rel.residual.monomials[index].factors)
+    mutant.__dict__["residual"] = (mutant.lhs if rel.rhs is None
+                                   else _replaced(rel.residual, index, m))
     return mutant
 
 
 def mutations(rel: Relation):
     """Yield (description, relation) pairs, each with one coefficient of the
     original relation shifted by +1; the other side is the original's.  A
-    mutant is copied from the checked relation with one side replaced, and
+    mutant is copied from the checked relation, its residual in step, and
     is not checked again (``_with_side``)."""
     for key in ("lhs", "rhs") if rel.rhs is not None else ("lhs",):
-        side = getattr(rel, key)
-        for i in range(len(side.monomials)):
+        for i in range(len(getattr(rel, key).monomials)):
             yield (
                 f"{rel.name}: {key} monomial {i} coefficient +1",
-                _with_side(rel, key, _mutate_expr(side, i)),
+                _with_side(rel, key, i),
             )

@@ -216,16 +216,16 @@ def test_criterion_08_parity_suite():
             sign = parity_sign(entry)
             p = entry.form()
             for fb in fbs[:3]:
-                a = expr.evaluate(p, contexts_for(fb)[p.language])
-                b = expr.evaluate(p, contexts_for(fb.parity())[p.language])
+                a = expr.evaluate(p, contexts_for(fb))
+                b = expr.evaluate(p, contexts_for(fb.parity()))
                 even_ok = even_ok and a == sign * b
     odd_ok = True
     for name in ("pseudo_q2", "pseudo_q3", "pseudo_q4"):
         for entry in catalog.catalog(name):
             p = entry.form()
             for fb in fbs[:3]:
-                a = expr.evaluate(p, contexts_for(fb)[p.language])
-                b = expr.evaluate(p, contexts_for(fb.parity())[p.language])
+                a = expr.evaluate(p, contexts_for(fb))
+                b = expr.evaluate(p, contexts_for(fb.parity()))
                 odd_ok = odd_ok and a == -b
     ids_ok, failures = _verify(
         ["quartic_pseudo_null", "newton_even_plus", "newton_even_minus",
@@ -244,7 +244,7 @@ def test_criterion_09_dual_representations():
         assert len(reps) >= 2, entry.label
         for fb in fbs:
             ctx = contexts_for(fb)
-            vals = [expr.evaluate(p, ctx[p.language]) for p in reps.values()]
+            vals = [expr.evaluate(p, ctx) for p in reps.values()]
             ok = ok and all(v == vals[0] for v in vals[1:])
     report(9, ok,
            "index-contraction and block trace-word routes agree for all 26 "
@@ -302,12 +302,11 @@ def test_criterion_11_mutation_soundness():
             poly = getattr(rel, side)
             if poly is None:
                 continue
-            lang = poly.language
             for mono in poly.monomials:
                 single = expr.Poly(monomials=(mono,),
                                    free_labels=poly.free_labels)
                 vals = [
-                    expr.evaluate(single, ctx[lang])
+                    expr.evaluate(single, ctx)
                     for ctx in contexts[rel.domain]
                 ]
                 detected = any(np.any(np.asarray(v) != 0) for v in vals)
@@ -317,7 +316,7 @@ def test_criterion_11_mutation_soundness():
                     # the mutant must be a true identity: confirm on a
                     # fresh batch
                     fresh_vals = [
-                        expr.evaluate(single, contexts_for(fb)[lang])
+                        expr.evaluate(single, contexts_for(fb))
                         for fb in fresh[rel.domain]
                     ]
                     ok = ok and all(

@@ -28,12 +28,11 @@ ODD_CATALOGS = ["pseudo_q2", "pseudo_q3", "pseudo_q4"]
 def _values(entry, fb):
     ctx = contexts_for(fb)
     reps = entry.representations()
-    return {kind: expr.evaluate(p, ctx[p.language]) for kind, p in reps.items()}
+    return {kind: expr.evaluate(p, ctx) for kind, p in reps.items()}
 
 
 def _value(entry, fb):
-    p = entry.form()
-    return expr.evaluate(p, contexts_for(fb)[p.language])
+    return expr.evaluate(entry.form(), contexts_for(fb))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGS))
@@ -80,8 +79,8 @@ def test_pseudo_catalogs_parity_odd(name, samples):
             for fb in samples[:2]:
                 ctx = contexts_for(fb)
                 assert (
-                    expr.evaluate(odd, ctx["matrix"])
-                    == expr.evaluate(entry.matrix, ctx["matrix"])
+                    expr.evaluate(odd, ctx)
+                    == expr.evaluate(entry.matrix, ctx)
                 ), entry.label
 
 
@@ -195,49 +194,45 @@ def test_contexts_build_only_the_symbols_used(monkeypatch, samples):
     # symbols that earlier tests built on them
     fb = samples[0]
     ctx = contexts_for(FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am))
-    # a matrix-language expression needs no rank-4 tensor at all
-    expr.evaluate("Ap[i,j]*B[j,k]*BT[k,i]", ctx["matrix"])
-    assert "tensor" in ctx and len(recon) == 0
+    # a matrix-language expression, the matrix language's scalar R among its
+    # symbols, needs no rank-4 tensor at all
+    expr.evaluate("Ap[i,j]*B[j,k]*BT[k,i] + R", ctx)
+    assert ("R", 4) in ctx.rules and len(recon) == 0
     # a Ricci contraction needs neither the Weyl tensor nor the dual
-    tctx = ctx["tensor"]
-    expr.evaluate("Rc[a,b]*Rc[a,b]", tctx)
-    assert "W" in tctx and "Rt" in tctx
+    expr.evaluate("Rc[a,b]*Rc[a,b]", ctx)
+    assert ("W", 4) in ctx.rules and ("Rt", 4) in ctx.rules
     assert (len(recon), len(weyl), len(dual)) == (1, 0, 0)
     with pytest.raises(expr.ExprError, match="unknown symbol"):
-        expr.evaluate("Nope[a,b]*Rc[a,b]", tctx)
+        expr.evaluate("Nope[a,b]*Rc[a,b]", ctx)
     # a built symbol is kept for the rest of the context's life
-    w = tctx["W"]
-    expr.evaluate("W[a,b,c,d]*W[a,b,c,d]", tctx)
-    assert np.array_equal(tctx["W"], w) and len(weyl) == 1
-    assert ctx["tensor"] is tctx and len(recon) == 1
+    w = ctx.scaled("W", 4)
+    expr.evaluate("W[a,b,c,d]*W[a,b,c,d]", ctx)
+    assert ctx.scaled("W", 4) is w and len(weyl) == 1 and len(recon) == 1
 
 
 def test_contexts_kept_on_the_sample(samples):
     fb = samples[0]
     ctx = contexts_for(fb)
     assert contexts_for(fb) is ctx
-    assert ctx["tensor"] is contexts_for(fb)["tensor"]
     twin = FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am)
     other = contexts_for(twin)
     assert other is not ctx and contexts_for(twin) is other
-    assert other["tensor"] is not ctx["tensor"]
-    assert other["matrix"] is not ctx["matrix"]
 
 
 def test_contexts_go_with_their_sample(samples):
     s = samples[0]
     fb = FBlocks(Ap=s.Ap, B=s.B, Am=s.Am)
     ctx = contexts_for(fb)
-    expr.evaluate("R[a,b,c,d]*W[a,b,c,d]", ctx["tensor"])
-    expr.evaluate("Ap[i,j]*B[j,k]*BT[k,i]", ctx["matrix"])
-    sample, tensor = weakref.ref(fb), weakref.ref(ctx["tensor"])
-    # freed by reference counting alone: the contexts kept on the sample
-    # hold no reference back to it
+    expr.evaluate("R[a,b,c,d]*W[a,b,c,d]", ctx)
+    expr.evaluate("Ap[i,j]*B[j,k]*BT[k,i]", ctx)
+    sample, context = weakref.ref(fb), weakref.ref(ctx)
+    # freed by reference counting alone: the context kept on the sample
+    # holds no reference back to it
     enabled = gc.isenabled()
     gc.disable()
     try:
         del fb, ctx
-        assert sample() is None and tensor() is None
+        assert sample() is None and context() is None
     finally:
         if enabled:
             gc.enable()

@@ -189,7 +189,7 @@ def test_outputs_in_exact_normal_form(seed, bound, scale):
     fb = FBlocks(Ap=scale * fb.Ap, B=scale * fb.B, Am=scale * fb.Am)
     t = reconstruct(fb)
     tctx = expr.tensor_context(t)
-    mctx = expr.matrix_context(fb)
+    mctx = expr.context(fb)
     values = [
         t,
         weyl(t),

@@ -19,7 +19,6 @@ from riemann_syzygy.expr import (
     as_poly,
     combine,
     evaluate,
-    matrix_context,
     parse,
     pseudo_variant,
     relabel,
@@ -69,13 +68,16 @@ def test_zero_denominator_names_the_term(text, term):
 @pytest.mark.parametrize("language", ["tensor", "matrix"])
 @pytest.mark.usefixtures("fresh_plans")
 def test_monomial_without_factor_raises(samples, language, batched):
-    # parse refuses such a term; only a hand-built monomial gets this far
-    ctx = expr.contexts(samples[:2] if batched else samples[0])[language]
+    # parse refuses such a term; only a hand-built monomial gets this far,
+    # here in a context that has built a symbol of the language first
+    ctx = expr.context(samples[:2] if batched else samples[0])
+    evaluate({"tensor": "Sc", "matrix": "detB"}[language], ctx)
+    plans = dict(expr._PLANS)
     poly = Poly(monomials=(expr.Monomial(Fraction(3), ()),), free_labels=())
     for _ in range(2):
         with pytest.raises(ExprError, match="^a monomial with no factor$"):
             evaluate(poly, ctx)
-    assert expr._PLANS == {}
+    assert expr._PLANS == plans
 
 
 def test_render_parse_round_trip():
@@ -96,7 +98,7 @@ def test_as_poly(samples):
         with pytest.raises(ExprError, match=f"expression string or a Poly, got {name}$"):
             as_poly(bad)
         with pytest.raises(ExprError, match=name):
-            evaluate(bad, tensor_context(samples[0]))
+            evaluate(bad, expr.context(samples[0]))
         with pytest.raises(ExprError, match=name):
             scale(bad, 2)
 
@@ -121,7 +123,7 @@ def test_evaluate_free_index_shape(samples):
 
 def test_matrix_context_det(samples):
     fb = samples[0]
-    ctx = matrix_context(fb)
+    ctx = expr.context(fb)
     det = evaluate(parse("detB"), ctx)
     b = fb.B
     manual = (
@@ -160,13 +162,13 @@ def test_pseudo_variant_sign_rules():
 def test_pseudo_variant_is_parity_odd(samples):
     fb = samples[0]
     p = pseudo_variant(parse("R*Ap[i,j]*Ap[i,j] + R*Am[i,j]*Am[i,j]"))
-    a = evaluate(p, matrix_context(fb))
-    b = evaluate(p, matrix_context(fb.parity()))
+    a = evaluate(p, expr.context(fb))
+    b = evaluate(p, expr.context(fb.parity()))
     assert a == -b
 
 
 def test_unknown_symbol_raises(samples):
-    ctx = matrix_context(samples[0])
+    ctx = expr.context(samples[0])
     with pytest.raises(ExprError):
         evaluate(parse("Nope[i,j]*Nope[i,j]"), ctx)
 
@@ -176,12 +178,12 @@ def test_unknown_symbol_raises(samples):
 def test_lazy_tensor_symbols_equal_eager(seed, einstein):
     t = reconstruct(random_fblocks(seed, GenConfig(einstein=einstein)))
     ctx = tensor_context(t)
-    assert sorted(ctx) == ["R", "Rc", "Rt", "Sc", "W", "delta", "eps"]
-    assert ctx["Sc"] == curvature.ricci_scalar(t)
-    for name, eager in (("Rc", curvature.ricci), ("W", curvature.weyl),
-                        ("Rt", curvature.pseudo_riemann)):
-        assert np.array_equal(ctx[name], eager(t)), name
-    assert _same(ctx["R"], t)
+    assert sorted(name for name, _ in ctx.rules) == ["R", "Rc", "Rt", "Sc", "W", "delta", "eps"]
+    assert evaluate("Sc", ctx) == curvature.ricci_scalar(t)
+    for text, eager in (("Rc[a,b]", curvature.ricci), ("W[a,b,c,d]", curvature.weyl),
+                        ("Rt[a,b,c,d]", curvature.pseudo_riemann)):
+        assert np.array_equal(evaluate(text, ctx), eager(t)), text
+    assert _same(evaluate("R[a,b,c,d]", ctx), t)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,8 @@ def _reference(poly, context):
             return "".join(letter.setdefault(l, chr(97 + len(letter))) for l in labels)
 
         terms = [sub(labels) for _, labels in mono.factors]
-        ops = [np.asarray(context[name], dtype=object) for name, _ in mono.factors]
+        ops = [np.asarray(_symbol(context, name, len(labels)), dtype=object)
+               for name, labels in mono.factors]
         out = sub(poly.free_labels)
         path = np.einsum_path(",".join(terms) + "->" + out, *ops, optimize="optimal")
         for step in path[0][1:]:
@@ -215,6 +218,12 @@ def _reference(poly, context):
         value = np.einsum(f"{terms[0]}->{out}", ops[0])
         total = total + Fraction(mono.coeff) * value
     return curvature.exact(total)
+
+
+def _symbol(context, name, rank):
+    """The exact value of a symbol of ``context``, from its scaled form."""
+    form = context.scaled(name, rank)
+    return curvature.unscaled(form.num, form.den)
 
 
 def _same(a, b):
@@ -256,24 +265,24 @@ def test_language_is_that_of_the_parsed_text():
 
 
 def test_language_table_matches_the_contexts(samples):
-    """Each symbol of ``_SYMBOLS`` is built by its language's context at its
-    declared rank, on one sample and along the sample axis of a batch; the
-    contexts hold exactly the table's symbols, and the language table holds
-    each (symbol, rank) once."""
+    """Each symbol of ``_SYMBOLS`` is built by the context at its declared
+    rank, on one sample and along the sample axis of a batch; the context
+    holds exactly the table's symbols, and a factor of the symbol parses to
+    the symbol's language.  ``R`` alone is at two ranks."""
     for fbs in (samples[0], samples[:3]):
         batched = isinstance(fbs, list)
-        contexts = expr.contexts(fbs)
-        assert contexts.keys() == expr._SYMBOLS.keys()
-        for language, symbols in expr._SYMBOLS.items():
-            ctx = contexts[language]
-            assert list(ctx) == list(symbols)
-            for name, symbol in symbols.items():
-                shape = ctx.scaled(name).num.shape
-                assert shape[:batched] == (3,) * batched, (language, name)
-                assert len(shape) - batched == symbol.rank, (language, name)
-                assert np.ndim(ctx[name]) == len(shape), (language, name)
-                assert expr._LANGUAGE_OF[name, symbol.rank] == language
-    assert len(expr._LANGUAGE_OF) == sum(map(len, expr._SYMBOLS.values())) == 15
+        ctx = expr.context(fbs)
+        assert list(ctx.rules) == list(expr._SYMBOLS)
+        for (name, rank), symbol in expr._SYMBOLS.items():
+            shape = ctx.scaled(name, rank).num.shape
+            assert shape[:batched] == (3,) * batched, (name, rank)
+            assert len(shape) - batched == rank, (name, rank)
+            text = f"{name}[{','.join('abcd'[:rank])}]" if rank else name
+            assert np.ndim(evaluate(text, ctx)) == len(shape), (name, rank)
+            assert parse(text).language == symbol.language
+    names = [name for name, _ in expr._SYMBOLS]
+    assert len(names) == 15 and len(set(names)) == 14
+    assert {rank for name, rank in expr._SYMBOLS if name == "R"} == {0, 4}
 
 
 # The rule ``pseudo_variant`` followed before the symbol table held the dual
@@ -371,8 +380,8 @@ def test_evaluate_equals_object_reference(kind):
     def check(fb):
         ctx = catalog.contexts_for(fb)
         for what, poly in _EXPRESSIONS:
-            got = evaluate(poly, ctx[poly.language])
-            assert _same(got, _reference(poly, ctx[poly.language])), what
+            got = evaluate(poly, ctx)
+            assert _same(got, _reference(poly, ctx)), what
 
     check()
 
@@ -414,17 +423,15 @@ def test_one_sample_scalar_sum_equals_the_term_loop(samples):
     wide = FBlocks(Ap=fb.Ap * 2**70, B=fb.B * 2**70, Am=fb.Am * 2**70)
     fractional = past_int64 = zero_parts = 0
     for fb in (fb, _FIXED["fractions"], _einstein(fb), wide):
-        contexts = expr.contexts(fb)
+        ctx = expr.context(fb)
         for what, poly in polys:
-            ctx = contexts[poly.language]
             got, want = expr._evaluate_scaled(poly, ctx), _term_loop(poly, ctx)
             assert got.num.dtype == want.num.dtype and got.num.shape == (), what
             assert got.num.tolist() == want.num.tolist(), what
             assert (got.den, got.bound) == (want.den, want.bound), what
             fractional += got.den > 1
             past_int64 += abs(int(got.num)) >= 2**63
-        zero_parts += sum(part.bound == 0 for ctx in contexts.values()
-                          for part in ctx._parts.values())
+        zero_parts += sum(part.bound == 0 for part in ctx._parts.values())
     assert fractional and past_int64 and zero_parts
 
 def test_quartic_bound_counts_summed_ranges():
@@ -450,7 +457,7 @@ def test_kept_int64_contraction_widens_for_a_large_coefficient(text, coeff, batc
     fbs = [random_fblocks(seed, GenConfig()) for seed in (3, 4)]
 
     def fresh():
-        return tensor_context(fbs if batched else fbs[0])
+        return expr.context(fbs if batched else fbs[0])
 
     poly = parse(text)
     ctx = fresh()
@@ -465,7 +472,7 @@ def test_kept_int64_contraction_widens_for_a_large_coefficient(text, coeff, batc
     assert _same(got, evaluate(big, fresh()))
     if batched:
         for k, fb in enumerate(fbs):
-            assert _same(got[k], _reference(big, tensor_context(fb)))
+            assert _same(got[k], _reference(big, expr.context(fb)))
     else:
         assert _same(got, _reference(big, ctx))
     assert ctx.part(mono.factors, poly.free_labels).num is kept
@@ -482,18 +489,18 @@ def test_zero_part_with_a_coefficient_past_int64(text, batched):
     sums through the same loop."""
     fbs = [_einstein(fb) for fb in random_fblocks_stream(3, 2, GenConfig())]
     poly = parse(text)
-    ctx = matrix_context(fbs if batched else fbs[0])
+    ctx = expr.context(fbs if batched else fbs[0])
     got = expr._evaluate_scaled(poly, ctx)
     assert got.num.dtype == np.int64
     value = evaluate(poly, ctx)
     if batched:
         for k, fb in enumerate(fbs):
-            assert _same(value[k], _reference(poly, matrix_context(fb)))
+            assert _same(value[k], _reference(poly, expr.context(fb)))
     else:
         assert _same(value, _reference(poly, ctx))
     entry = catalog.CatalogEntry(label="x", matrix=poly)
     assert ranklab.sample_matrix([entry], fbs) == [
-        [v] for fb in fbs for v in np.ravel(_reference(poly, matrix_context(fb))).tolist()]
+        [v] for fb in fbs for v in np.ravel(_reference(poly, expr.context(fb))).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +508,9 @@ def test_zero_part_with_a_coefficient_past_int64(text, batched):
 
 
 def _symbols(**arrays):
-    """A context whose symbols are the given exact arrays."""
-    return expr.LazyContext({name: (lambda ctx, a=a: curvature.scaled(a))
+    """A context whose symbols are the given exact arrays, each at the rank
+    of its array."""
+    return expr.LazyContext({(name, np.ndim(a)): (lambda ctx, a=a: curvature.scaled(a))
                              for name, a in arrays.items()})
 
 
@@ -544,19 +552,13 @@ def test_mutant_compiles_no_new_plan(samples):
     # earlier tests made on them
     fb = samples[0]
     ctx = catalog.contexts_for(FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am))
-
-    def evaluate_sides(r):
-        evaluate(r.lhs, ctx[r.lhs.language])
-        if r.rhs is not None:
-            evaluate(r.rhs, ctx[r.rhs.language])
-
-    evaluate_sides(rel)
+    evaluate(rel.residual, ctx)
     plans = dict(expr._PLANS)
     assert plans
     mutants = list(relations.mutations(rel))
     assert mutants
     for _, mutant in mutants:
-        evaluate_sides(mutant)
+        evaluate(mutant.residual, ctx)
         assert expr._PLANS == plans
 
 
@@ -573,6 +575,24 @@ def test_failed_compile_raises_every_time(text, message):
     for _ in range(2):
         with pytest.raises(ExprError) as err:
             evaluate(poly, ctx)
+        assert str(err.value) == message
+    assert expr._PLANS == {}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("R[a,b]", "symbol 'R' has rank 0 or 4, got 2 indices"),
+    ("R[a,b,c]*Sc", "symbol 'R' has rank 0 or 4, got 3 indices"),
+    ("Ap*R", "symbol 'Ap' needs 2 indices"),
+    ("eps3[i,j]", "symbol 'eps3' has rank 3, got 2 indices"),
+])
+@pytest.mark.usefixtures("fresh_plans")
+def test_wrong_rank_names_every_rank_of_the_symbol(samples, text, message):
+    """A factor is its symbol at the rank of its labels: on a sample's context
+    ``R`` is at ranks 0 and 4, and a factor of neither names both."""
+    ctx = expr.context(samples[0])
+    for _ in range(2):
+        with pytest.raises(ExprError) as err:
+            evaluate(text, ctx)
         assert str(err.value) == message
     assert expr._PLANS == {}
 
@@ -623,20 +643,19 @@ _SCALARS = [parse(text) for text in ("R*R*R", "Sc*Sc", "detB", "1/3*R*detB - 2*R
 @example([_FIXED["fractions"]])
 @given(fbs=_BATCH)
 def test_batched_evaluate_equals_per_sample(fbs):
-    batched = expr.contexts(fbs)
+    batched = expr.context(fbs)
     singles = [catalog.contexts_for(fb) for fb in fbs]
-    expressions = ([(what, poly.language, poly) for what, poly in _EXPRESSIONS]
-                   + [(render(poly), poly.language, poly) for poly in _SCALARS]
-                   + [("empty", lang, _EMPTY) for lang in batched])
-    for what, language, poly in expressions:
-        got = evaluate(poly, batched[language])
+    expressions = (_EXPRESSIONS + [(render(poly), poly) for poly in _SCALARS]
+                   + [("empty", _EMPTY)])
+    for what, poly in expressions:
+        got = evaluate(poly, batched)
         assert type(got) is np.ndarray and got.dtype == object, what
         assert len(got) == len(fbs), what
         for k, ctx in enumerate(singles):
-            assert _same(got[k], evaluate(poly, ctx[language])), (what, k)
+            assert _same(got[k], evaluate(poly, ctx)), (what, k)
     # the per-sample oracle itself, on the last sample
     for what, poly in _EXPRESSIONS[::25]:
-        ctx = singles[-1][poly.language]
+        ctx = singles[-1]
         assert _same(evaluate(poly, ctx), _reference(poly, ctx)), what
 
 
@@ -649,10 +668,10 @@ def test_batched_path_found_once_per_contraction(monkeypatch):
     fbs = [random_fblocks(seed, GenConfig()) for seed in range(60)]
     values = []
     for n in (36, 60):
-        contexts = expr.contexts(fbs[:n])
-        values.append(evaluate(poly, contexts["tensor"]))
+        ctx = expr.context(fbs[:n])
+        values.append(evaluate(poly, ctx))
         for p in forms:
-            evaluate(p, contexts[p.language])
+            evaluate(p, ctx)
         if n == 36:
             # on per-sample shapes, once per distinct pairwise spec; the
             # plans of one spec share its steps
@@ -667,7 +686,7 @@ def test_batched_path_found_once_per_contraction(monkeypatch):
     for n, value in zip((36, 60), values):
         assert value.shape == (n,)
         for fb, v in zip(fbs, value):
-            assert _same(v, evaluate(poly, tensor_context(fb)))
+            assert _same(v, evaluate(poly, expr.context(fb)))
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
@@ -686,8 +705,8 @@ def test_batched_routes_agree(samples, wide, monkeypatch):
         monkeypatch.setattr(expr, "_BATCH_ONE_PASS_POINTS", cut)
         monkeypatch.setattr(expr, "_PLANS", {})
         monkeypatch.setattr(expr, "_STEPS", {})
-        contexts = expr.contexts(fbs)
-        values[route] = [evaluate(poly, contexts[poly.language]) for _, poly in _EXPRESSIONS]
+        ctx = expr.context(fbs)
+        values[route] = [evaluate(poly, ctx) for _, poly in _EXPRESSIONS]
         pairwise[route] = sum(1 for plan in expr._PLANS.values() if plan.steps)
     assert pairwise["cut"] > pairwise["one pass"]
     for (what, _), a, b in zip(_EXPRESSIONS, values["one pass"], values["cut"]):
@@ -725,9 +744,9 @@ def test_path_costs_no_more_than_numpys_greedy(samples, monkeypatch):
              for p in (e.tensor, e.matrix, e.fform) if p is not None]
     polys += [p for r in relations.load_relations() for p in (r.lhs, r.rhs) if p is not None]
     fbs = [FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am) for fb in samples[:2]]
-    for phase, contexts in (("one", expr.contexts(fbs[0])), ("batch", expr.contexts(fbs))):
+    for phase, ctx in (("one", expr.context(fbs[0])), ("batch", expr.context(fbs))):
         for p in polys:
-            evaluate(p, contexts[p.language])
+            evaluate(p, ctx)
     # every distinct search, of single-sample plans and of batched ones
     assert len(calls["one"]) > 30 and len(calls["batch"]) > 30
     for (inputs, out), size in {**calls["one"], **calls["batch"]}.items():

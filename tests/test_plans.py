@@ -166,11 +166,12 @@ def test_plans_equal_the_reference(samples):
     sample and on a batch."""
     polys = [p for name in catalog.catalog_names() for e in catalog.catalog(name)
              for p in e.representations().values()]
-    polys += [p for r in relations.load_relations() for p in (r.lhs, r.rhs) if p is not None]
+    polys += [p for r in relations.load_relations() for p in (r.lhs, r.rhs, r.residual)
+              if p is not None]
     fbs = [FBlocks(Ap=fb.Ap, B=fb.B, Am=fb.Am) for fb in samples[:2]]
-    for contexts in (expr.contexts(fbs[0]), expr.contexts(fbs)):
+    for ctx in (expr.context(fbs[0]), expr.context(fbs)):
         for p in polys:
-            expr.evaluate(p, contexts[p.language])
+            expr.evaluate(p, ctx)
     batched = {key[3] for key in expr._PLANS}
     assert batched == {False, True}
     pairwise, searches = _assert_plans_equal_the_reference()

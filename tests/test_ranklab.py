@@ -134,7 +134,7 @@ def _looped_sample_matrix(entries, fbs):
     rows = []
     for fb in fbs:
         ctx = catalog.contexts_for(fb)
-        vals = np.array([expr.evaluate(p, ctx[p.language]) for p in forms],
+        vals = np.array([expr.evaluate(p, ctx) for p in forms],
                         dtype=object)
         # column per entry, row per free-index assignment in C order
         rows.extend(vals.reshape(len(forms), -1).T.tolist())

@@ -11,7 +11,7 @@ import pytest
 
 from riemann_syzygy import expr, relations
 from riemann_syzygy.catalog import contexts_for
-from riemann_syzygy.curvature import dumps
+from riemann_syzygy.curvature import DELTA4, dumps
 from riemann_syzygy.gen import GenConfig, random_fblocks_stream
 from riemann_syzygy.relations import (
     Relation,
@@ -205,7 +205,9 @@ def _sides(lhs, rhs, **fields):
      r"symbols of one language, got Rc of rank 3 \(no language\)$"),
     (_sides("Sc", {"expr": "Sc", "language": "tensor"}),
      "bad_rel: rhs must be an expression string or a Poly, got dict$"),
-    (_sides("Rc[a,b]", "Sc", rhs_detla=True), "bad_rel: unknown key[(]s[)] rhs_detla$"),
+    # a field that a relation derives is no key of the registry either
+    (_sides("Rc[a,b]", "Sc", rhs_detla=True, residual="Rc[a,b]"),
+     "bad_rel: unknown key[(]s[)] residual, rhs_detla$"),
     (_sides("Rc[a,b]", "Sc", rhs_delta="false"),
      "bad_rel: rhs_delta must be true or false, got 'false'$"),
     ({"name": 5, "lhs": _SIDE}, "registry entry 4: name must be a string, got 5$"),
@@ -377,7 +379,7 @@ def test_einstein_pseudo_contractions_give_signature_density():
         traced = expr.relabel(rel.lhs, {"c": "a", "d": "b"})
         vals = []
         for fb in einstein:
-            ctx = contexts_for(fb)["tensor"]
+            ctx = contexts_for(fb)
             vals.append(
                 (expr.evaluate(traced, ctx), expr.evaluate(hirz, ctx))
             )
@@ -446,9 +448,72 @@ def test_mutants_equal_the_checked_replace():
             side = getattr(mutant, key)
             assert side is not getattr(rel, key)
             assert type(mutant) is Relation and type(mutant.tags) is tuple
-            assert mutant == replace(rel, **{key: side}), desc
+            checked = replace(rel, **{key: side})
+            assert mutant == checked, desc
+            # the kept residual is the one built from the mutant's own sides
+            assert mutant.residual == checked.residual, desc
+            assert mutant.residual != rel.residual, desc
             count += 1
     assert count > 398
+
+
+def _two_route_residual(rel, ctx):
+    """lhs - rhs as it was computed before a relation held one residual Poly:
+    each side evaluated on its own, the rhs times ``DELTA4`` with
+    ``rhs_delta``, and the difference of the exact values."""
+    lv = expr.evaluate(rel.lhs, ctx)
+    if rel.rhs is None:
+        return lv
+    rv = expr.evaluate(rel.rhs, ctx)
+    if rel.rhs_delta:
+        rv = rv * DELTA4
+    return lv - rv
+
+
+def test_residual_equals_the_two_route_reference(samples, einstein_samples):
+    """On one general and one Einstein sample, for every relation and every
+    mutant, the cross-language ones among them."""
+    rels = list(load_relations())
+    rels += [mutant for rel in load_relations() for _, mutant in mutations(rel)]
+    names = {rel.name for rel in rels}
+    assert {"hirzebruch_dual_route", "cubic_pseudo_dual_route"} <= names
+    assert sum(rel.residual.language is None for rel in rels) > 2
+    for fb in (samples[0], einstein_samples[0]):
+        reference_ctx = expr.context(fb)
+        nonzero = 0
+        for rel in rels:
+            got = residual(rel, fb)
+            want = _two_route_residual(rel, reference_ctx)
+            assert np.shape(got) == np.shape(want), rel.name
+            assert np.all(got == want), rel.name
+            nonzero += bool(np.any(got != 0))
+        assert nonzero > 100
+
+
+def test_matrix_rhs_delta_takes_the_matrix_delta(samples):
+    """A matrix lhs with ``rhs_delta`` is compared with the rhs times
+    ``delta3``, the identity of its own 3x3 range."""
+    true = Relation(name="m", domain="general", lhs="delta3[i,j]",
+                    rhs="1/3*delta3[k,k]", rhs_delta=True)
+    assert verify_all(1, 5, relations=[true]).ok
+    assert residual(true, samples[0]).shape == (3, 3)
+    false = Relation(name="m", domain="general", lhs="Ap[i,k]*Ap[k,j]",
+                     rhs="Ap[k,l]*Ap[k,l]", rhs_delta=True)
+    result = check_relation(false, samples[:5])
+    assert not result.ok and result.first_failure == 0
+
+
+def test_rhs_delta_renames_a_clashing_summed_label(samples):
+    """The scalar rhs of ``Sc delta_ab = R_abab delta_ab`` sums over the
+    lhs's free labels a and b; appending ``delta[a,b]`` as it stands would put
+    each of them on three factors."""
+    rel = Relation(name="clash", domain="general", lhs="Sc*delta[a,b]",
+                   rhs="R[a,b,a,b]", rhs_delta=True)
+    assert expr.render(rel.residual) == "Sc*delta[a,b] - R[a1,b1,a1,b1]*delta[a,b]"
+    assert verify_all(1, 5, relations=[rel]).ok
+    for fb in samples[:3]:
+        value = residual(rel, fb)
+        assert value.shape == (4, 4) and np.all(value == 0)
 
 def test_mutated_relation_detected(samples):
     rel = get_relation("gauss_bonnet")
