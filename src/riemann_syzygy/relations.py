@@ -331,8 +331,7 @@ def _with_side(rel, key, index):
     if key == "rhs":
         index += len(rel.lhs.monomials)
         m = expr.Monomial(coeff=-m.coeff, factors=rel.residual.monomials[index].factors)
-    mutant.__dict__["residual"] = (mutant.lhs if rel.rhs is None
-                                   else _replaced(rel.residual, index, m))
+    mutant.__dict__["residual"] = _replaced(rel.residual, index, m)
     return mutant
 
 

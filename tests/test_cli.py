@@ -358,7 +358,7 @@ def test_invariants_table(capsys):
 
 
 def test_invariants_calls_no_ranklab_function(capsys, monkeypatch):
-    """``invariants`` evaluates its one sample in the sample's own contexts,
+    """``invariants`` evaluates its one sample in the sample's own context,
     as ``verify`` does, not as a batch of one."""
     argv = ["invariants", "--catalog", "quartic", "--seed", "4"]
     want = run(argv, capsys)

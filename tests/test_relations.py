@@ -515,6 +515,7 @@ def test_rhs_delta_renames_a_clashing_summed_label(samples):
         value = residual(rel, fb)
         assert value.shape == (4, 4) and np.all(value == 0)
 
+
 def test_mutated_relation_detected(samples):
     rel = get_relation("gauss_bonnet")
     for _, mutant in mutations(rel):
