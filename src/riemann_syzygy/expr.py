@@ -50,6 +50,10 @@ holding the monomial, another relation's side or a mutant that differs in a
 coefficient, only multiplies its coefficient in; when the sum's bound needs
 Python ints, a kept int64 contraction is widened first.
 
+A relation's check runs both steps once per sample, so each is one loop:
+a part's over its factors, each read through ``LazyContext.scaled`` alone,
+and a Poly's over its monomials (``_evaluate_scaled``).
+
 One context (``context``) holds both languages of a sample: the tensor
 language of its rank-4 curvature tensor and the matrix language of its
 blocks.  One table, ``_SYMBOLS``, states every symbol of both once, keyed by
@@ -86,6 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import (
+    INT64_BOUND,
     Rank4Tensor,
     Scaled,
     derived,
@@ -338,15 +343,12 @@ _ONE_PASS_POINTS = 2**12
 _BATCH_ONE_PASS_POINTS = 2**5
 
 
-def _contract(spec, steps, arrays):
-    """``np.einsum(spec, *arrays)`` on arrays of one dtype, in one pass when
-    ``steps`` is empty, otherwise pairwise along the stored ``steps`` (see
-    ``_Step``), each one ``np.matmul``.  Every step keeps the dtype: int64
-    matmuls stay int64 and object ones multiply and add Python ints, and each
-    of their partial sums is a partial sum of the whole contraction, so the
-    plan's bound covers it."""
-    if not steps:
-        return np.einsum(spec, *arrays)
+def _contract(steps, arrays):
+    """The contraction of arrays of one dtype pairwise along the stored
+    ``steps`` (see ``_Step``), each one ``np.matmul``.  Every step keeps the
+    dtype: int64 matmuls stay int64 and object ones multiply and add Python
+    ints, and each of their partial sums is a partial sum of the whole
+    contraction, so the plan's bound covers it."""
     for picked, operands, shape, perm in steps:
         x, y = [_operand(arrays.pop(i), *how) for i, how in zip(picked, operands)]
         z = np.matmul(x, y).reshape(shape)
@@ -597,32 +599,42 @@ def _part(factors, free, context) -> Scaled:
     its intermediates, on every sample.  The contraction is exact on int64
     when the bound and every factor's numerators fit it; a 0-d one is a
     scalar, an ``np.int64`` or a Python int.  A factor whose symbol the
-    context does not hold at the rank of its labels raises (``_unknown``)."""
-    for name, labels in factors:
-        if (name, len(labels)) not in context.rules:
-            raise _unknown(name, labels, context.rules)
-    forms = [context.scaled(name, len(labels)) for name, labels in factors]
+    context does not hold at the rank of its labels raises
+    (``LazyContext.scaled``)."""
     batched = context.batch is not None
-    # per sample: without the sample axis of a batched context
-    shapes = tuple(f.num.shape[batched:] for f in forms)
-    plan = _compile(factors, free, shapes, batched)
-    bound = plan.summed * math.prod(f.bound for f in forms)
-    # a zero factor makes the bound 0 but leaves the others' numerators wide
-    dtype = int_dtype(max(bound, *(f.bound for f in forms)))
-    num = _contract(plan.spec, plan.steps,
-                    [f.num.astype(dtype, copy=False) for f in forms])
-    return Scaled(num, math.prod(f.den for f in forms), bound)
+    nums, shapes = [], []
+    bound = den = 1
+    top = 0  # the largest factor bound
+    for name, labels in factors:
+        num, d, b = context.scaled(name, len(labels))
+        nums.append(num)
+        # per sample: without the sample axis of a batched context
+        shapes.append(num.shape[batched:])
+        bound *= b
+        den *= d
+        if b > top:
+            top = b
+    plan = _compile(factors, free, tuple(shapes), batched)
+    bound *= plan.summed
+    # a factor's numerators are int64 below INT64_BOUND (``Scaled``); a zero
+    # factor makes the bound 0 but leaves the others' numerators wide
+    if bound >= INT64_BOUND or top >= INT64_BOUND:
+        nums = [n.astype(object, copy=False) for n in nums]
+    if plan.steps:
+        return Scaled(_contract(plan.steps, nums), den, bound)
+    return Scaled(np.einsum(plan.spec, *nums), den, bound)
 
 
-def _unknown(name, labels, rules):
-    """The ExprError for a factor ``name[labels]`` that is no key of
-    ``rules``: an unknown name, or a name held at other ranks, each named."""
+def _unknown(name, rank, rules):
+    """The ExprError for a factor of symbol ``name`` at ``rank`` that is no
+    key of ``rules``: an unknown name, or a name held at other ranks, each
+    named."""
     ranks = " or ".join(str(r) for n, r in sorted(rules) if n == name)
     if not ranks:
         return ExprError(f"unknown symbol {name!r}")
-    if not labels:
+    if not rank:
         return ExprError(f"symbol {name!r} needs {ranks} indices")
-    return ExprError(f"symbol {name!r} has rank {ranks}, got {len(labels)} indices")
+    return ExprError(f"symbol {name!r} has rank {ranks}, got {rank} indices")
 
 
 def evaluate(poly, context):
@@ -641,38 +653,46 @@ def evaluate(poly, context):
 def _evaluate_scaled(poly, context) -> Scaled:
     """``evaluate``'s value as integer numerators over one denominator, with
     a proven bound on the numerators: int64 when the bound allows, Python
-    ints otherwise.  A scalar in a one-sample context, whose parts are all
-    0-d, is summed in Python ints and then put in that dtype; anything else
-    is summed array by array in it, a kept int64 part widened first when
-    the sum needs Python ints."""
+    ints otherwise.  One pass over the monomials brings each coefficient
+    over its part's denominator, in lowest terms p / q, and keeps the least
+    common multiple ``den`` of the q so far, the bound over it and, for a
+    scalar in a one-sample context, whose parts are all 0-d, the sum in
+    Python ints; each grows by the factor ``den`` grows by.  Such a sum is
+    then put in the bound's dtype.  Anything else is summed array by array
+    in that dtype, a kept int64 part widened first when the sum needs
+    Python ints."""
     poly = as_poly(poly)
+    free = poly.free_labels
     if not poly.monomials:
-        if poly.free_labels:
+        if free:
             raise ExprError("cannot evaluate an empty expression with free indices")
         return Scaled(np.zeros(context.batch or (), np.int64), 1, 0)
-    # each monomial as p / q times its part's contraction, in lowest terms
-    terms = []
+    one = context.batch is None and not free
+    den, bound, total, terms = 1, 0, 0, []
     for m in poly.monomials:
-        part = context.part(m.factors, poly.free_labels)
+        part = context.part(m.factors, free)
         p, q = m.coeff.numerator, m.coeff.denominator * part.den
-        g = math.gcd(p, q)
-        terms.append((p // g, q // g, part))
-    # over the common denominator each numerator p, and its bound, grow by den/q
-    den = math.lcm(*(q for _, q, _ in terms))
-    bound = sum(abs(p) * (den // q) * part.bound for p, q, part in terms)
-    if context.batch is None and not poly.free_labels:
-        # every part is 0-d: summed in Python ints, which cannot wrap
-        total = sum(p * (den // q) * int(part.num) for p, q, part in terms)
+        if q != 1:
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+            grow = q // math.gcd(den, q)
+            if grow != 1:
+                den, bound, total = den * grow, bound * grow, total * grow
+        c = p * (den // q)  # the coefficient over den
+        bound += abs(c) * part.bound
+        if one:
+            total += c * int(part.num)
+        else:
+            terms.append((p, q, part))
+    if one:
         return Scaled(np.asarray(total, int_dtype(bound)), den, bound)
     dtype = int_dtype(bound)
-    total = 0
     for p, q, part in terms:
         value = part.num
         if dtype is object:
-            # a contraction kept on int64 (a 0-d one is an np.int64) is
-            # widened before p, which may pass int64, multiplies it
-            value = (value.astype(object, copy=False)
-                     if isinstance(value, np.ndarray) else int(value))
+            # a contraction kept on int64 is widened before p, which may
+            # pass int64, multiplies it
+            value = value.astype(object, copy=False)
         # a part of bound 0 is 0, and the sum's bound does not cover its
         # coefficient, which may not fit the dtype: it is not multiplied in
         if part.bound:
@@ -746,7 +766,9 @@ class LazyContext:
     """A read-only symbol context holding each symbol in one form, its
     scaled form.  ``rules`` maps each (name, rank) to a function of the
     context that returns that form; a rule runs on its symbol's first use
-    only and its result is kept (``scaled(name, rank)``).  ``blocks`` are
+    only and its result is kept (``scaled(name, rank)``); a (name, rank)
+    that no rule makes raises the ExprError of ``_unknown``, while a
+    KeyError raised inside a rule passes unchanged.  ``blocks`` are
     the blocks the rules read, keyed by name as ``decomp.stacked`` gives
     them, and ``batch`` is None for one sample; for a batch of N samples it
     is N, and every symbol's numerators carry a leading axis of N.
@@ -769,9 +791,14 @@ class LazyContext:
         self.blocks = blocks
 
     def scaled(self, name, rank):
-        if (name, rank) not in self._scaled:
-            self._scaled[name, rank] = self.rules[name, rank](self)
-        return self._scaled[name, rank]
+        form = self._scaled.get((name, rank))
+        if form is None:
+            try:
+                rule = self.rules[name, rank]
+            except KeyError:
+                raise _unknown(name, rank, self.rules) from None
+            form = self._scaled[name, rank] = rule(self)
+        return form
 
     def part(self, factors, free):
         key = (factors, free)

@@ -85,7 +85,8 @@ class Relation:
 
     def __post_init__(self):
         """ValueError naming the relation for a bad field, a side that does
-        not parse or whose symbols fit no single language, or sides that
+        not parse, whose symbols fit no single language or that holds a
+        monomial of coefficient 0, or sides that
         cannot be compared entry by entry: different free labels, or, with
         ``rhs_delta``, anything but a two-index lhs and scalar rhs.  The
         tags, a list or tuple of strings, are kept as a tuple."""
@@ -114,9 +115,15 @@ class Relation:
                 raise ValueError(
                     f"{self.name}: {key} must be an expression string or a Poly, got {got}")
             try:
-                object.__setattr__(self, key, expr.of_language(side))
+                side = expr.of_language(side)
             except expr.ExprError as e:
                 raise ValueError(f"{self.name}: {key}: {e}") from e
+            # such a monomial is 0 on every sample: a side of it alone holds
+            # by construction
+            for i, m in enumerate(side.monomials):
+                if not m.coeff:
+                    raise ValueError(f"{self.name}: {key} monomial {i} has coefficient 0")
+            object.__setattr__(self, key, side)
         lhs, rhs = self.lhs, self.rhs
         if rhs is not None:
             if self.rhs_delta:
@@ -254,8 +261,10 @@ def residual(rel: Relation, fb):
 
 
 def check_relation(rel: Relation, samples):
-    """Verify one relation on a non-empty list of FBlocks samples, each
-    decided on the integer numerators of its residual."""
+    """Verify one relation on a non-empty iterable of FBlocks samples, read
+    once into a list, each decided on the integer numerators of its
+    residual."""
+    samples = list(samples)
     if not samples:
         raise ValueError(f"{rel.name}: no samples to check on")
     first_failure = None

@@ -173,6 +173,22 @@ def test_unknown_symbol_raises(samples):
         evaluate(parse("Nope[i,j]*Nope[i,j]"), ctx)
 
 
+@pytest.mark.parametrize("text", ["X[i,j]*X[i,j]", "Sc*X[i,i]"])
+def test_key_error_in_a_rule_is_not_an_unknown_symbol(text):
+    """A rule that raises KeyError, here on a block the context does not
+    hold, raises it unchanged, each time: only a symbol that no rule makes
+    is reported as unknown."""
+    rules = {("X", 2): lambda ctx: curvature.scaled(ctx.blocks["Bm"]),
+             ("Sc", 0): lambda ctx: curvature.scaled(2)}
+    ctx = expr.LazyContext(rules, blocks={})
+    for _ in range(2):
+        with pytest.raises(KeyError) as err:
+            evaluate(text, ctx)
+        assert type(err.value) is KeyError and err.value.args == ("Bm",)
+    with pytest.raises(ExprError, match="^unknown symbol 'Bm'$"):
+        evaluate("Bm[i,j]*X[i,j]", ctx)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**9), st.booleans())
 def test_lazy_tensor_symbols_equal_eager(seed, einstein):
@@ -388,9 +404,10 @@ def test_evaluate_equals_object_reference(kind):
 
 
 def _term_loop(poly, context):
-    """``expr._evaluate_scaled`` as every context ran it before a one-sample
-    scalar was summed in Python ints: the loop over the terms in the dtype
-    of the sum's bound."""
+    """``expr._evaluate_scaled`` as every context ran it before the terms
+    were walked once: the gcd of each term, the lcm and the bound each in a
+    pass of their own, then the loop over the terms in the dtype of the
+    sum's bound, which multiplies in no coefficient of a part of bound 0."""
     terms = []
     for m in poly.monomials:
         part = context.part(m.factors, poly.free_labels)
@@ -406,33 +423,46 @@ def _term_loop(poly, context):
         if dtype is object:
             value = (value.astype(object, copy=False)
                      if isinstance(value, np.ndarray) else int(value))
-        total = total + p * (den // q) * value
+        if part.bound:
+            value = p * (den // q) * value
+        total = total + value
     return curvature.Scaled(np.asarray(total, dtype), den, bound)
 
 
 def test_one_sample_scalar_sum_equals_the_term_loop(samples):
-    """Every scalar registry side, catalog form and mutant side, on one
-    sample each of small, fractional, Einstein (parts with B are 0, of bound
-    0) and 2**70-scaled blocks (Python-int parts, totals past int64)."""
-    polys = [(what, poly) for what, poly in _EXPRESSIONS if poly.is_scalar]
-    polys += [(desc, poly) for rel in relations.load_relations()
+    """Every Poly the package evaluates (registry sides and residuals, scalar
+    and tensor-valued, catalog forms, mutant sides and residuals) against
+    the term loop: on one sample each of small, fractional, Einstein (parts
+    with B are 0, of bound 0) and 2**70-scaled blocks (Python-int parts,
+    totals past int64), and on a batch of the first three."""
+    polys = _EXPRESSIONS + [(f"{rel.name} residual", rel.residual)
+                            for rel in relations.load_relations()]
+    polys += [(f"{desc} {kind}", poly) for rel in relations.load_relations()
               for desc, mutant in relations.mutations(rel)
-              for poly in (mutant.lhs, mutant.rhs)
-              if poly is not None and poly.is_scalar]
+              for kind, poly in (("lhs", mutant.lhs), ("rhs", mutant.rhs),
+                                 ("residual", mutant.residual))
+              if poly is not None]
     fb = samples[0]
     wide = FBlocks(Ap=fb.Ap * 2**70, B=fb.B * 2**70, Am=fb.Am * 2**70)
+    fbs = [fb, _FIXED["fractions"], _einstein(fb)]
     fractional = past_int64 = zero_parts = 0
-    for fb in (fb, _FIXED["fractions"], _einstein(fb), wide):
-        ctx = expr.context(fb)
+    shapes = set()
+    for ctx in [expr.context(x) for x in (*fbs, wide)] + [expr.context(fbs)]:
         for what, poly in polys:
             got, want = expr._evaluate_scaled(poly, ctx), _term_loop(poly, ctx)
-            assert got.num.dtype == want.num.dtype and got.num.shape == (), what
+            assert got.num.dtype == want.num.dtype, what
+            assert got.num.shape == want.num.shape, what
             assert got.num.tolist() == want.num.tolist(), what
             assert (got.den, got.bound) == (want.den, want.bound), what
             fractional += got.den > 1
-            past_int64 += abs(int(got.num)) >= 2**63
+            past_int64 += any(abs(x) >= 2**63 for x in np.ravel(got.num).tolist())
+            shapes.add((ctx.batch is not None, got.num.ndim))
         zero_parts += sum(part.bound == 0 for part in ctx._parts.values())
     assert fractional and past_int64 and zero_parts
+    # scalars and tensors of up to four free indices, of one sample and of
+    # the batch
+    assert shapes == {(False, 0), (False, 2), (False, 4), (True, 1), (True, 3), (True, 5)}
+
 
 def test_quartic_bound_counts_summed_ranges():
     # max|R| = 2**15: max|R|**4 = 2**60 fits int64, but the contraction sums
@@ -815,7 +845,7 @@ def test_step_equals_a_loop(terms, ranges, batch, broadcast, wide, seed):
         x = x if wide else x.astype(np.int64)
         arrays.append(np.broadcast_to(x, shape) if stride0 else x)
     steps = expr._pairwise_steps([a, b], out, size, batch is not None)
-    got = expr._contract(None, steps, list(arrays))
+    got = expr._contract(steps, list(arrays))
     spec = f"{a},{b}->{out}" if batch is None else f"z{a},z{b}->z{out}"
     want = _loop(spec, [x.astype(object) for x in arrays])
     # a 0-d result comes back as a scalar: an np.int64 or a Python int

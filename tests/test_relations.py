@@ -86,10 +86,14 @@ def test_negative_control_is_nonzero(samples):
 def test_check_needs_a_sample(name, samples):
     # on no sample an identity would pass, and a control fail, vacuously
     rel = get_relation(name)
-    with pytest.raises(ValueError, match=f"^{name}: no samples to check on$"):
-        check_relation(rel, [])
+    for empty in ([], (fb for fb in ())):
+        with pytest.raises(ValueError, match=f"^{name}: no samples to check on$"):
+            check_relation(rel, empty)
     result = check_relation(rel, samples[:3])
     assert result.ok and result.n_samples == 3
+    # any iterable of samples is read once, into a list
+    for given in ((fb for fb in samples[:3]), tuple(samples[:3])):
+        assert check_relation(rel, given) == result
 
 
 def test_unknown_relation_name():
@@ -214,6 +218,8 @@ def _sides(lhs, rhs, **fields):
     ({"name": "bad_rel", "lhs": _SIDE, "notes": ["a"]},
      r"bad_rel: notes must be a string, got \['a'\]$"),
     (_sides("Sc", "1/0*Sc*Sc"), r"bad_rel: rhs: zero denominator in term '1/0\*Sc\*Sc'$"),
+    # a monomial of coefficient 0 is 0 on every sample: no check could fail
+    (_sides("Sc", "0*Sc*Sc"), "bad_rel: rhs monomial 0 has coefficient 0$"),
     (5, "registry entry 4 must be a JSON object, got int$"),
     (None, "registry entry 4 must be a JSON object, got NoneType$"),
     (["name"], "registry entry 4 must be a JSON object, got list$"),
@@ -221,8 +227,8 @@ def _sides(lhs, rhs, **fields):
 ], ids=["no-name", "no-lhs", "string-tags", "non-string-tag", "malformed-lhs",
         "malformed-rhs", "unfit-labels", "unfit-rhs-delta", "mixed-lhs",
         "unknown-rhs", "misranked-lhs", "dict-rhs", "unknown-key", "string-rhs-delta",
-        "non-string-name", "non-string-notes", "zero-denominator", "int-entry",
-        "null-entry", "list-entry", "string-entry"])
+        "non-string-name", "non-string-notes", "zero-denominator", "zero-coefficient",
+        "int-entry", "null-entry", "list-entry", "string-entry"])
 def test_malformed_registry_entry_rejected(entry, reason):
     with pytest.raises(ValueError, match=f"^{reason}"):
         relations._relation_from_dict(entry, 4)
@@ -440,21 +446,29 @@ def test_mutations_parse_the_relation_once(monkeypatch, samples):
 def test_mutants_equal_the_checked_replace():
     """A mutant, made without ``Relation``'s checks, equals the relation
     that ``dataclasses.replace`` makes from the same side, with every check
-    run."""
-    count = 0
+    run; except a mutant whose shifted coefficient is 0, which those checks
+    refuse from outside."""
+    count = zeros = 0
     for rel in load_relations():
         for desc, mutant in mutations(rel):
             key = "lhs" if ": lhs " in desc else "rhs"
             side = getattr(mutant, key)
             assert side is not getattr(rel, key)
             assert type(mutant) is Relation and type(mutant.tags) is tuple
-            checked = replace(rel, **{key: side})
-            assert mutant == checked, desc
             # the kept residual is the one built from the mutant's own sides
-            assert mutant.residual == checked.residual, desc
+            assert mutant.residual == relations._residual(
+                mutant.lhs, mutant.rhs, mutant.rhs_delta), desc
             assert mutant.residual != rel.residual, desc
             count += 1
-    assert count > 398
+            index = int(desc.split(" monomial ")[1].split()[0])
+            if side.monomials[index].coeff == 0:
+                with pytest.raises(ValueError, match=(
+                        f"^{rel.name}: {key} monomial {index} has coefficient 0$")):
+                    replace(rel, **{key: side})
+                zeros += 1
+                continue
+            assert mutant == replace(rel, **{key: side}), desc
+    assert count > 398 and 0 < zeros < count
 
 
 def _two_route_residual(rel, ctx):
